@@ -32,8 +32,10 @@ from .model import (
     Space,
     ValidationError,
     VariableSpec,
+    _require_cap,
     build_network,
     derive_restricted_potentials,
+    resolve_state_cap,
 )
 
 __all__ = [
@@ -103,6 +105,7 @@ def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> 
     """
     net = problem.network
     d_axes = [net.space.index(n) for n in problem.decision_vars]
+    cap = resolve_state_cap(state_cap)
     candidates = []
     for combo in itertools.product(*(range(net.space.shape[a]) for a in d_axes)):
         partial = {
@@ -112,7 +115,7 @@ def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> 
         cyl = net.cylinder(partial)
         if (cyl & problem.evidence).is_empty:
             continue
-        eu = conditional_event_utility(net, cyl, problem.evidence, state_cap)
+        eu = conditional_event_utility(net, cyl, problem.evidence, cap)
         candidates.append((partial, eu))
     if not candidates:
         raise EmptyEventError("no decision assignment is compatible with the evidence")
@@ -332,6 +335,7 @@ def build_vickrey_auction(
         nodes=ordering,
     )
     space = Space(specs)
+    _require_cap(space.state_count, None, "the auction joint over")
 
     if opponent_bid_table is None:
         c_given_s = np.full((g, g), epsilon)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +33,12 @@ from .model import (
     Network,
     RestrictedPotential,
     Space,
-    StateCapError,
     ValidationError,
     VariableSpec,
+    _require_cap,
+    _structure,
     build_network,
     derive_restricted_potentials,
-    resolve_state_cap,
 )
 
 __all__ = [
@@ -144,53 +144,62 @@ def _parse_arcs(raw: object, path: str) -> list[tuple[str, str]]:
     return arcs
 
 
+def _parse_rows(
+    rows: object, path: str, parents: Sequence[str], number_key: str, relation: str
+) -> Iterator[tuple[str, tuple[str, ...], float]]:
+    """Yield ``(row path, (value, *parent values), number)`` per table row.
+
+    Every row names a ``value``, a ``given`` condition on exactly the
+    ``parents`` and a number under ``number_key``; ``relation`` finishes the
+    message rejecting a condition on anything else ("... is not {relation}").
+    """
+    seen = set()
+    for k, row in enumerate(_as_list(rows, path)):
+        rat = f"{path}[{k}]"
+        row_obj = _as_object(row, rat)
+        _reject_unknown(row_obj, rat, frozenset({"value", "given", number_key}))
+        value = _as_str(_require(row_obj, "value", rat), f"{rat}.value")
+        given = _as_object(row_obj.get("given", {}), f"{rat}.given")
+        for parent in given:
+            if parent not in parents:
+                _fail(f"{rat}.given", f"{parent!r} is not {relation}")
+        missing = [p for p in parents if p not in given]
+        if missing:
+            _fail(f"{rat}.given", f"missing condition on {missing[0]!r}")
+        key = (value,) + tuple(_as_str(given[p], f"{rat}.given.{p}") for p in parents)
+        if key in seen:
+            _fail(rat, f"duplicate entry for {key!r}")
+        seen.add(key)
+        yield rat, key, _as_number(_require(row_obj, number_key, rat), f"{rat}.{number_key}")
+
+
 def _parse_layer_tables(
-    raw: object,
-    path: str,
-    layer: str,
-    net_skeleton: Network,
+    raw: object, path: str, layer: str, space: Space, graph: EUNGraph
 ) -> list[RestrictedPotential]:
-    space = net_skeleton.space
     obj = _as_object(raw, path)
     potentials = []
     for name, rows in obj.items():
         at = f"{path}.{name}"
         if name not in set(space.names):
             _fail(at, f"table for undeclared variable {name!r}")
-        spec = space.spec(name)
-        parents = net_skeleton.below_neighbors(layer, name)
-        parent_specs = [space.spec(p) for p in parents]
-        entries: dict[tuple[str, ...], float] = {}
-        for k, row in enumerate(_as_list(rows, at)):
-            rat = f"{at}[{k}]"
-            row_obj = _as_object(row, rat)
-            _reject_unknown(row_obj, rat, frozenset({"value", "given", "ratio"}))
-            value = _as_str(_require(row_obj, "value", rat), f"{rat}.value")
-            given = _as_object(row_obj.get("given", {}), f"{rat}.given")
-            for parent in given:
-                if parent not in parents:
-                    _fail(
-                        f"{rat}.given",
-                        f"{parent!r} is not a below-index neighbour of {name!r} "
-                        f"in the {layer} layer (expected {sorted(parents)})",
-                    )
-            missing = [p for p in parents if p not in given]
-            if missing:
-                _fail(f"{rat}.given", f"missing condition on {missing[0]!r}")
-            key = (value,) + tuple(
-                _as_str(given[p], f"{rat}.given.{p}") for p in parents
-            )
-            if key in entries:
-                _fail(rat, f"duplicate entry for {key!r}")
-            entries[key] = _as_number(_require(row_obj, "ratio", rat), f"{rat}.ratio")
+        parents = graph.below_neighbors(layer, name, space.names)
+        relation = (
+            f"a below-index neighbour of {name!r} in the {layer} layer "
+            f"(expected {sorted(parents)})"
+        )
+        entries = {
+            key: ratio for _, key, ratio in _parse_rows(rows, at, parents, "ratio", relation)
+        }
         potentials.append(
-            RestrictedPotential.from_entries(spec, parent_specs, layer, entries)
+            RestrictedPotential.from_entries(
+                space.spec(name), [space.spec(p) for p in parents], layer, entries
+            )
         )
     return potentials
 
 
 def parse_network(text: str) -> Network:
-    """Parse an ``eun/1`` document into a validated network."""
+    """Parse an ``eun/1`` document into a checked network."""
     doc = _load_document(text, EUN_FORMAT)
     _reject_unknown(
         doc,
@@ -207,12 +216,12 @@ def parse_network(text: str) -> Network:
         util_arcs=_parse_arcs(doc.get("util_arcs", []), "$.util_arcs"),
         nodes=[s.name for s in specs],
     )
-    # A potential's conditioning set comes from the graph, so the tables can
-    # only be interpreted against an assembled skeleton.
-    skeleton = build_network(specs, ordering, graph)
+    # A potential's conditioning set comes from the graph and the ordering,
+    # so the structure is checked before the tables are read.
+    space, checked = _structure(specs, ordering, graph)
     potentials = [
-        *_parse_layer_tables(doc.get("q", {}), "$.q", PROB, skeleton),
-        *_parse_layer_tables(doc.get("w", {}), "$.w", UTIL, skeleton),
+        *_parse_layer_tables(doc.get("q", {}), "$.q", PROB, space, checked),
+        *_parse_layer_tables(doc.get("w", {}), "$.w", UTIL, space, checked),
     ]
     return build_network(specs, ordering, graph, potentials)
 
@@ -352,25 +361,11 @@ def parse_bayes_net(text: str) -> BayesNet:
         parent_specs = [by_name[p] for p in parents[name]]
         shape = (spec.size,) + tuple(p.size for p in parent_specs)
         table = np.full(shape, np.nan)
-        for k, row in enumerate(_as_list(cpts_raw[name], at)):
-            rat = f"{at}[{k}]"
-            row_obj = _as_object(row, rat)
-            _reject_unknown(row_obj, rat, frozenset({"value", "given", "p"}))
-            value = _as_str(_require(row_obj, "value", rat), f"{rat}.value")
-            given = _as_object(row_obj.get("given", {}), f"{rat}.given")
-            for parent in given:
-                if parent not in parents[name]:
-                    _fail(f"{rat}.given", f"{parent!r} is not a parent of {name!r}")
-            missing = [p for p in parents[name] if p not in given]
-            if missing:
-                _fail(f"{rat}.given", f"missing condition on {missing[0]!r}")
-            idx = (spec.value_index(value),) + tuple(
-                p.value_index(_as_str(given[p.name], f"{rat}.given.{p.name}"))
-                for p in parent_specs
+        rows = _parse_rows(cpts_raw[name], at, parents[name], "p", f"a parent of {name!r}")
+        for rat, key, prob in rows:
+            idx = (spec.value_index(key[0]),) + tuple(
+                p.value_index(label) for p, label in zip(parent_specs, key[1:])
             )
-            if not np.isnan(table[idx]):
-                _fail(rat, "duplicate row for this value/parent combination")
-            prob = _as_number(_require(row_obj, "p", rat), f"{rat}.p")
             if prob <= 0.0:
                 _fail(f"{rat}.p", f"probabilities must be strictly positive, got {prob!r}")
             table[idx] = prob
@@ -414,11 +409,7 @@ def bn_to_eun(bn: BayesNet, state_cap: int | None = None) -> Network:
     the Bayes network's distribution.  The utility layer is identically 1.
     """
     space = Space(bn.specs)
-    cap = resolve_state_cap(state_cap)
-    if space.state_count > cap:
-        raise StateCapError(
-            f"joint enumeration needs {space.state_count} states, cap is {cap}"
-        )
+    _require_cap(space.state_count, state_cap, "joint enumeration over")
     n = len(space)
     joint = np.ones(space.shape)
     for name in bn.names:

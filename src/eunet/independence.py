@@ -2,13 +2,13 @@
 
 Two views of the same notion live here.  The graph view asks whether a
 conditioning set blocks every path between two variable sets in one arc
-layer; on a validated network that is sound and, over partitions of the
-variables, complete.  The table view asks the question numerically: a set M
-is independent of everything outside M and K given K exactly when the
-ceteris paribus ratio of M is invariant to the remaining variables.  The
-table test accepts the generalised form where M and K do not exhaust the
-variables; the leftover variables are quantified over, held equal on both
-sides of the comparison.
+layer; on a network that passes validation it is sound and, over
+partitions of the variables, complete.  The table view asks the question
+numerically: a set M is independent of everything outside M and K given K
+exactly when the ceteris paribus ratio of M is invariant to the remaining
+variables.  The table test accepts the generalised form where M and K do
+not exhaust the variables; the leftover variables are quantified over, held
+equal on both sides of the comparison.
 
 The pairwise version of the table test recovers the unique minimal graph on
 which separation matches table independence over every partition, which is
@@ -30,6 +30,8 @@ from .model import (
     Network,
     ValidationError,
     _check_layer,
+    ratio_spread,
+    resolve_state_cap,
 )
 
 __all__ = [
@@ -72,6 +74,16 @@ def separates(
     return graph.separating(layer, sa, sb, sc)
 
 
+def _partition(
+    network: Network, a: Iterable[str], b: Iterable[str], c: Iterable[str]
+) -> list[frozenset[str]]:
+    sa, sb, sc = _as_sets(a, b, c)
+    everything = set(network.space.names)
+    if (sa | sb | sc) != everything or len(sa) + len(sb) + len(sc) != len(everything):
+        raise ValidationError("a, b, c must partition the network's variables")
+    return [sa, sb, sc]
+
+
 def declared_independent(
     network: Network,
     layer: str,
@@ -85,10 +97,7 @@ def declared_independent(
     passes the mantle-consistency check this is exact in both directions for
     the corresponding layer's measure.
     """
-    sa, sb, sc = _as_sets(a, b, c)
-    everything = set(network.space.names)
-    if (sa | sb | sc) != everything or len(sa) + len(sb) + len(sc) != len(everything):
-        raise ValidationError("a, b, c must partition the network's variables")
+    sa, sb, sc = _partition(network, a, b, c)
     return separates(network.graph, layer, sa, sb, sc)
 
 
@@ -126,13 +135,8 @@ def max_ratio_spread(table: np.ndarray, m: Iterable[int], k: Iterable[int]) -> f
     sm, _, free = _axis_sets(arr, m, k)
     if not free:
         return 0.0
-    idx: list[object] = [slice(None)] * arr.ndim
-    for ax in sm:
-        idx[ax] = slice(0, 1)
-    ratio = arr / arr[tuple(idx)]
-    hi = ratio.max(axis=tuple(free))
-    lo = ratio.min(axis=tuple(free))
-    return float(((hi - lo) / lo).max())
+    _, spread = ratio_spread(arr, dict.fromkeys(sm, 0), free)
+    return float(spread.max())
 
 
 def table_independent(
@@ -202,10 +206,7 @@ def eu_independent_vars(
     expected utilities multiply across the two sides for cylinder events,
     given any full assignment of ``c``.
     """
-    sa, sb, sc = _as_sets(a, b, c)
-    everything = set(network.space.names)
-    if (sa | sb | sc) != everything or len(sa) + len(sb) + len(sc) != len(everything):
-        raise ValidationError("a, b, c must partition the network's variables")
+    sa, sb, sc = _partition(network, a, b, c)
     return separates(network.graph, PROB, sa, sb, sc) and separates(
         network.graph, UTIL, sa, sb, sc
     )
@@ -232,6 +233,9 @@ def eu_independent_events(
                 f"empty conditioning intersection ({name} meets G nowhere), "
                 "conditional utility undefined"
             )
-    lhs = conditional_event_utility(network, ef, g)
-    rhs = conditional_event_utility(network, e, g) * conditional_event_utility(network, f, g)
+    cap = resolve_state_cap()
+    lhs = conditional_event_utility(network, ef, g, cap)
+    rhs = conditional_event_utility(network, e, g, cap) * conditional_event_utility(
+        network, f, g, cap
+    )
     return abs(lhs - rhs) <= tolerance * abs(rhs)

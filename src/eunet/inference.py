@@ -30,6 +30,7 @@ from .model import (
     Network,
     SeparationError,
     ValidationError,
+    resolve_state_cap,
 )
 
 __all__ = [
@@ -66,12 +67,12 @@ class MeasureTriple:
         return "neutral"
 
 
-def _event_sums(network: Network, event: Event, state_cap: int | None = None) -> tuple[float, float]:
+def _event_sums(network: Network, event: Event, cap: int) -> tuple[float, float]:
     """(S_p, S_u) over the event: ratio sums against the reference state."""
     if event.space != network.space:
         raise ValidationError("event belongs to a different variable system")
-    pr = network.ratio_tables(PROB, state_cap)
-    ur = network.ratio_tables(UTIL, state_cap)
+    pr = network.ratio_tables(PROB, cap)
+    ur = network.ratio_tables(UTIL, cap)
     fixed = event.fixed
     if fixed is not None:
         idx: list[object] = [slice(None)] * len(network.space)
@@ -105,7 +106,7 @@ def marginal_p_ratio(
     taken in index order.  An empty partial yields 1 / p(x0).
     """
     event = network.cylinder(partial)
-    sp, _ = _event_sums(network, event, state_cap)
+    sp, _ = _event_sums(network, event, resolve_state_cap(state_cap))
     return sp
 
 
@@ -119,9 +120,10 @@ def marginal_u_ratio(
     checked internally.
     """
     event = network.cylinder(partial)
-    sp, su = _event_sums(network, event, state_cap)
+    cap = resolve_state_cap(state_cap)
+    sp, su = _event_sums(network, event, cap)
     out = su / sp
-    direct = event_utility(network, event, state_cap).u_rel
+    direct = event_utility(network, event, cap).u_rel
     if abs(out - direct) > _AGREEMENT_TOL * abs(direct):
         raise EunError(
             "internal inconsistency: marginal utility ratio disagrees with the event computation"
@@ -149,8 +151,9 @@ def conditional_probability(
         raise EmptyEventError(
             "E and F do not intersect, conditional probability undefined"
         )
-    sp_ef, _ = _event_sums(network, ef, state_cap)
-    sp_f, _ = _event_sums(network, f, state_cap)
+    cap = resolve_state_cap(state_cap)
+    sp_ef, _ = _event_sums(network, ef, cap)
+    sp_f, _ = _event_sums(network, f, cap)
     return sp_ef / sp_f
 
 
@@ -159,12 +162,14 @@ def event_utility(network: Network, e: Event, state_cap: int | None = None) -> M
 
     ``u_rel`` is relative to the utility of the reference state, ``u_norm``
     rescales so the sure event is worth 1, and ``v = u_norm * p`` is the
-    additive value measure.
+    additive value measure.  The sure event's sums are cached on the network.
     """
     _require_nonempty(e, "event E")
-    sp, su = _event_sums(network, e, state_cap)
-    true_ev = network.true_event()
-    sp_t, su_t = _event_sums(network, true_ev, state_cap)
+    cap = resolve_state_cap(state_cap)
+    sp, su = _event_sums(network, e, cap)
+    sp_t, su_t = network._cached(
+        "sure_sums", lambda: _event_sums(network, network.true_event(), cap)
+    )
     u_rel = su / sp
     u_norm = u_rel / (su_t / sp_t)
     p = sp / sp_t
@@ -179,8 +184,9 @@ def conditional_event_utility(
     ef = e & f
     if ef.is_empty:
         raise EmptyEventError("E and F do not intersect, conditional utility undefined")
-    sp_ef, su_ef = _event_sums(network, ef, state_cap)
-    sp_f, su_f = _event_sums(network, f, state_cap)
+    cap = resolve_state_cap(state_cap)
+    sp_ef, su_ef = _event_sums(network, ef, cap)
+    sp_f, su_f = _event_sums(network, f, cap)
     return (su_ef / sp_ef) / (su_f / sp_f)
 
 
@@ -194,8 +200,9 @@ def value(
     ef = e & f
     if ef.is_empty:
         raise EmptyEventError("E and F do not intersect, conditional value undefined")
-    _, su_ef = _event_sums(network, ef, state_cap)
-    _, su_f = _event_sums(network, f, state_cap)
+    cap = resolve_state_cap(state_cap)
+    _, su_ef = _event_sums(network, ef, cap)
+    _, su_f = _event_sums(network, f, cap)
     return su_ef / su_f
 
 
@@ -211,18 +218,19 @@ def utility_bayes(network: Network, f: Event, e: Event, state_cap: int | None = 
         if ev.is_empty:
             raise EmptyEventError(f"{name} is empty, the utility Bayes rule is undefined")
 
-    u_e_given_f = conditional_event_utility(network, e, f, state_cap)
-    u_e_given_nf = conditional_event_utility(network, e, not_f, state_cap)
-    u_f = event_utility(network, f, state_cap).u_norm
-    u_nf = event_utility(network, not_f, state_cap).u_norm
-    p_f_given_e = conditional_probability(network, f, e, state_cap=state_cap)
-    p_nf_given_e = conditional_probability(network, not_f, e, state_cap=state_cap)
+    cap = resolve_state_cap(state_cap)
+    u_e_given_f = conditional_event_utility(network, e, f, cap)
+    u_e_given_nf = conditional_event_utility(network, e, not_f, cap)
+    u_f = event_utility(network, f, cap).u_norm
+    u_nf = event_utility(network, not_f, cap).u_norm
+    p_f_given_e = conditional_probability(network, f, e, state_cap=cap)
+    p_nf_given_e = conditional_probability(network, not_f, e, state_cap=cap)
 
     numerator = u_e_given_f * u_f
     denominator = numerator * p_f_given_e + u_e_given_nf * u_nf * p_nf_given_e
     out = numerator / denominator
 
-    direct = conditional_event_utility(network, f, e, state_cap)
+    direct = conditional_event_utility(network, f, e, cap)
     if abs(out - direct) > _AGREEMENT_TOL * abs(direct):
         raise EunError(
             "internal inconsistency: utility Bayes disagrees with the direct conditional"

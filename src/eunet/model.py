@@ -16,7 +16,8 @@ Everything in this module is exact enumeration at desk scale.  Enumerating a
 state space is guarded by a cap (default one million states, overridable via
 the ``EUN_STATE_CAP`` environment variable or per call).  Networks are
 immutable once built; all reads are pure and cached reads are safe under
-concurrent initialisation.
+concurrent initialisation (racing first readers may each build a value, and
+all of them get the one stored first).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import itertools
 import math
 import os
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "joint_ratio",
     "reconstruct_joint",
     "full_mantle_potential",
+    "ratio_spread",
     "validate_imap",
     "derive_restricted_potentials",
     "resolve_state_cap",
@@ -68,6 +70,8 @@ LAYERS = (PROB, UTIL)
 
 DEFAULT_STATE_CAP = 1_000_000
 STATE_CAP_ENV = "EUN_STATE_CAP"
+
+_T = TypeVar("_T")
 
 
 class EunError(Exception):
@@ -106,6 +110,13 @@ def resolve_state_cap(cap: int | None = None) -> int:
             raise ValidationError(f"{STATE_CAP_ENV} must be positive, got {value}")
         return value
     return DEFAULT_STATE_CAP
+
+
+def _require_cap(count: int, state_cap: int | None, doing: str) -> None:
+    """Raise StateCapError when ``count`` states exceed the effective cap."""
+    cap = resolve_state_cap(state_cap)
+    if count > cap:
+        raise StateCapError(f"{doing} {count} states exceeds the cap of {cap}")
 
 
 def _check_layer(layer: str) -> str:
@@ -211,6 +222,11 @@ class EUNGraph:
                 out.add(x)
         return frozenset(out)
 
+    def below_neighbors(self, layer: str, name: str, ordering: Sequence[str]) -> tuple[str, ...]:
+        """Neighbours of ``name`` that precede it in ``ordering``, in that order."""
+        mantle = self.neighbors(layer, name)
+        return tuple(n for n in ordering[: ordering.index(name)] if n in mantle)
+
     def _adjacency(self, layer: str) -> dict[str, set[str]]:
         adj: dict[str, set[str]] = {n: set() for n in self.nodes}
         for x, y in self.arcs(layer):
@@ -227,7 +243,7 @@ class EUNGraph:
     ) -> bool:
         """Breadth-first check that every path from ``a`` to ``b`` meets ``c``.
 
-        Assumes the three sets are validated elsewhere (disjoint, known names).
+        Assumes the three sets are checked elsewhere (disjoint, known names).
         """
         adj = self._adjacency(layer)
         seen = set(a)
@@ -291,20 +307,6 @@ class RestrictedPotential:
         self.table = arr
 
     @classmethod
-    def _unchecked(
-        cls, var: str, layer: str, parents: tuple[str, ...], table: np.ndarray
-    ) -> "RestrictedPotential":
-        # Validation bypass for internal experiments (scaled tables etc).
-        obj = object.__new__(cls)
-        arr = np.asarray(table, dtype=float).copy()
-        arr.flags.writeable = False
-        obj.var = var
-        obj.layer = layer
-        obj.parents = tuple(parents)
-        obj.table = arr
-        return obj
-
-    @classmethod
     def identity(
         cls, spec: VariableSpec, parent_specs: Sequence[VariableSpec], layer: str
     ) -> "RestrictedPotential":
@@ -341,11 +343,6 @@ class RestrictedPotential:
                 )
             vi = spec.value_index(key[0])
             pis = tuple(p.value_index(k) for p, k in zip(parent_specs, key[1:]))
-            if vi == spec.reference_index and float(ratio) != 1.0:
-                raise ValidationError(
-                    f"potential for {spec.name!r}/{layer}: non-unit reference row "
-                    f"(entry {key!r} must be 1, got {ratio!r})"
-                )
             table[(vi,) + pis] = float(ratio)
         if np.any(np.isnan(table)):
             raise ValidationError(
@@ -541,11 +538,7 @@ class Event:
         if self._states is not None:
             return self._states
         assert self._partial is not None
-        cap = resolve_state_cap(state_cap)
-        if self.size > cap:
-            raise StateCapError(
-                f"materialising {self.size} states exceeds the cap of {cap}"
-            )
+        _require_cap(self.size, state_cap, "materialising")
         fixed = self._partial
         ranges = [
             [fixed[i]] if i in fixed else range(self.space.shape[i])
@@ -600,11 +593,7 @@ class Event:
         return Event(self.space, states=self.states() | other.states())
 
     def __invert__(self) -> "Event":
-        cap = resolve_state_cap(None)
-        if self.space.state_count > cap:
-            raise StateCapError(
-                f"complement over {self.space.state_count} states exceeds the cap of {cap}"
-            )
+        _require_cap(self.space.state_count, None, "complement over")
         everything = Event.true(self.space).states()
         return Event(self.space, states=everything - self.states())
 
@@ -675,8 +664,8 @@ class Network:
     """An immutable expected utility network.
 
     Built through :func:`build_network`.  All public reads are pure; the
-    full ratio tables and the utility normaliser are computed once on demand
-    and cached behind a lock, so concurrent readers are safe.
+    per-layer ratio tables and the sure-event sums are computed on demand
+    and cached, so concurrent readers are safe.
     """
 
     def __init__(
@@ -684,13 +673,10 @@ class Network:
         space: Space,
         graph: EUNGraph,
         potentials: Mapping[str, Mapping[str, RestrictedPotential]],
-        *,
-        validated: bool = True,
     ) -> None:
         self.space = space
         self.graph = graph
         self._potentials = {layer: dict(potentials[layer]) for layer in LAYERS}
-        self.validated = validated
         self._lock = threading.Lock()
         self._cache: dict[str, object] = {}
 
@@ -718,14 +704,7 @@ class Network:
 
     def below_neighbors(self, layer: str, name: str) -> tuple[str, ...]:
         """Below-index neighbours in ordering index order."""
-        i = self.space.index(name)
-        mantle = self.graph.neighbors(layer, name)
-        return tuple(n for n in self.space.names[:i] if n in mantle)
-
-    def above_neighbors(self, layer: str, name: str) -> tuple[str, ...]:
-        i = self.space.index(name)
-        mantle = self.graph.neighbors(layer, name)
-        return tuple(n for n in self.space.names[i + 1 :] if n in mantle)
+        return self.graph.below_neighbors(layer, name, self.space.names)
 
     # -- event and assignment helpers --------------------------------------
 
@@ -743,128 +722,84 @@ class Network:
 
     # -- cached numeric tables ---------------------------------------------
 
+    def _cached(self, key: str, build: Callable[[], _T]) -> _T:
+        """The value cached under ``key``, built by ``build()`` on first use.
+
+        ``build`` runs outside the lock, so racing first readers may each
+        build; the first value stored wins and every reader returns it.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            with self._lock:
+                value = self._cache.setdefault(key, value)
+        return value  # type: ignore[return-value]
+
     def _log_potentials(self, layer: str) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         """Per-variable (axes, log table) pairs, cached.  Cap-free."""
-        key = f"logpots/{layer}"
-        cached = self._cache.get(key)
-        if cached is None:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    out = []
-                    for name in self.space.names:
-                        pot = self._potentials[layer][name]
-                        axes = (self.space.index(name),) + tuple(
-                            self.space.index(p) for p in pot.parents
-                        )
-                        logt = np.log(pot.table)
-                        logt.flags.writeable = False
-                        out.append((axes, logt))
-                    cached = tuple(out)
-                    self._cache[key] = cached
-        return cached  # type: ignore[return-value]
 
-    def _check_cap(self, state_cap: int | None) -> None:
-        cap = resolve_state_cap(state_cap)
-        if self.state_count > cap:
-            raise StateCapError(
-                f"enumeration over {self.state_count} states exceeds the cap of {cap}"
-            )
+        def build() -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+            out = []
+            for name in self.space.names:
+                pot = self._potentials[layer][name]
+                axes = (self.space.index(name),) + tuple(
+                    self.space.index(p) for p in pot.parents
+                )
+                logt = np.log(pot.table)
+                logt.flags.writeable = False
+                out.append((axes, logt))
+            return tuple(out)
 
-    def _full_log_ratio(self, layer: str, state_cap: int | None = None) -> np.ndarray:
-        """Log joint ratio table over the full state space, cached per layer.
-
-        Accumulates the broadcast per-variable log tables left to right along
-        the ordering, the same summation order as the scalar path in
-        :func:`joint_ratio` (the two can still differ by an ulp at the final
-        exponentiation).
-        """
-        self._check_cap(state_cap)
-        key = f"logratio/{layer}"
-        cached = self._cache.get(key)
-        if cached is None:
-            parts = self._log_potentials(layer)  # before taking the lock, it locks too
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    n = len(self.space)
-                    total = np.zeros(self.space.shape)
-                    for axes, logt in parts:
-                        order = sorted(range(len(axes)), key=lambda k: axes[k])
-                        view = logt.transpose(order)
-                        idx: list[object] = [None] * n
-                        for v in sorted(axes):
-                            idx[v] = slice(None)
-                        total = total + view[tuple(idx)]
-                    total.flags.writeable = False
-                    self._cache[key] = total
-                    cached = total
-        return cached  # type: ignore[return-value]
+        return self._cached(f"logpots/{layer}", build)
 
     def ratio_tables(self, layer: str, state_cap: int | None = None) -> np.ndarray:
-        """The full joint ratio table (value 1 at the reference state)."""
-        _check_layer(layer)
-        key = f"ratio/{layer}"
-        cached = self._cache.get(key)
-        if cached is None:
-            log_table = self._full_log_ratio(layer, state_cap)
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    table = np.exp(log_table)
-                    table.flags.writeable = False
-                    self._cache[key] = table
-                    cached = table
-        else:
-            self._check_cap(state_cap)
-        return cached  # type: ignore[return-value]
+        """The full joint ratio table (value 1 at the reference state), cached.
 
-    def u_rel_true(self, state_cap: int | None = None) -> float:
-        """Expected utility of the sure event, relative to u at the reference state."""
-        key = "u_rel_true"
-        cached = self._cache.get(key)
-        if cached is None:
-            pr = self.ratio_tables(PROB, state_cap)
-            ur = self.ratio_tables(UTIL, state_cap)
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    cached = float((pr * ur).sum() / pr.sum())
-                    self._cache[key] = cached
-        return cached  # type: ignore[return-value]
+        Sums the broadcast per-variable log tables left to right along the
+        ordering, the same summation order as the scalar path in
+        :func:`joint_ratio` (the two can still differ by an ulp at the final
+        exponentiation).  The cap is checked on every call, cached or not.
+        """
+        _check_layer(layer)
+        _require_cap(self.state_count, state_cap, "enumeration over")
+
+        def build() -> np.ndarray:
+            n = len(self.space)
+            total = np.zeros(self.space.shape)
+            for axes, logt in self._log_potentials(layer):
+                order = sorted(range(len(axes)), key=lambda k: axes[k])
+                view = logt.transpose(order)
+                idx: list[object] = [None] * n
+                for v in sorted(axes):
+                    idx[v] = slice(None)
+                total += view[tuple(idx)]
+            np.exp(total, out=total)
+            total.flags.writeable = False
+            return total
+
+        return self._cached(f"ratio/{layer}", build)
 
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
         """Cached mantle-consistency report at the default tolerance."""
         if tolerance == 1e-9:
-            cached = self._cache.get("imap")
-            if cached is None:
-                report = validate_imap(self, tolerance, state_cap=state_cap)
-                with self._lock:
-                    cached = self._cache.setdefault("imap", report)
-            return cached  # type: ignore[return-value]
+            return self._cached(
+                "imap", lambda: validate_imap(self, tolerance, state_cap=state_cap)
+            )
         return validate_imap(self, tolerance, state_cap=state_cap)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"Network({len(self.space)} variables, "
+            f"{type(self).__name__}({len(self.space)} variables, "
             f"{len(self.graph.prob_arcs)} prob arcs, {len(self.graph.util_arcs)} util arcs)"
         )
 
 
-def build_network(
-    specs: Sequence[VariableSpec],
-    ordering: Sequence[str],
-    graph: EUNGraph,
-    potentials: Iterable[RestrictedPotential] = (),
-) -> Network:
-    """Validate the parts and assemble an immutable network.
+def _structure(
+    specs: Sequence[VariableSpec], ordering: Sequence[str], graph: EUNGraph
+) -> tuple[Space, EUNGraph]:
+    """Check names, ordering and arc ends; return the ordered space and graph.
 
-    ``ordering`` is a permutation of the variable names and fixes the index
-    of every variable.  Each potential must condition on exactly the
-    below-index neighbours of its variable in its layer, in index order.
-    Missing potentials default to the identity table over the correct
-    conditioning set, so a graph with no potentials at all is the uniform
-    probability and constant utility over the space.
+    The returned graph's nodes are exactly the ordering.
     """
     by_name = {}
     for spec in specs:
@@ -883,17 +818,33 @@ def build_network(
     unknown -= set(ordering)
     if unknown:
         raise ValidationError(f"unknown variable in an arc: {sorted(unknown)}")
-    graph = EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(ordering))
+    return space, EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(ordering))
 
-    net = Network(space, graph, {PROB: {}, UTIL: {}}, validated=False)
+
+def build_network(
+    specs: Sequence[VariableSpec],
+    ordering: Sequence[str],
+    graph: EUNGraph,
+    potentials: Iterable[RestrictedPotential] = (),
+) -> Network:
+    """Validate the parts and assemble an immutable network.
+
+    ``ordering`` is a permutation of the variable names and fixes the index
+    of every variable.  Each potential must condition on exactly the
+    below-index neighbours of its variable in its layer, in index order.
+    Missing potentials default to the identity table over the correct
+    conditioning set, so a graph with no potentials at all is the uniform
+    probability and constant utility over the space.
+    """
+    space, graph = _structure(specs, ordering, graph)
     expected_parents = {
-        layer: {name: net.below_neighbors(layer, name) for name in ordering}
+        layer: {name: graph.below_neighbors(layer, name, space.names) for name in space.names}
         for layer in LAYERS
     }
 
     tables: dict[str, dict[str, RestrictedPotential]] = {PROB: {}, UTIL: {}}
     for pot in potentials:
-        if pot.var not in by_name:
+        if pot.var not in space.names:
             raise ValidationError(f"potential for unknown variable {pot.var!r}")
         if pot.var in tables[pot.layer]:
             raise ValidationError(f"duplicate potential for {pot.var!r}/{pot.layer}")
@@ -903,8 +854,8 @@ def build_network(
                 f"potential for {pot.var!r}/{pot.layer}: conditioning set mismatch with graph, "
                 f"expected parents {want!r}, got {pot.parents!r}"
             )
-        spec = by_name[pot.var]
-        shape = (spec.size,) + tuple(by_name[p].size for p in want)
+        spec = space.spec(pot.var)
+        shape = (spec.size,) + tuple(space.spec(p).size for p in want)
         if pot.table.shape != shape:
             raise ValidationError(
                 f"potential for {pot.var!r}/{pot.layer}: table shape {pot.table.shape} "
@@ -917,14 +868,14 @@ def build_network(
         tables[pot.layer][pot.var] = pot
 
     for layer in LAYERS:
-        for name in ordering:
+        for name in space.names:
             if name not in tables[layer]:
-                parent_specs = [by_name[p] for p in expected_parents[layer][name]]
+                parent_specs = [space.spec(p) for p in expected_parents[layer][name]]
                 tables[layer][name] = RestrictedPotential.identity(
-                    by_name[name], parent_specs, layer
+                    space.spec(name), parent_specs, layer
                 )
 
-    return Network(space, graph, tables, validated=True)
+    return Network(space, graph, tables)
 
 
 def _as_values(network: Network, x: Assignment | Mapping[str, str]) -> tuple[int, ...]:
@@ -960,11 +911,31 @@ def reconstruct_joint(network: Network, state_cap: int | None = None) -> Reconst
     is the oracle backbone for everything else in the package: every other
     numeric operation must agree with sums over these tables.
     """
-    pr = network.ratio_tables(PROB, state_cap)
-    ur = network.ratio_tables(UTIL, state_cap)
+    cap = resolve_state_cap(state_cap)
+    pr = network.ratio_tables(PROB, cap)
+    ur = network.ratio_tables(UTIL, cap)
     p = pr / pr.sum()
     p.flags.writeable = False
     return ReconstructedJoint(p=p, u=ur)
+
+
+def ratio_spread(
+    table: np.ndarray, moved: Mapping[int, int], free: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio of a positive table against its ``moved`` axes, and its spread.
+
+    The ratio divides every entry by the entry with each axis in ``moved``
+    set to the index it maps to.  The spread is ``(hi - lo) / lo`` of that
+    ratio across the ``free`` axes, one entry per configuration of the other
+    axes: zero where the ratio does not depend on the free axes.
+    """
+    idx: list[object] = [slice(None)] * table.ndim
+    for ax, v in moved.items():
+        idx[ax] = slice(v, v + 1)
+    ratio = table / table[tuple(idx)]
+    hi = ratio.max(axis=tuple(free))
+    lo = ratio.min(axis=tuple(free))
+    return ratio, (hi - lo) / lo
 
 
 def full_mantle_potential(
@@ -990,14 +961,9 @@ def full_mantle_potential(
         a for a in range(len(network.space)) if a != i and a not in mantle_axes
     ]
 
-    ref_idx: list[object] = [slice(None)] * len(network.space)
-    ref_idx[i] = slice(network.space.reference_indexes[i], network.space.reference_indexes[i] + 1)
-    ratio = table / table[tuple(ref_idx)]
-
+    ratio, spread = ratio_spread(table, {i: network.space.reference_indexes[i]}, free_axes)
     if free_axes:
-        spread_hi = ratio.max(axis=tuple(free_axes))
-        spread_lo = ratio.min(axis=tuple(free_axes))
-        deviation = float(((spread_hi - spread_lo) / spread_lo).max())
+        deviation = float(spread.max())
         if strict and deviation > tolerance:
             raise ValidationError(
                 f"full-mantle potential for {var!r}/{layer}: non-mantle dependence detected "
@@ -1034,21 +1000,15 @@ def validate_imap(
     """
     violations = []
     n = len(network.space)
+    cap = resolve_state_cap(state_cap)
     for layer in LAYERS:
-        table = network.ratio_tables(layer, state_cap)
+        table = network.ratio_tables(layer, cap)
         for i, var in enumerate(network.space.names):
             mantle_axes = {network.space.index(m) for m in network.mantle(layer, var)}
             free_axes = [a for a in range(n) if a != i and a not in mantle_axes]
             if not free_axes:
                 continue
-            ridx: list[object] = [slice(None)] * n
-            ridx[i] = slice(
-                network.space.reference_indexes[i], network.space.reference_indexes[i] + 1
-            )
-            ratio = table / table[tuple(ridx)]
-            hi = ratio.max(axis=tuple(free_axes))
-            lo = ratio.min(axis=tuple(free_axes))
-            rel = (hi - lo) / lo
+            _, rel = ratio_spread(table, {i: network.space.reference_indexes[i]}, free_axes)
             deviation = float(rel.max())
             if deviation > tolerance:
                 kept = [a for a in range(n) if a not in free_axes]
@@ -1088,12 +1048,11 @@ def derive_restricted_potentials(
     if not np.all(arr > 0.0):
         raise ValidationError("joint table must be strictly positive")
 
-    helper = Network(space, EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(space.names)),
-                     {PROB: {}, UTIL: {}}, validated=False)
+    graph = EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(space.names))
     out = []
     n = len(space)
     for i, name in enumerate(space.names):
-        parents = helper.below_neighbors(layer, name)
+        parents = graph.below_neighbors(layer, name, space.names)
         parent_axes = [space.index(p) for p in parents]
         take: list[object] = [space.reference_indexes[a] for a in range(n)]
         take[i] = slice(None)

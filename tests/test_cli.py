@@ -369,13 +369,25 @@ def test_errors_go_to_stderr_only(chain_path):
     assert err != ""
 
 
-def test_console_script_is_installed():
+@pytest.mark.parametrize("launcher", ["eun", "python-m-eunet"])
+def test_console_script_is_installed(launcher):
+    import os
     import shutil
     import subprocess
+    import sys
+    from pathlib import Path
 
-    exe = shutil.which("eun")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    import eunet
+
+    env = None
+    if launcher == "eun":
+        exe = shutil.which("eun")
+        if exe is None:
+            pytest.skip("console script not on PATH")
+        command = [exe]
+    else:
+        command = [sys.executable, "-m", "eunet"]
+        env = {**os.environ, "PYTHONPATH": str(Path(eunet.__file__).parent.parent)}
+    proc = subprocess.run([*command, "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "usage:" in proc.stdout

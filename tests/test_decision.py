@@ -13,6 +13,7 @@ from eunet import (
     DecisionProblem,
     EmptyEventError,
     Event,
+    StateCapError,
     ValidationError,
     auction_best_response,
     build_network,
@@ -291,6 +292,13 @@ def test_auction_rejects_bad_parameters():
         build_vickrey_auction(2, epsilon=0.0)
     with pytest.raises(ValidationError, match="epsilon"):
         build_vickrey_auction(2, epsilon=1e-3)
+
+
+def test_auction_build_respects_state_cap(monkeypatch):
+    # K = 4 has 5 * 5 * 5 * 5 * 10 = 6,250 states
+    monkeypatch.setenv("EUN_STATE_CAP", "1000")
+    with pytest.raises(StateCapError, match="6250 states exceeds the cap of 1000"):
+        build_vickrey_auction(4)
 
 
 def test_auction_grid_and_ordering(auction_k2):

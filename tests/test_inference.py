@@ -10,6 +10,7 @@ from eunet import (
     UTIL,
     EmptyEventError,
     SeparationError,
+    StateCapError,
     ValidationError,
     conditional_event_utility,
     conditional_probability,
@@ -131,6 +132,19 @@ def test_empty_event_rejected(hw1):
     empty = hw1.cylinder({"H": "1"}) & hw1.cylinder({"H": "0"})
     with pytest.raises(EmptyEventError):
         event_utility(hw1, empty)
+
+
+def test_cap_holds_on_cached_reads(chain_net):
+    e = chain_net.cylinder({"X1": "1"})
+    event_utility(chain_net, e)  # caches both ratio tables and the sure-event sums
+    below = chain_net.state_count - 1
+    with pytest.raises(StateCapError):
+        event_utility(chain_net, e, state_cap=below)
+    with pytest.raises(StateCapError):
+        conditional_event_utility(chain_net, e, chain_net.true_event(), state_cap=below)
+    for layer in (PROB, UTIL):
+        with pytest.raises(StateCapError):
+            chain_net.ratio_tables(layer, below)
 
 
 # -- conditionals ------------------------------------------------------------------

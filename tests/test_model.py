@@ -204,7 +204,8 @@ def test_missing_potentials_default_to_identity():
 
 def test_scaled_reference_row_rejected_at_build():
     table = np.array([2.0, 3.0])  # reference entry not 1
-    pot = RestrictedPotential._unchecked("X", PROB, (), table)
+    # without reference_index the constructor leaves the reference row unchecked
+    pot = RestrictedPotential("X", PROB, (), table)
     with pytest.raises(ValidationError, match="non-unit reference row"):
         build_network([binary("X")], ("X",), EUNGraph.of(), [pot])
 

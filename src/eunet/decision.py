@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .inference import conditional_event_utility
+from .inference import _event_sums
 from .model import (
     PROB,
     UTIL,
@@ -99,29 +99,32 @@ class OptimalDecision(NamedTuple):
 def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> OptimalDecision:
     """Exhaustively rank decision assignments by conditional expected utility.
 
+    One reduction of the evidence's slice of the ratio tables onto the
+    decision axes yields S_p(d and E) and S_u(d and E) for every assignment
+    d at once, and their totals give S_p(E) and S_u(E); each assignment the
+    evidence meets then scores u(d | E) = (S_u(dE) / S_p(dE)) / (S_u(E) / S_p(E)).
     Assignments within relative ``TIE_TOLERANCE`` of the maximum are all
     reported, in lexicographic order of value indexes over the decision
     variables (themselves in ordering index order).
     """
     net = problem.network
     d_axes = [net.space.index(n) for n in problem.decision_vars]
-    cap = resolve_state_cap(state_cap)
-    candidates = []
-    for combo in itertools.product(*(range(net.space.shape[a]) for a in d_axes)):
-        partial = {
+    sp, su, member = _event_sums(
+        net, problem.evidence, resolve_state_cap(state_cap), keep=d_axes
+    )
+    if not member.any():
+        raise EmptyEventError("no decision assignment is compatible with the evidence")
+    base = float(su.sum()) / float(sp.sum())
+    eu = np.full(sp.shape, -np.inf)
+    np.divide(su, sp, out=eu, where=member)
+    eu /= base
+    best = float(eu.max())
+    winners = tuple(
+        {
             net.space.names[a]: net.space.specs[a].domain[v]
             for a, v in zip(d_axes, combo)
         }
-        cyl = net.cylinder(partial)
-        if (cyl & problem.evidence).is_empty:
-            continue
-        eu = conditional_event_utility(net, cyl, problem.evidence, cap)
-        candidates.append((partial, eu))
-    if not candidates:
-        raise EmptyEventError("no decision assignment is compatible with the evidence")
-    best = max(eu for _, eu in candidates)
-    winners = tuple(
-        partial for partial, eu in candidates if eu >= best * (1.0 - TIE_TOLERANCE)
+        for combo in np.argwhere(eu >= best * (1.0 - TIE_TOLERANCE)).tolist()
     )
     return OptimalDecision(argmax=winners, eu=best)
 

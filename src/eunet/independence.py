@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from .inference import _event_sums
 from .model import (
     PROB,
     UTIL,
@@ -224,18 +225,20 @@ def eu_independent_events(
     All three conditionals must be defined, so E, F and their intersection
     must meet G.  Tolerance is relative.
     """
-    from .inference import conditional_event_utility
-
-    ef = e & f
-    for name, ev in (("E", e), ("F", f), ("E and F", ef)):
-        if (ev & g).is_empty:
+    meets = []
+    for name, ev in (("E", e), ("F", f), ("E and F", e & f)):
+        meets.append(ev & g)
+        if meets[-1].is_empty:
             raise EmptyEventError(
                 f"empty conditioning intersection ({name} meets G nowhere), "
                 "conditional utility undefined"
             )
+    # one pass over G serves all three conditionals
     cap = resolve_state_cap()
-    lhs = conditional_event_utility(network, ef, g, cap)
-    rhs = conditional_event_utility(network, e, g, cap) * conditional_event_utility(
-        network, f, g, cap
+    sp_g, su_g = _event_sums(network, g, cap)
+    u_g = su_g / sp_g
+    u_e, u_f, u_ef = (
+        (su / sp) / u_g for sp, su in (_event_sums(network, m, cap) for m in meets)
     )
-    return abs(lhs - rhs) <= tolerance * abs(rhs)
+    rhs = u_e * u_f
+    return abs(u_ef - rhs) <= tolerance * abs(rhs)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     PROB,
@@ -28,6 +30,7 @@ from .model import (
     EunError,
     Event,
     Network,
+    NumericRangeError,
     SeparationError,
     ValidationError,
     resolve_state_cap,
@@ -67,8 +70,18 @@ class MeasureTriple:
         return "neutral"
 
 
-def _event_sums(network: Network, event: Event, cap: int) -> tuple[float, float]:
-    """(S_p, S_u) over the event: ratio sums against the reference state."""
+def _event_sums(
+    network: Network, event: Event, cap: int, keep: Sequence[int] = ()
+) -> tuple:
+    """(S_p, S_u) over the event: ratio sums against the reference state.
+
+    With ``keep`` (axes in index order, left free by a cylinder event) the
+    sums come back as tables over the kept axes, followed by a boolean table
+    marking the combinations the event meets.  Every sum must be finite and,
+    over a non-empty event or a met combination, positive; a sum that
+    overflowed or underflowed raises NumericRangeError instead of turning
+    into an inf, a NaN or a zero in the answer.
+    """
     if event.space != network.space:
         raise ValidationError("event belongs to a different variable system")
     pr = network.ratio_tables(PROB, cap)
@@ -80,16 +93,54 @@ def _event_sums(network: Network, event: Event, cap: int) -> tuple[float, float]
             idx[ax] = v
         key = tuple(idx)
         psub = pr[key]
-        sp = float(psub.sum())
-        su = float((psub * ur[key]).sum())
-        return sp, su
+        if not keep:
+            return _in_range(float(psub.sum()), float((psub * ur[key]).sum()))
+        free = [ax for ax in range(len(network.space)) if ax not in fixed]
+        dims = list(range(len(free)))
+        kept = [k for k, ax in enumerate(free) if ax in keep]
+        sp = psub.sum(axis=tuple(k for k in dims if k not in kept))
+        # the contraction forms psub * usub without a slice-sized temporary
+        su = np.einsum(psub, dims, ur[key], dims, kept)
+        return _tables_in_range(sp, su, np.ones(sp.shape, dtype=bool))
     flat = event.flat_indexes()
-    if flat.size == 0:
+    if flat.size == 0 and not keep:
         return 0.0, 0.0
     pvals = pr.reshape(-1)[flat]
-    sp = float(pvals.sum())
-    su = float((pvals * ur.reshape(-1)[flat]).sum())
+    puvals = pvals * ur.reshape(-1)[flat]
+    if not keep:
+        return _in_range(float(pvals.sum()), float(puvals.sum()))
+    shape = network.space.shape
+    kept_shape = tuple(shape[ax] for ax in keep)
+    coords = np.unravel_index(flat, shape)
+    code = np.ravel_multi_index(tuple(coords[ax] for ax in keep), kept_shape)
+    size = math.prod(kept_shape)
+    sp = np.bincount(code, weights=pvals, minlength=size).reshape(kept_shape)
+    su = np.bincount(code, weights=puvals, minlength=size).reshape(kept_shape)
+    member = np.bincount(code, minlength=size).reshape(kept_shape) > 0
+    return _tables_in_range(sp, su, member)
+
+
+def _in_range(sp: float, su: float) -> tuple[float, float]:
+    """Pass on the sums of a non-empty event when both are finite and positive."""
+    if not (0.0 < sp < math.inf and 0.0 < su < math.inf):
+        raise NumericRangeError(
+            f"event sums S_p={sp!r}, S_u={su!r} leave float range: the joint "
+            "ratios over- or underflow on this network"
+        )
     return sp, su
+
+
+def _tables_in_range(sp: np.ndarray, su: np.ndarray, member: np.ndarray) -> tuple:
+    """Pass on kept-axes tables with finite totals and positive met entries.
+
+    The entries are non-negative, so finite totals make every entry finite.
+    """
+    _in_range(float(sp.sum()), float(su.sum()))
+    if not (np.all(sp[member] > 0.0) and np.all(su[member] > 0.0)):
+        raise NumericRangeError(
+            "an event sum underflows to 0: the joint ratios underflow on this network"
+        )
+    return sp, su, member
 
 
 def _require_nonempty(event: Event, role: str) -> None:
@@ -213,12 +264,12 @@ def utility_bayes(network: Network, f: Event, e: Event, state_cap: int | None = 
     probabilities of F and not F given E.  The result is checked against the
     direct conditional within a tight relative tolerance.
     """
-    not_f = ~f
+    cap = resolve_state_cap(state_cap)
+    not_f = f.complement(cap)
     for name, ev in (("F", f), ("not F", not_f), ("E and F", e & f), ("E and not F", e & not_f)):
         if ev.is_empty:
             raise EmptyEventError(f"{name} is empty, the utility Bayes rule is undefined")
 
-    cap = resolve_state_cap(state_cap)
     u_e_given_f = conditional_event_utility(network, e, f, cap)
     u_e_given_nf = conditional_event_utility(network, e, not_f, cap)
     u_f = event_utility(network, f, cap).u_norm

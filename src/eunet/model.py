@@ -43,6 +43,7 @@ __all__ = [
     "StateCapError",
     "EmptyEventError",
     "SeparationError",
+    "NumericRangeError",
     "VariableSpec",
     "EUNGraph",
     "RestrictedPotential",
@@ -92,6 +93,10 @@ class EmptyEventError(EunError, ValueError):
 
 class SeparationError(EunError, ValueError):
     """A graph-separation precondition does not hold."""
+
+
+class NumericRangeError(EunError):
+    """A sum over the joint ratio tables left float range (inf, NaN or 0)."""
 
 
 def resolve_state_cap(cap: int | None = None) -> int:
@@ -592,10 +597,14 @@ class Event:
                 return Event(self.space, partial=dict(self._partial))
         return Event(self.space, states=self.states() | other.states())
 
+    def complement(self, state_cap: int | None = None) -> "Event":
+        """Every state outside the event, materialised under the state cap."""
+        _require_cap(self.space.state_count, state_cap, "complement over")
+        everything = Event.true(self.space).states(state_cap)
+        return Event(self.space, states=everything - self.states(state_cap))
+
     def __invert__(self) -> "Event":
-        _require_cap(self.space.state_count, None, "complement over")
-        everything = Event.true(self.space).states()
-        return Event(self.space, states=everything - self.states())
+        return self.complement()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):

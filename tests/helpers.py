@@ -85,6 +85,18 @@ def hw_coupled_net():
     )
 
 
+def extreme_ratio_net():
+    """Three free binary variables whose joint probability ratios overflow.
+
+    The ratios 1e200, 1e200 and 1e-300 are finite and positive, so the
+    network validates, yet the state (1, 1, 0) has ratio 1e400.
+    """
+    return net_of(
+        {"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")},
+        q={"A": {("1",): 1e200}, "B": {("1",): 1e200}, "C": {("1",): 1e-300}},
+    )
+
+
 def oracle_ratio_table(network: Network, layer: str) -> np.ndarray:
     """Joint ratio table by direct scalar multiplication over every state."""
     space = network.space

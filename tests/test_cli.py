@@ -391,3 +391,11 @@ def test_console_script_is_installed(launcher):
     proc = subprocess.run([*command, "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "usage:" in proc.stdout
+
+
+def test_query_on_overflowing_network_exits_numeric(tmp_path):
+    path = tmp_path / "extreme.json"
+    path.write_text(serialize_network(helpers.extreme_ratio_net()))
+    code, out, err = run("query", str(path), "--prob", "-e", "A=1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "float range" in err

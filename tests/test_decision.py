@@ -2,6 +2,7 @@
 sealed-bid auction construction."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eunet import (
     DecisionProblem,
     EmptyEventError,
     Event,
+    NumericRangeError,
     StateCapError,
     ValidationError,
     auction_best_response,
@@ -435,3 +437,164 @@ def test_auction_decision_problem_pins_the_value(auction_k2):
 
 def test_tie_tolerance_is_strict_enough():
     assert TIE_TOLERANCE == 1e-9
+
+
+# -- one-pass decision tables ---------------------------------------------------
+
+
+def oracle_decision(net, dvars, member):
+    """Tie set and best EU from brute-force sums, one oracle query per candidate."""
+    space = net.space
+    axes = [space.index(n) for n in dvars]
+    sp_e, su_e = helpers.oracle_event_sums(net, member)
+    scored = []
+    for combo in itertools.product(*(range(space.shape[a]) for a in axes)):
+        def meets(values, combo=combo):
+            return member(values) and all(values[a] == v for a, v in zip(axes, combo))
+
+        sp, su = helpers.oracle_event_sums(net, meets)
+        if sp > 0.0:
+            scored.append((combo, (su / sp) / (su_e / sp_e)))
+    best = max(eu for _, eu in scored)
+    ties = tuple(
+        {n: space.specs[a].domain[v] for n, a, v in zip(dvars, axes, combo)}
+        for combo, eu in scored
+        if eu >= best * (1.0 - TIE_TOLERANCE)
+    )
+    return ties, best
+
+
+def random_evidence(rng, net, kind, rest):
+    if kind == "sure":
+        return net.true_event()
+    if kind == "cylinder":
+        picked = [n for n in rest if rng.random() < 0.5] or rest[:1]
+        return net.cylinder(
+            {n: str(int(rng.integers(net.space.spec(n).size))) for n in picked}
+        )
+    if kind == "union":
+        return net.cylinder({rest[0]: "1"}) | net.cylinder({rest[-1]: "0"})
+    states = sorted(net.true_event().states())
+    kept = [s for s in states if rng.random() < 0.35] or states[:2]
+    return Event.from_assignments(
+        net.space,
+        [dict(zip(net.space.names, (str(v) for v in s))) for s in kept],
+    )
+
+
+@pytest.mark.parametrize("kind", ["cylinder", "assignments", "union", "sure"])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_decision_matches_oracle(kind, seed):
+    rng = np.random.default_rng(1000 + seed)
+    n_dec = 1 + seed % 3
+    while True:
+        net = helpers.random_network(rng, n_vars=5, domain_sizes=(2, 3))
+        dvars = tuple(net.space.names[i] for i in sorted(rng.permutation(5)[:n_dec]))
+        rest = [n for n in net.space.names if n not in dvars]
+        evidence = random_evidence(rng, net, kind, rest)
+        try:
+            problem = DecisionProblem(net, dvars, evidence)
+        except ValidationError:  # the sampled state set pinned a decision
+            continue
+        break
+    states = evidence.states()
+    want_ties, want_eu = oracle_decision(net, dvars, lambda v: tuple(v) in states)
+    got = optimal_decision(problem)
+    assert got.argmax == want_ties
+    assert got.eu == pytest.approx(want_eu, rel=1e-12)
+
+
+def test_exact_tie_reports_both_members():
+    # A=1 and A=2 carry identical tables in both layers
+    net = helpers.net_of(
+        {"A": ("0", "1", "2"), "B": ("0", "1")},
+        prob_arcs=[("A", "B")],
+        util_arcs=[("A", "B")],
+        q={
+            "A": {("1",): 2.0, ("2",): 2.0},
+            "B": {("1", "0"): 0.5, ("1", "1"): 3.0, ("1", "2"): 3.0},
+        },
+        w={
+            "A": {("1",): 1.5, ("2",): 1.5},
+            "B": {("1", "0"): 2.0, ("1", "1"): 1.25, ("1", "2"): 1.25},
+        },
+    )
+    pr = helpers.oracle_ratio_table(net, PROB)
+    ur = helpers.oracle_ratio_table(net, UTIL)
+
+    def exact_sums(a_values):
+        sp = sum(Fraction(pr[a, b]) for a in a_values for b in range(2))
+        su = sum(Fraction(pr[a, b]) * Fraction(ur[a, b]) for a in a_values for b in range(2))
+        return sp, su
+
+    sp_t, su_t = exact_sums(range(3))
+    exact = [(su / sp) / (su_t / sp_t) for sp, su in map(exact_sums, ([0], [1], [2]))]
+    assert exact[1] == exact[2] > exact[0]
+
+    result = optimal_decision(DecisionProblem(net, ("A",), net.true_event()))
+    assert result.argmax == ({"A": "1"}, {"A": "2"})
+    assert abs(Fraction(result.eu) - exact[1]) <= Fraction(1, 10**12) * exact[1]
+
+
+def test_combinations_missing_the_evidence_are_never_reported():
+    net = helpers.net_of(
+        {"X1": ("0", "1"), "X2": ("0", "1", "2"), "X3": ("0", "1")},
+        q={"X3": {("1",): 3.0}},
+        w={"X1": {("1",): 3.0}, "X2": {("1",): 0.5, ("2",): 4.0}, "X3": {("1",): 2.0}},
+    )
+    # (X1=1, X2=2) would win outright and (X1=0, X2=0) is also left out;
+    # neither decision variable is pinned by the remaining states
+    kept = [
+        s
+        for s in itertools.product(range(2), range(3), range(2))
+        if s[:2] not in ((1, 2), (0, 0)) and s != (0, 1, 1)
+    ]
+    evidence = Event.from_assignments(
+        net.space, [dict(zip(("X1", "X2", "X3"), map(str, s))) for s in kept]
+    )
+    result = optimal_decision(DecisionProblem(net, ("X1", "X2"), evidence))
+    want_ties, want_eu = oracle_decision(net, ("X1", "X2"), lambda v: tuple(v) in kept)
+    assert result.argmax == want_ties == ({"X1": "0", "X2": "2"},)
+    assert result.eu == pytest.approx(want_eu, rel=1e-12)
+
+
+def test_underflowed_candidate_is_an_error_not_infeasible():
+    # state (A=1, B=1) has probability ratio 1e-600, which underflows to 0
+    net = helpers.net_of(
+        {"A": ("0", "1"), "B": ("0", "1")},
+        q={"A": {("1",): 1e-300}, "B": {("1",): 1e-300}},
+    )
+    evidence = Event.from_assignments(
+        net.space, [{"A": "0", "B": "0"}, {"A": "1", "B": "1"}]
+    )
+    with pytest.raises(NumericRangeError, match="underflows"):
+        optimal_decision(DecisionProblem(net, ("A",), evidence))
+
+
+def test_overflowing_decision_raises_numeric_range_error():
+    net = helpers.extreme_ratio_net()
+    with pytest.raises(NumericRangeError):
+        optimal_decision(DecisionProblem(net, ("A",), net.true_event()))
+
+
+def test_decision_reduces_the_evidence_once(monkeypatch, rng):
+    import eunet.decision
+
+    net = helpers.random_network(rng, n_vars=4, domain_sizes=(3,))
+    problem = DecisionProblem(net, ("X1", "X3"), net.cylinder({"X2": "1"}))
+    calls = []
+    real_sums = eunet.decision._event_sums
+    real_and = Event.__and__
+
+    def counting_sums(*args, **kwargs):
+        calls.append("sums")
+        return real_sums(*args, **kwargs)
+
+    def counting_and(self, other):
+        calls.append("and")
+        return real_and(self, other)
+
+    monkeypatch.setattr(eunet.decision, "_event_sums", counting_sums)
+    monkeypatch.setattr(Event, "__and__", counting_and)
+    optimal_decision(problem)
+    assert calls == ["sums"]

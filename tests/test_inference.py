@@ -8,7 +8,9 @@ import helpers
 from eunet import (
     PROB,
     UTIL,
+    STATE_CAP_ENV,
     EmptyEventError,
+    NumericRangeError,
     SeparationError,
     StateCapError,
     ValidationError,
@@ -326,3 +328,32 @@ def test_local_shortcut_validates_blocks(hw1):
         local_conditional_eu(hw1, {"H": "1"}, {"H": "0"})
     with pytest.raises(ValidationError, match="non-empty"):
         local_conditional_eu(hw1, {}, {"H": "0"})
+
+
+# -- numeric range and per-call caps ---------------------------------------------
+
+
+def test_overflowing_sums_raise_numeric_range_error():
+    net = helpers.extreme_ratio_net()
+    with pytest.raises(NumericRangeError, match="float range"):
+        event_utility(net, net.cylinder({"A": "1"}))
+
+
+def test_complement_takes_a_per_call_cap(monkeypatch):
+    monkeypatch.setenv(STATE_CAP_ENV, "4")
+    net = double_chain_net()
+    f = net.cylinder({"X3": "1"})
+    with pytest.raises(StateCapError):
+        ~f
+    assert f.complement(8) == net.cylinder({"X3": "0"})
+
+
+def test_utility_bayes_holds_the_per_call_cap_under_a_lower_env_cap(monkeypatch):
+    net = double_chain_net()
+    monkeypatch.setenv(STATE_CAP_ENV, "4")
+    f = net.cylinder({"X3": "1"})
+    e = net.cylinder({"X1": "1"})
+    got = utility_bayes(net, f, e, state_cap=8)
+    sp_fe, su_fe = helpers.oracle_event_sums(net, lambda v: v[0] == 1 and v[2] == 1)
+    sp_e, su_e = helpers.oracle_event_sums(net, lambda v: v[0] == 1)
+    assert got == pytest.approx((su_fe / sp_fe) / (su_e / sp_e), rel=1e-12)

@@ -84,24 +84,10 @@ def _event_sums(
     """
     if event.space != network.space:
         raise ValidationError("event belongs to a different variable system")
-    pr = network.ratio_tables(PROB, cap)
-    ur = network.ratio_tables(UTIL, cap)
+    pr, ur = network._ratio_pair(cap)
     fixed = event.fixed
     if fixed is not None:
-        idx: list[object] = [slice(None)] * len(network.space)
-        for ax, v in fixed.items():
-            idx[ax] = v
-        key = tuple(idx)
-        psub = pr[key]
-        if not keep:
-            return _in_range(float(psub.sum()), float((psub * ur[key]).sum()))
-        free = [ax for ax in range(len(network.space)) if ax not in fixed]
-        dims = list(range(len(free)))
-        kept = [k for k, ax in enumerate(free) if ax in keep]
-        sp = psub.sum(axis=tuple(k for k in dims if k not in kept))
-        # the contraction forms psub * usub without a slice-sized temporary
-        su = np.einsum(psub, dims, ur[key], dims, kept)
-        return _tables_in_range(sp, su, np.ones(sp.shape, dtype=bool))
+        return _cylinder_sums(pr, ur, fixed, keep)
     flat = event.flat_indexes()
     if flat.size == 0 and not keep:
         return 0.0, 0.0
@@ -118,6 +104,102 @@ def _event_sums(
     su = np.bincount(code, weights=puvals, minlength=size).reshape(kept_shape)
     member = np.bincount(code, minlength=size).reshape(kept_shape) > 0
     return _tables_in_range(sp, su, member)
+
+
+# A pass of numpy's reductions runs fast when its innermost loop covers many
+# contiguous entries, and element by element around a short innermost axis.
+# A run of at least this many contiguous entries is long.  Where one pass and
+# the run-by-run order of _cylinder_sums cross depends on the whole layout:
+# on a 19-variable binary network it fell between 32 and 128 entries case by
+# case, and over 40 random decisions there both bounds took the same time.
+_LONG_RUN = 32
+_FIXED, _KEPT, _SUMMED = range(3)
+
+
+def _cylinder_sums(
+    pr: np.ndarray, ur: np.ndarray, fixed: dict[int, int], keep: Sequence[int]
+) -> tuple:
+    """The cylinder branch of :func:`_event_sums`, over the two ratio tables.
+
+    With no kept axes S_p is one sum over the slice and S_u one contraction
+    of the two slices, so p * u never exists as a slice-sized temporary.
+
+    With kept axes the reduction order follows the slice's layout.  Each run
+    of adjacent axes with one role (fixed, kept, summed out) is one axis of a
+    reshape of the contiguous table.  When every free axis is kept, or the
+    innermost run is summed out and is long or the only summed-out run (the
+    auction's layout), one pass over the slice (a multi-axis sum and an
+    einsum) has nothing to gain from going run by run.  Otherwise the
+    summed-out runs go one at a time, outermost first, so each step adds
+    whole contiguous blocks where one multi-axis pass would step around the
+    short innermost axis entry by entry.  A summed-out run in front of a
+    short contiguous tail is split in two, its inner part just long enough
+    that the tail and it make a long block.
+    """
+    n = pr.ndim
+    idx: list[object] = [slice(None)] * n
+    for ax, v in fixed.items():
+        idx[ax] = v
+    key = tuple(idx)
+    psub, usub = pr[key], ur[key]
+    dims = list(range(psub.ndim))
+    if not keep:
+        return _in_range(float(psub.sum()), float(np.einsum(psub, dims, usub, dims, [])))
+
+    keep_set = set(keep)
+    role = [_FIXED if ax in fixed else _KEPT if ax in keep_set else _SUMMED for ax in range(n)]
+    runs = [(r, list(axes)) for r, axes in itertools.groupby(range(n), key=role.__getitem__)]
+    summed = [axes for r, axes in runs if r == _SUMMED]
+    inner_role, inner_axes = next(run for run in reversed(runs) if run[0] != _FIXED)
+    if not summed or (
+        inner_role == _SUMMED
+        and (len(summed) == 1 or math.prod(pr.shape[ax] for ax in inner_axes) >= _LONG_RUN)
+    ):
+        free = [ax for ax in range(n) if ax not in fixed]
+        kept = [k for k, ax in enumerate(free) if ax in keep_set]
+        sp = psub.sum(axis=tuple(k for k in dims if k not in kept))
+        su = np.einsum(psub, dims, usub, dims, kept)
+        return _tables_in_range(sp, su, np.ones(sp.shape, dtype=bool))
+
+    tail = 1
+    for i in range(len(runs) - 1, -1, -1):
+        r, axes = runs[i]
+        if r == _FIXED:
+            break
+        if r == _SUMMED and tail < _LONG_RUN:
+            inner = tail
+            for cut in range(len(axes) - 1, 0, -1):
+                inner *= pr.shape[axes[cut]]
+                if inner >= _LONG_RUN:
+                    runs[i:i + 1] = [(r, axes[:cut]), (r, axes[cut:])]
+                    break
+        tail *= math.prod(pr.shape[ax] for ax in axes)
+
+    sizes = [math.prod(pr.shape[ax] for ax in axes) for _, axes in runs]
+    merged_key = tuple(
+        int(np.ravel_multi_index([fixed[ax] for ax in axes], [pr.shape[ax] for ax in axes]))
+        if r == _FIXED
+        else slice(None)
+        for r, axes in runs
+    )
+    p = pr.reshape(sizes)[merged_key]
+    u = ur.reshape(sizes)[merged_key]
+    roles = [r for r, _ in runs if r != _FIXED]
+    dims = list(range(len(roles)))
+    first = roles.index(_SUMMED)
+    pu = np.einsum(p, dims, u, dims, dims[:first] + dims[first + 1:])
+    p = p.sum(axis=first)
+    axis = first
+    for r in roles[first + 1:]:
+        if r == _SUMMED:
+            p = p.sum(axis=axis)
+            pu = pu.sum(axis=axis)
+        else:
+            axis += 1
+    kept_shape = tuple(pr.shape[ax] for ax in keep)
+    return _tables_in_range(
+        p.reshape(kept_shape), pu.reshape(kept_shape), np.ones(kept_shape, dtype=bool)
+    )
 
 
 def _in_range(sp: float, su: float) -> tuple[float, float]:

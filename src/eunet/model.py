@@ -588,9 +588,22 @@ class Event:
                 if merged.setdefault(i, v) != v:
                     return Event(self.space, states=frozenset())
             return Event(self.space, partial=merged)
-        return Event(self.space, states=self.states() & other.states())
+        cylinder, members = (self, other) if self._partial is not None else (other, self)
+        if cylinder._partial is None:
+            return Event(self.space, states=self.states() & other.states())
+        # The meet is a subset of the state set: filter it by the cylinder's
+        # fixed values, with no cylinder materialised and so no cap to meet.
+        fixed = tuple(cylinder._partial.items())
+        return Event(
+            self.space,
+            states=frozenset(
+                s for s in members.states() if all(s[ax] == v for ax, v in fixed)
+            ),
+        )
 
     def __or__(self, other: "Event") -> "Event":
+        """The union.  Unless both are the same cylinder, a cylinder operand
+        is materialised under the environment's state cap."""
         self._require_same_space(other)
         if self._partial is not None and other._partial is not None:
             if self._partial == other._partial:
@@ -782,11 +795,21 @@ class Network:
                 for v in sorted(axes):
                     idx[v] = slice(None)
                 total += view[tuple(idx)]
-            np.exp(total, out=total)
+            # An overflow is left as inf for the readers to report.
+            with np.errstate(over="ignore"):
+                np.exp(total, out=total)
             total.flags.writeable = False
             return total
 
         return self._cached(f"ratio/{layer}", build)
+
+    def _ratio_pair(self, state_cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both layers' ratio tables, with one cap check and one cache read."""
+        _require_cap(self.state_count, state_cap, "enumeration over")
+        return self._cached(
+            "ratio_pair",
+            lambda: (self.ratio_tables(PROB, state_cap), self.ratio_tables(UTIL, state_cap)),
+        )
 
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
         """Cached mantle-consistency report at the default tolerance."""
@@ -912,6 +935,21 @@ def joint_ratio(network: Network, layer: str, x: Assignment | Mapping[str, str])
     return math.exp(total)
 
 
+def _finite_ratio_table(network: Network, layer: str, state_cap: int | None) -> np.ndarray:
+    """The layer's ratio table, when every entry is finite and positive.
+
+    Raises NumericRangeError when an entry overflowed to inf or underflowed
+    to 0, so no reader turns it into an inf or a NaN in its answer.
+    """
+    table = network.ratio_tables(layer, state_cap)
+    if not (table.min() > 0.0 and table.max() < math.inf):
+        raise NumericRangeError(
+            f"the {layer} ratio table holds an inf or 0 entry: the joint ratios "
+            "over- or underflow on this network"
+        )
+    return table
+
+
 def reconstruct_joint(network: Network, state_cap: int | None = None) -> ReconstructedJoint:
     """Enumerate the full joint: normalised p table and u ratio table.
 
@@ -921,8 +959,8 @@ def reconstruct_joint(network: Network, state_cap: int | None = None) -> Reconst
     numeric operation must agree with sums over these tables.
     """
     cap = resolve_state_cap(state_cap)
-    pr = network.ratio_tables(PROB, cap)
-    ur = network.ratio_tables(UTIL, cap)
+    pr = _finite_ratio_table(network, PROB, cap)
+    ur = _finite_ratio_table(network, UTIL, cap)
     p = pr / pr.sum()
     p.flags.writeable = False
     return ReconstructedJoint(p=p, u=ur)
@@ -964,7 +1002,7 @@ def full_mantle_potential(
     """
     _check_layer(layer)
     i = network.space.index(var)
-    table = network.ratio_tables(layer, state_cap)
+    table = _finite_ratio_table(network, layer, state_cap)
     mantle_axes = sorted(network.space.index(m) for m in network.mantle(layer, var))
     free_axes = [
         a for a in range(len(network.space)) if a != i and a not in mantle_axes
@@ -1011,7 +1049,7 @@ def validate_imap(
     n = len(network.space)
     cap = resolve_state_cap(state_cap)
     for layer in LAYERS:
-        table = network.ratio_tables(layer, cap)
+        table = _finite_ratio_table(network, layer, cap)
         for i, var in enumerate(network.space.names):
             mantle_axes = {network.space.index(m) for m in network.mantle(layer, var)}
             free_axes = [a for a in range(n) if a != i and a not in mantle_axes]

@@ -85,6 +85,28 @@ def hw_coupled_net():
     )
 
 
+def chain_net(seed, sizes, chain):
+    """A network over ``sizes`` (name -> domain size, in ordering order) with
+    arcs between consecutive ``chain`` variables in both layers and random
+    tables on them; variables off the chain are inert (no arcs, identity
+    tables)."""
+    rng = np.random.default_rng(seed)
+    domains = {n: tuple(str(v) for v in range(s)) for n, s in sizes.items()}
+    arcs = list(zip(chain, chain[1:]))
+
+    def tables():
+        out = {chain[0]: {(str(v),): rng.uniform(0.5, 2.0) for v in range(1, sizes[chain[0]])}}
+        for parent, child in arcs:
+            out[child] = {
+                (str(v), str(pv)): rng.uniform(0.5, 2.0)
+                for v in range(1, sizes[child])
+                for pv in range(sizes[parent])
+            }
+        return out
+
+    return net_of(domains, prob_arcs=arcs, util_arcs=arcs, q=tables(), w=tables())
+
+
 def extreme_ratio_net():
     """Three free binary variables whose joint probability ratios overflow.
 
@@ -126,6 +148,24 @@ def oracle_event_sums(network: Network, member) -> tuple[float, float]:
         if member(values):
             sp += float(pr[values])
             su += float(pr[values]) * float(ur[values])
+    return sp, su
+
+
+def oracle_kept_sums(network: Network, fixed, keep) -> tuple[np.ndarray, np.ndarray]:
+    """Tables over the ``keep`` axes of the two ratio sums over a cylinder.
+
+    ``fixed`` maps axes to value indexes; each table entry sums the states of
+    the cylinder that take that combination on the kept axes.
+    """
+    pr = oracle_ratio_table(network, PROB)
+    ur = oracle_ratio_table(network, UTIL)
+    shape = tuple(network.space.shape[ax] for ax in keep)
+    sp, su = np.zeros(shape), np.zeros(shape)
+    for values in itertools.product(*(range(s.size) for s in network.space.specs)):
+        if all(values[ax] == v for ax, v in fixed.items()):
+            combo = tuple(values[ax] for ax in keep)
+            sp[combo] += float(pr[values])
+            su[combo] += float(pr[values]) * float(ur[values])
     return sp, su
 
 

@@ -399,3 +399,11 @@ def test_query_on_overflowing_network_exits_numeric(tmp_path):
     code, out, err = run("query", str(path), "--prob", "-e", "A=1")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "float range" in err
+
+
+def test_strict_validate_on_overflowing_network_exits_numeric(tmp_path):
+    path = tmp_path / "extreme.json"
+    path.write_text(serialize_network(helpers.extreme_ratio_net()))
+    code, out, err = run("validate", str(path), "--strict")
+    assert (code, out) == (3, "structure: ok\n")
+    assert err.startswith("error: ") and "inf or 0 entry" in err

@@ -598,3 +598,32 @@ def test_decision_reduces_the_evidence_once(monkeypatch, rng):
     monkeypatch.setattr(Event, "__and__", counting_and)
     optimal_decision(problem)
     assert calls == ["sums"]
+
+
+# -- decision tables, layout by layout -------------------------------------------
+
+
+def inert_tie_net():
+    """A chain over A, C, D, E with B inert, so every value of B ties."""
+    return helpers.chain_net(31, {"A": 2, "B": 3, "C": 2, "D": 13, "E": 2}, ["A", "C", "D", "E"])
+
+
+# (decision variables, evidence); the ordering is A, B, C, D, E
+DECISION_LAYOUTS = {
+    "kept innermost": (("B", "E"), {"A": "1"}),
+    "kept interleaved with summed out": (("B", "D"), {"A": "0"}),
+    "kept interleaved, fixed innermost": (("B", "D"), {"E": "1"}),
+    "kept outer only": (("A", "B"), {}),
+    "kept 13-value axis before a short summed tail": (("B", "D"), {}),
+}
+
+
+@pytest.mark.parametrize("layout", DECISION_LAYOUTS)
+def test_tie_sets_match_the_oracle_on_every_layout(layout):
+    net = inert_tie_net()
+    dvars, evidence = DECISION_LAYOUTS[layout]
+    want_ties, want_eu = oracle_decision(net, dvars, helpers.cylinder_member(net, evidence))
+    assert len(want_ties) == 3  # one per value of the inert B
+    got = optimal_decision(DecisionProblem(net, dvars, net.cylinder(evidence)))
+    assert got.argmax == want_ties
+    assert got.eu == pytest.approx(want_eu, rel=1e-12)

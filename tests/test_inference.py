@@ -1,6 +1,8 @@
 """Event measures: marginals, conditionals, the value measure, Bayes forms,
 and the separation-enabled local shortcut."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from eunet import (
     UTIL,
     STATE_CAP_ENV,
     EmptyEventError,
+    Event,
     NumericRangeError,
     SeparationError,
     StateCapError,
@@ -17,13 +20,17 @@ from eunet import (
     conditional_event_utility,
     conditional_probability,
     event_utility,
+    full_mantle_potential,
     joint_ratio,
     local_conditional_eu,
     marginal_p_ratio,
     marginal_u_ratio,
+    reconstruct_joint,
     utility_bayes,
+    validate_imap,
     value,
 )
+from eunet.inference import _event_sums
 from test_model import adversarial_net
 
 
@@ -357,3 +364,103 @@ def test_utility_bayes_holds_the_per_call_cap_under_a_lower_env_cap(monkeypatch)
     sp_fe, su_fe = helpers.oracle_event_sums(net, lambda v: v[0] == 1 and v[2] == 1)
     sp_e, su_e = helpers.oracle_event_sums(net, lambda v: v[0] == 1)
     assert got == pytest.approx((su_fe / sp_fe) / (su_e / sp_e), rel=1e-12)
+
+
+# -- cylinder event sums, layout by layout ----------------------------------------
+
+
+def mixed_domain_net():
+    """Six variables with domains of 3, 2, 13, 2, 3 and 2 values (936 states)."""
+    sizes = dict(zip(("Y0", "Y1", "Y2", "Y3", "Y4", "Y5"), (3, 2, 13, 2, 3, 2)))
+    return helpers.chain_net(77, sizes, list(sizes))
+
+
+# (fixed axis -> value index, kept axes); axis sizes are 3, 2, 13, 2, 3, 2
+SUM_LAYOUTS = {
+    "fixed outer and inner, keep nothing": ({0: 2, 5: 1}, ()),
+    "fixed middle, keep nothing": ({2: 7}, ()),
+    "every axis fixed": ({0: 1, 1: 1, 2: 12, 3: 0, 4: 2, 5: 1}, ()),
+    "kept innermost": ({0: 1}, (5,)),
+    "kept innermost and middle": ({1: 0}, (2, 5)),
+    "kept interleaved with summed out": ({0: 2}, (1, 3)),
+    "kept interleaved, fixed innermost": ({5: 1}, (0, 2)),
+    "kept outer only": ({}, (0, 1)),
+    "kept 13-value axis before a short summed tail": ({1: 1}, (2,)),
+    "every free axis kept": ({0: 0, 1: 1}, (2, 3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("layout", SUM_LAYOUTS)
+def test_cylinder_sums_match_the_oracle_on_every_layout(layout):
+    net = mixed_domain_net()
+    fixed, keep = SUM_LAYOUTS[layout]
+    event = Event(net.space, partial=fixed)
+    want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep)
+    got = _event_sums(net, event, 10**6, keep=keep)
+    if not keep:
+        assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
+        return
+    sp, su, member = got
+    assert sp.shape == su.shape == member.shape == want_sp.shape
+    assert member.all()
+    np.testing.assert_allclose(sp, want_sp, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(su, want_su, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("fixed", [{0: 1}, {7: 0}])
+def test_event_sum_makes_no_slice_sized_temporary(fixed):
+    net = helpers.random_network(np.random.default_rng(5), n_vars=16, arc_prob=0.15)
+    table = net.ratio_tables(PROB)
+    event = Event(net.space, partial=fixed)
+    _event_sums(net, event, 10**6)  # both tables built and cached
+    tracemalloc.start()
+    try:
+        _event_sums(net, event, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes / 4
+
+
+# -- cylinder met with a state set ------------------------------------------------
+
+
+def test_cylinder_meets_state_set_without_materialising_the_cylinder(monkeypatch):
+    net = helpers.binary_chain_net()
+    monkeypatch.setenv(STATE_CAP_ENV, "4")
+    f = net.cylinder({"X3": "1"})
+    e = net.true_event()
+    got = utility_bayes(net, f, e, state_cap=8)
+    sp_f, su_f = helpers.oracle_event_sums(net, lambda v: v[2] == 1)
+    sp_t, su_t = helpers.oracle_event_sums(net, lambda v: True)
+    assert got == pytest.approx((su_f / sp_f) / (su_t / sp_t), rel=1e-12)
+
+
+def test_cylinder_and_state_set_meet_in_either_order():
+    net = helpers.binary_chain_net()
+    states = Event(net.space, states=frozenset({(0, 0, 1), (1, 0, 1), (1, 1, 0)}))
+    cyl = net.cylinder({"X1": "1"})
+    want = Event(net.space, states=frozenset({(1, 0, 1), (1, 1, 0)}))
+    assert (cyl & states) == want == (states & cyl)
+    assert (net.cylinder({"X1": "1", "X2": "1", "X3": "1"}) & states).is_empty
+
+
+# -- table readers on overflowing networks ----------------------------------------
+
+
+def test_ratio_tables_keep_an_overflow_without_raising_or_warning():
+    table = helpers.extreme_ratio_net().ratio_tables(PROB)
+    assert np.isinf(table).any()
+
+
+def test_reconstruct_joint_raises_on_an_overflowing_table():
+    with pytest.raises(NumericRangeError, match="inf or 0 entry"):
+        reconstruct_joint(helpers.extreme_ratio_net())
+
+
+def test_imap_readers_raise_on_an_overflowing_table():
+    net = helpers.extreme_ratio_net()
+    with pytest.raises(NumericRangeError, match="inf or 0 entry"):
+        validate_imap(net)
+    with pytest.raises(NumericRangeError, match="inf or 0 entry"):
+        full_mantle_potential(net, PROB, "A")

@@ -230,6 +230,18 @@ def _require_nonempty(event: Event, role: str) -> None:
         raise EmptyEventError(f"{role} is empty, the measure is undefined on it")
 
 
+def _conditional_sums(
+    network: Network, e: Event, f: Event, measure: str, state_cap: int | None
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The sums over E and F and over F, for the conditional ``measure`` of E given F."""
+    _require_nonempty(f, "conditioning event F")
+    ef = e & f
+    if ef.is_empty:
+        raise EmptyEventError(f"E and F do not intersect, conditional {measure} undefined")
+    cap = resolve_state_cap(state_cap)
+    return _event_sums(network, ef, cap), _event_sums(network, f, cap)
+
+
 def marginal_p_ratio(
     network: Network, partial: Mapping[str, str], state_cap: int | None = None
 ) -> float:
@@ -249,19 +261,10 @@ def marginal_u_ratio(
     """Expected utility of the cylinder on ``partial``, relative to u(x0).
 
     The probability-weighted average of utility ratios over the completions
-    of the free variables.  Agreement with the event-level computation is
-    checked internally.
+    of the free variables.
     """
-    event = network.cylinder(partial)
-    cap = resolve_state_cap(state_cap)
-    sp, su = _event_sums(network, event, cap)
-    out = su / sp
-    direct = event_utility(network, event, cap).u_rel
-    if abs(out - direct) > _AGREEMENT_TOL * abs(direct):
-        raise EunError(
-            "internal inconsistency: marginal utility ratio disagrees with the event computation"
-        )
-    return out
+    sp, su = _event_sums(network, network.cylinder(partial), resolve_state_cap(state_cap))
+    return su / sp
 
 
 def conditional_probability(
@@ -276,17 +279,9 @@ def conditional_probability(
     An empty intersection is a hard error unless ``allow_empty`` is set, in
     which case the conditional is 0.
     """
-    _require_nonempty(f, "conditioning event F")
-    ef = e & f
-    if ef.is_empty:
-        if allow_empty:
-            return 0.0
-        raise EmptyEventError(
-            "E and F do not intersect, conditional probability undefined"
-        )
-    cap = resolve_state_cap(state_cap)
-    sp_ef, _ = _event_sums(network, ef, cap)
-    sp_f, _ = _event_sums(network, f, cap)
+    if allow_empty and not f.is_empty and (e & f).is_empty:
+        return 0.0
+    (sp_ef, _), (sp_f, _) = _conditional_sums(network, e, f, "probability", state_cap)
     return sp_ef / sp_f
 
 
@@ -313,13 +308,7 @@ def conditional_event_utility(
     network: Network, e: Event, f: Event, state_cap: int | None = None
 ) -> float:
     """u(E | F) = u(E and F) / u(F), in the normalisation-free ratio form."""
-    _require_nonempty(f, "conditioning event F")
-    ef = e & f
-    if ef.is_empty:
-        raise EmptyEventError("E and F do not intersect, conditional utility undefined")
-    cap = resolve_state_cap(state_cap)
-    sp_ef, su_ef = _event_sums(network, ef, cap)
-    sp_f, su_f = _event_sums(network, f, cap)
+    (sp_ef, su_ef), (sp_f, su_f) = _conditional_sums(network, e, f, "utility", state_cap)
     return (su_ef / sp_ef) / (su_f / sp_f)
 
 
@@ -329,13 +318,7 @@ def value(
     """v(E) or, given ``f``, the conditional value v(E | F) = v(EF) / v(F)."""
     if f is None:
         return event_utility(network, e, state_cap).v
-    _require_nonempty(f, "conditioning event F")
-    ef = e & f
-    if ef.is_empty:
-        raise EmptyEventError("E and F do not intersect, conditional value undefined")
-    cap = resolve_state_cap(state_cap)
-    _, su_ef = _event_sums(network, ef, cap)
-    _, su_f = _event_sums(network, f, cap)
+    (_, su_ef), (_, su_f) = _conditional_sums(network, e, f, "value", state_cap)
     return su_ef / su_f
 
 

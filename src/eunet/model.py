@@ -71,6 +71,7 @@ LAYERS = (PROB, UTIL)
 
 DEFAULT_STATE_CAP = 1_000_000
 STATE_CAP_ENV = "EUN_STATE_CAP"
+_INTP_MAX = int(np.iinfo(np.intp).max)  # the largest flat index a state can have
 
 _T = TypeVar("_T")
 
@@ -467,30 +468,39 @@ class Assignment:
 
 
 class Event:
-    """A set of joint states, possibly held lazily as a cylinder.
+    """A set of joint states, held in one of two forms.
 
-    A cylinder event fixes some variables at single values and leaves the
-    rest free.  Set operations materialise explicit state sets (guarded by
-    the state cap), except cylinder-with-cylinder intersection which stays
-    lazy.  Empty events can arise from set operations; measure operations
-    reject them.
+    A cylinder fixes some variables at single values and leaves the rest
+    free; it is held as its axis->value map.  Any other event is a state set,
+    held as a sorted, unique ``np.intp`` array of flat indexes into the
+    row-major joint table.  An event caches nothing.  Size, intersection,
+    equality and hashing never enumerate a cylinder; a union that involves a
+    cylinder, a complement, and a cylinder's ``states()``, ``assignments()``
+    or ``flat_indexes()`` build its flat indexes under the state cap.  Empty
+    events can arise from set operations; measure operations reject them.
     """
 
-    __slots__ = ("space", "_partial", "_states", "_flat")
+    __slots__ = ("space", "_partial", "_indexes")
 
     def __init__(
         self,
         space: Space,
         *,
         partial: dict[int, int] | None = None,
-        states: frozenset[tuple[int, ...]] | None = None,
+        states: Iterable[tuple[int, ...]] | None = None,
     ) -> None:
         if (partial is None) == (states is None):
             raise ValueError("exactly one of partial/states must be given")
         self.space = space
         self._partial = dict(partial) if partial is not None else None
-        self._states = states
-        self._flat: np.ndarray | None = None
+        self._indexes = _flat_of(space, states) if states is not None else None
+
+    @classmethod
+    def _make(cls, space: Space, partial: dict | None, indexes: np.ndarray | None) -> "Event":
+        """An event from its stored form, taken as given: set operations' route."""
+        event = object.__new__(cls)
+        event.space, event._partial, event._indexes = space, partial, indexes
+        return event
 
     @classmethod
     def cylinder(cls, space: Space, partial: Mapping[str, str]) -> "Event":
@@ -504,15 +514,10 @@ class Event:
     def from_assignments(
         cls, space: Space, assignments: Iterable[Assignment | Mapping[str, str]]
     ) -> "Event":
-        states = set()
-        for a in assignments:
-            if isinstance(a, Assignment):
-                if a.space != space:
-                    raise ValidationError("assignment belongs to a different variable system")
-                states.add(a.values)
-            else:
-                states.add(space.assignment(a).values)
-        return cls(space, states=frozenset(states))
+        rows = [a if isinstance(a, Assignment) else space.assignment(a) for a in assignments]
+        if any(a.space != space for a in rows):
+            raise ValidationError("assignment belongs to a different variable system")
+        return cls(space, states=[a.values for a in rows])
 
     @property
     def is_cylinder(self) -> bool:
@@ -523,58 +528,48 @@ class Event:
         """The axis->value map for cylinder events, else None."""
         return dict(self._partial) if self._partial is not None else None
 
-    def _free_axes(self) -> list[int]:
-        assert self._partial is not None
-        return [i for i in range(len(self.space)) if i not in self._partial]
-
     @property
     def size(self) -> int:
         if self._partial is not None:
-            return math.prod(self.space.shape[i] for i in self._free_axes())
-        assert self._states is not None
-        return len(self._states)
+            return math.prod(n for i, n in enumerate(self.space.shape) if i not in self._partial)
+        return len(self._indexes)
 
     @property
     def is_empty(self) -> bool:
         return self.size == 0
 
-    def states(self, state_cap: int | None = None) -> frozenset[tuple[int, ...]]:
-        """Materialise the explicit state set (cap-guarded for cylinders)."""
-        if self._states is not None:
-            return self._states
-        assert self._partial is not None
+    def _members(self, state_cap: int | None = None) -> np.ndarray:
+        """The sorted flat indexes; a cylinder's are built under the state cap."""
+        if self._partial is None:
+            return self._indexes
         _require_cap(self.size, state_cap, "materialising")
-        fixed = self._partial
-        ranges = [
-            [fixed[i]] if i in fixed else range(self.space.shape[i])
-            for i in range(len(self.space))
-        ]
-        states = frozenset(itertools.product(*ranges))
-        self._states = states
-        return states
+        _require_cap(self.space.state_count, _INTP_MAX, "flat-indexing")
+        flat = np.zeros(1, dtype=np.intp)
+        for i, n in enumerate(self.space.shape):
+            values = self._partial[i] if i in self._partial else np.arange(n)
+            flat = (flat[:, None] * n + values).reshape(-1)
+        return flat
+
+    def states(self, state_cap: int | None = None) -> frozenset[tuple[int, ...]]:
+        """The explicit state set, derived on demand (cap-guarded for cylinders)."""
+        coords = np.unravel_index(self._members(state_cap), self.space.shape)
+        return frozenset(zip(*(c.tolist() for c in coords)))
 
     def assignments(self) -> tuple[Assignment, ...]:
         """The member states as Assignment objects, sorted for determinism."""
-        return tuple(
-            Assignment(self.space, s) for s in sorted(self.states())
-        )
+        coords = np.unravel_index(self._members(), self.space.shape)
+        return tuple(Assignment(self.space, s) for s in zip(*(c.tolist() for c in coords)))
 
     def fixed_variables(self) -> dict[str, str]:
         """Variables taking a single value across the whole event."""
         if self.is_empty:
             raise EmptyEventError("empty event has no fixed variables")
-        if self._partial is not None:
-            return {
-                self.space.names[i]: self.space.specs[i].domain[v]
-                for i, v in sorted(self._partial.items())
-            }
-        states = sorted(self.states())
-        out = {}
-        first = states[0]
-        for i in range(len(self.space)):
-            if all(s[i] == first[i] for s in states):
-                out[self.space.names[i]] = self.space.specs[i].domain[first[i]]
-        return out
+        fixed = self._partial
+        if fixed is None:
+            coords = np.unravel_index(self._indexes, self.space.shape)
+            fixed = {i: int(c[0]) for i, c in enumerate(coords) if (c == c[0]).all()}
+        names, specs = self.space.names, self.space.specs
+        return {names[i]: specs[i].domain[v] for i, v in sorted(fixed.items())}
 
     def _require_same_space(self, other: "Event") -> None:
         if self.space != other.space:
@@ -586,35 +581,36 @@ class Event:
             merged = dict(self._partial)
             for i, v in other._partial.items():
                 if merged.setdefault(i, v) != v:
-                    return Event(self.space, states=frozenset())
-            return Event(self.space, partial=merged)
+                    return Event._make(self.space, None, np.empty(0, dtype=np.intp))
+            return Event._make(self.space, merged, None)
+        if self._partial is None and other._partial is None:
+            both = np.intersect1d(self._indexes, other._indexes, assume_unique=True)
+            return Event._make(self.space, None, both)
+        # The meet keeps the members of the state set that take the cylinder's
+        # fixed values: no cylinder is materialised, so no cap applies.
         cylinder, members = (self, other) if self._partial is not None else (other, self)
-        if cylinder._partial is None:
-            return Event(self.space, states=self.states() & other.states())
-        # The meet is a subset of the state set: filter it by the cylinder's
-        # fixed values, with no cylinder materialised and so no cap to meet.
-        fixed = tuple(cylinder._partial.items())
-        return Event(
-            self.space,
-            states=frozenset(
-                s for s in members.states() if all(s[ax] == v for ax, v in fixed)
-            ),
-        )
+        coords = np.unravel_index(members._indexes, self.space.shape)
+        inside = np.ones(members.size, dtype=bool)
+        for ax, v in cylinder._partial.items():
+            inside &= coords[ax] == v
+        return Event._make(self.space, None, members._indexes[inside])
 
     def __or__(self, other: "Event") -> "Event":
-        """The union.  Unless both are the same cylinder, a cylinder operand
-        is materialised under the environment's state cap."""
+        """The union: a state set unless both are the same cylinder, with a
+        cylinder operand's flat indexes built under the environment's state cap."""
         self._require_same_space(other)
-        if self._partial is not None and other._partial is not None:
-            if self._partial == other._partial:
-                return Event(self.space, partial=dict(self._partial))
-        return Event(self.space, states=self.states() | other.states())
+        if self._partial is not None and self._partial == other._partial:
+            return self
+        both = np.concatenate((self._members(), other._members()))
+        return Event._make(self.space, None, _unique_sorted(both))
 
     def complement(self, state_cap: int | None = None) -> "Event":
-        """Every state outside the event, materialised under the state cap."""
+        """Every state outside the event, a state set built under the state cap."""
         _require_cap(self.space.state_count, state_cap, "complement over")
-        everything = Event.true(self.space).states(state_cap)
-        return Event(self.space, states=everything - self.states(state_cap))
+        members = self._members(state_cap)
+        outside = np.ones(self.space.state_count, dtype=bool)
+        outside[members] = False
+        return Event._make(self.space, None, np.flatnonzero(outside))
 
     def __invert__(self) -> "Event":
         return self.complement()
@@ -622,31 +618,52 @@ class Event:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
-        if self.space != other.space:
-            return False
-        if self._partial is not None and other._partial is not None:
-            return self._partial == other._partial
-        return self.states() == other.states()
+        # Equal finite sets have the size of their meet, which enumerates no cylinder.
+        return self.space == other.space and self.size == other.size == (self & other).size
 
     def __hash__(self) -> int:
-        return hash((self.space, self.states()))
+        # Equal events have equal sizes, whichever form each is held in.
+        return hash((self.space, self.size))
 
     def flat_indexes(self) -> np.ndarray:
-        """Sorted flat indexes into the row-major joint table."""
-        if self._flat is None:
-            states = sorted(self.states())
-            if not states:
-                self._flat = np.empty(0, dtype=np.intp)
-            else:
-                arr = np.array(states, dtype=np.intp).T
-                self._flat = np.ravel_multi_index(tuple(arr), self.space.shape)
-        return self._flat
+        """Sorted flat indexes into the row-major joint table.
+
+        A state set returns a read-only view of its stored array; a cylinder
+        builds a new one under the environment's state cap and does not keep it.
+        """
+        flat = self._members().view()
+        flat.flags.writeable = False
+        return flat
 
     def __repr__(self) -> str:  # pragma: no cover
         if self._partial is not None:
-            fixed = self.fixed_variables() if not self.is_empty else {}
-            return f"Event.cylinder({fixed!r})"
+            return f"Event.cylinder({self.fixed_variables()!r})"
         return f"Event({self.size} states)"
+
+
+def _flat_of(space: Space, states: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Sorted, unique flat indexes of explicit states, each checked against
+    the space: one value index per variable, inside its domain."""
+    _require_cap(space.state_count, _INTP_MAX, "flat-indexing")
+    rows = list(states)
+    n = len(space)
+    for s in rows:
+        if len(s) != n:
+            raise ValidationError(f"state {s!r} has {len(s)} values for {n} variables")
+    values = np.array(rows).reshape(len(rows), n)
+    if rows and values.dtype.kind not in "iu":
+        raise ValidationError("state values must be integer value indexes")
+    outside = ((values < 0) | (values >= np.array(space.shape))).any(axis=1)
+    if outside.any():
+        bad = rows[int(np.argmax(outside))]
+        raise ValidationError(f"state {bad!r} has a value index outside its domain")
+    return _unique_sorted(np.ravel_multi_index(values.T.astype(np.intp), space.shape))
+
+
+def _unique_sorted(flat: np.ndarray) -> np.ndarray:
+    """The distinct flat indexes in order; a stable sort merges sorted runs in one pass."""
+    flat = np.sort(flat, kind="stable")
+    return np.concatenate((flat[:-1][flat[1:] != flat[:-1]], flat[-1:]))
 
 
 class ReconstructedJoint(NamedTuple):

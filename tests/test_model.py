@@ -1,6 +1,8 @@
 """Core model: construction, validation, ratio semantics, events, caching."""
 
+import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ import helpers
 from eunet import (
     PROB,
     UTIL,
+    STATE_CAP_ENV,
     Assignment,
+    EmptyEventError,
+    EunError,
     EUNGraph,
     Event,
     RestrictedPotential,
@@ -423,6 +428,149 @@ def test_events_from_different_spaces_do_not_mix(chain_net, hw1):
 def test_cylinder_rejects_unknown_variable(chain_net):
     with pytest.raises(ValidationError, match="unknown variable"):
         chain_net.cylinder({"Z": "1"})
+
+
+def test_explicit_states_are_checked_at_construction(chain_net):
+    space = chain_net.space
+    with pytest.raises(ValidationError, match="outside its domain"):
+        Event(space, states=frozenset({(5, 0, 0)}))
+    with pytest.raises(ValidationError, match="outside its domain"):
+        Event(space, states=[(0, 0, 1), (0, -1, 0)])
+    with pytest.raises(ValidationError, match="2 values for 3 variables"):
+        Event(space, states=frozenset({(0, 0)}))
+    with pytest.raises(ValidationError, match="integer value indexes"):
+        Event(space, states=[(0.5, 0, 0)])
+    assert Event(space, states=[(1, 0, 1), (1, 0, 1)]).size == 1
+
+
+def test_space_past_flat_index_range_raises_typed_error():
+    space = Space([binary(f"X{i}") for i in range(64)])
+    with pytest.raises(EunError, match="flat-indexing"):
+        Event(space, states=frozenset({(0,) * 64}))
+    nearly_fixed = Event.cylinder(space, {f"X{i}": "0" for i in range(60)})
+    with pytest.raises(EunError, match="flat-indexing"):
+        nearly_fixed.flat_indexes()
+    with pytest.raises(EunError, match="flat-indexing"):
+        nearly_fixed | Event.cylinder(space, {f"X{i}": "1" for i in range(60)})
+
+
+def _oracle_states(space, event_spec):
+    """The plain-Python state set of a drawn event: a cylinder's completions
+    or the drawn tuples themselves."""
+    kind, data = event_spec
+    every = itertools.product(*(range(n) for n in space.shape))
+    if kind == "cylinder":
+        return frozenset(s for s in every if all(s[ax] == v for ax, v in data.items()))
+    return frozenset(data)
+
+
+def _draw_event(rng, space):
+    """A random cylinder (sometimes the sure event or a single state) or a
+    random state set (sometimes empty or every state), with its oracle set."""
+    if rng.random() < 0.5:
+        fixed = {
+            ax: int(rng.integers(n)) for ax, n in enumerate(space.shape) if rng.random() < 0.4
+        }
+        spec = ("cylinder", fixed)
+        event = Event(space, partial=fixed)
+    else:
+        every = list(itertools.product(*(range(n) for n in space.shape)))
+        keep = rng.random(len(every)) < rng.choice([0.0, 0.2, 0.6, 1.0])
+        spec = ("states", [s for s, k in zip(every, keep) if k])
+        event = Event(space, states=frozenset(spec[1]))
+    return event, _oracle_states(space, spec)
+
+
+def _oracle_fixed(space, states):
+    first = min(states)
+    return {
+        space.names[ax]: space.specs[ax].domain[first[ax]]
+        for ax in range(len(space))
+        if all(s[ax] == first[ax] for s in states)
+    }
+
+
+def _check_against_oracle(space, event, want):
+    assert event.size == len(want)
+    assert event.is_empty == (not want)
+    assert event.states() == want
+    assert [a.values for a in event.assignments()] == sorted(want)
+    flat = event.flat_indexes()
+    assert flat.dtype == np.intp and list(flat) == sorted(set(flat.tolist()))
+    assert len(flat) == len(want)
+    if want:
+        assert event.fixed_variables() == _oracle_fixed(space, want)
+    else:
+        with pytest.raises(EmptyEventError):
+            event.fixed_variables()
+    explicit = Event(space, states=want)
+    assert event == explicit and explicit == event
+    assert hash(event) == hash(explicit)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_event_algebra_matches_a_frozenset_oracle(seed):
+    rng = np.random.default_rng(seed)
+    net = helpers.random_network(rng, n_vars=int(rng.integers(2, 5)), domain_sizes=(2, 3, 4))
+    space = net.space
+    everything = _oracle_states(space, ("cylinder", {}))
+    for _ in range(25):
+        (a, sa), (b, sb) = _draw_event(rng, space), _draw_event(rng, space)
+        _check_against_oracle(space, a, sa)
+        _check_against_oracle(space, a & b, sa & sb)
+        _check_against_oracle(space, b & a, sa & sb)
+        _check_against_oracle(space, a | b, sa | sb)
+        _check_against_oracle(space, a.complement(), everything - sa)
+        _check_against_oracle(space, ~b, everything - sb)
+        assert (a == b) == (sa == sb) == (b == a)
+        if sa == sb:
+            assert hash(a) == hash(b)
+
+
+def test_sure_event_hashes_and_compares_under_a_small_cap(chain_net, monkeypatch):
+    monkeypatch.setenv(STATE_CAP_ENV, "4")
+    sure = chain_net.true_event()
+    every = Event.from_assignments(
+        chain_net.space,
+        [
+            {"X1": a, "X2": b, "X3": c}
+            for a, b, c in itertools.product("01", repeat=3)
+        ],
+    )
+    assert hash(sure) == hash(every)
+    assert sure == every and every == sure
+    assert sure != chain_net.cylinder({"X1": "1"})
+    with pytest.raises(StateCapError):
+        sure.states(state_cap=4)
+    with pytest.raises(StateCapError):
+        sure.flat_indexes()
+    with pytest.raises(StateCapError):
+        sure | every
+    with pytest.raises(StateCapError):
+        chain_net.cylinder({"X1": "1"}).complement()
+
+
+def test_hash_and_equality_allocate_nothing_that_grows_with_a_cylinder():
+    space = Space([binary(f"X{i}") for i in range(24)])
+    sure = Event.true(space)
+    small = Event(space, states=frozenset({(0,) * 24, (1,) * 24}))
+    tracemalloc.start()
+    try:
+        assert sure != small
+        assert sure == Event.true(space)
+        assert hash(sure) == hash(Event.true(space))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_stored_flat_indexes_are_read_only(chain_net):
+    e = chain_net.cylinder({"X1": "1"}) | chain_net.cylinder({"X2": "1"})
+    flat = e.flat_indexes()
+    with pytest.raises(ValueError):
+        flat[0] = 7
+    assert e.size == 6
 
 
 # -- state cap -------------------------------------------------------------------

@@ -6,12 +6,13 @@ Subcommands: ``validate``, ``query``, ``independence``, ``decide``,
 12 digits after the point, so outputs are byte-stable across runs.
 
 Exit codes: 0 success, 1 usage error, 2 validation or schema failure,
-3 numeric/cap/event error.
+3 numeric/cap/event error or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Sequence
 from contextlib import redirect_stderr, redirect_stdout
@@ -102,7 +103,9 @@ def _parse_var_list(text: str) -> tuple[str, ...]:
     return names
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = _Parser(prog="eun", description="Expected utility network toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -289,6 +292,9 @@ def run_command(
         return EXIT_VALIDATION
     except EunError as exc:
         print(f"error: {exc}", file=err)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=err)
         return EXIT_NUMERIC
 
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -173,16 +175,86 @@ def _parse_rows(
         yield rat, key, _as_number(_require(row_obj, number_key, rat), f"{rat}.{number_key}")
 
 
+_NO_CONDITION: dict = {}  # a row's ``given`` when it omits one
+
+
+def _read_table(
+    rows: object, specs: Sequence[VariableSpec], number_key: str
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read a table's rows into ``(table, covered)``, or None.
+
+    ``specs`` are the table's axes, the variable's own first.  One dict per
+    axis maps a label to its index times the axis's stride, so a row's
+    lookups add up to its flat code in the row-major table.  Each check and
+    lookup is one pass over all the rows; codes and numbers are scattered
+    into the table once.  ``covered`` marks the entries some row gave; the
+    others hold 1.
+
+    Only direct checks run: each row is an object with no unknown key, its
+    ``value`` and its ``given`` labels (exactly one per other axis) are in
+    their domains, its number is an int or a float, and no code repeats.
+    None means a row failed one; the per-row checks of ``_parse_rows`` and
+    ``VariableSpec.value_index`` then word the error.
+    """
+    if type(rows) is not list:
+        return None
+    offsets = []
+    size = 1
+    for spec in reversed(specs):
+        offsets.append({label: i * size for i, label in enumerate(spec.domain)})
+        size *= spec.size
+    offsets.reverse()
+    n = len(rows)
+    try:
+        if not set(map(type, rows)) <= {dict}:
+            return None
+        if set(map(len, rows)) <= {3}:
+            # Three keys, each looked up below: exactly the allowed ones.
+            givens = list(map(itemgetter("given"), rows))
+        elif all(map(frozenset({"value", "given", number_key}).issuperset, rows)):
+            givens = list(map(methodcaller("get", "given", _NO_CONDITION), rows))
+        else:
+            return None
+        codes = np.fromiter(map(offsets[0].__getitem__, map(itemgetter("value"), rows)), np.intp, n)
+        if not set(map(type, givens)) <= {dict} or not set(map(len, givens)) <= {len(specs) - 1}:
+            return None
+        for spec, offset in zip(specs[1:], offsets[1:]):
+            codes += np.fromiter(
+                map(offset.__getitem__, map(itemgetter(spec.name), givens)), np.intp, n
+            )
+        numbers = list(map(itemgetter(number_key), rows))
+        if not set(map(type, numbers)) <= {int, float}:
+            return None
+        values = np.fromiter(map(float, numbers), float, n)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    counts = np.bincount(codes, minlength=size)
+    if np.count_nonzero(counts) < n:  # some code repeats
+        return None
+    table = np.ones(size)
+    table[codes] = values
+    shape = tuple(spec.size for spec in specs)
+    return table.reshape(shape), counts.astype(bool).reshape(shape)
+
+
 def _parse_layer_tables(
     raw: object, path: str, layer: str, space: Space, graph: EUNGraph
 ) -> list[RestrictedPotential]:
     obj = _as_object(raw, path)
+    names = set(space.names)
     potentials = []
     for name, rows in obj.items():
         at = f"{path}.{name}"
-        if name not in set(space.names):
+        if name not in names:
             _fail(at, f"table for undeclared variable {name!r}")
         parents = graph.below_neighbors(layer, name, space.names)
+        spec = space.spec(name)
+        parent_specs = [space.spec(p) for p in parents]
+        read = _read_table(rows, [spec, *parent_specs], "ratio")
+        if read is not None:
+            potentials.append(RestrictedPotential._from_covered(spec, parent_specs, layer, *read))
+            continue
+        # A row failed a direct check: the per-row checks word the error.
         relation = (
             f"a below-index neighbour of {name!r} in the {layer} layer "
             f"(expected {sorted(parents)})"
@@ -190,11 +262,7 @@ def _parse_layer_tables(
         entries = {
             key: ratio for _, key, ratio in _parse_rows(rows, at, parents, "ratio", relation)
         }
-        potentials.append(
-            RestrictedPotential.from_entries(
-                space.spec(name), [space.spec(p) for p in parents], layer, entries
-            )
-        )
+        potentials.append(RestrictedPotential.from_entries(spec, parent_specs, layer, entries))
     return potentials
 
 
@@ -315,6 +383,28 @@ def _check_acyclic(names: Sequence[str], edges: frozenset[tuple[str, str]]) -> N
         raise SchemaError(f"$.dag_edges: the edges contain a cycle through {cyc}")
 
 
+def _cpt_rows(
+    rows: object, path: str, spec: VariableSpec, parent_specs: Sequence[VariableSpec]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row checks of a CPT, row by row; they word the error of a
+    table that ``_read_table`` refused or that holds a number not above 0."""
+    shape = (spec.size,) + tuple(p.size for p in parent_specs)
+    table = np.ones(shape)
+    covered = np.zeros(shape, dtype=bool)
+    parents = tuple(p.name for p in parent_specs)
+    for rat, key, prob in _parse_rows(rows, path, parents, "p", f"a parent of {spec.name!r}"):
+        idx = (spec.value_index(key[0]),) + tuple(
+            p.value_index(label) for p, label in zip(parent_specs, key[1:])
+        )
+        if math.isnan(prob):
+            _fail(f"{rat}.p", f"non-finite entry {prob!r}")
+        if prob <= 0.0:
+            _fail(f"{rat}.p", f"probabilities must be strictly positive, got {prob!r}")
+        table[idx] = prob
+        covered[idx] = True
+    return table, covered
+
+
 def parse_bayes_net(text: str) -> BayesNet:
     """Parse an ``eun-bn/1`` document.
 
@@ -359,17 +449,11 @@ def parse_bayes_net(text: str) -> BayesNet:
             _fail("$.cpts", f"missing required key {name!r}")
         spec = by_name[name]
         parent_specs = [by_name[p] for p in parents[name]]
-        shape = (spec.size,) + tuple(p.size for p in parent_specs)
-        table = np.full(shape, np.nan)
-        rows = _parse_rows(cpts_raw[name], at, parents[name], "p", f"a parent of {name!r}")
-        for rat, key, prob in rows:
-            idx = (spec.value_index(key[0]),) + tuple(
-                p.value_index(label) for p, label in zip(parent_specs, key[1:])
-            )
-            if prob <= 0.0:
-                _fail(f"{rat}.p", f"probabilities must be strictly positive, got {prob!r}")
-            table[idx] = prob
-        if np.any(np.isnan(table)):
+        read = _read_table(cpts_raw[name], [spec, *parent_specs], "p")
+        if read is None or not np.all(read[0] > 0.0):
+            read = _cpt_rows(cpts_raw[name], at, spec, parent_specs)
+        table, covered = read
+        if not covered.all():
             _fail(at, "incomplete table (missing rows for some value combination)")
         sums = table.sum(axis=0)
         if not np.all(np.abs(sums - 1.0) <= 1e-9):

@@ -339,8 +339,8 @@ class RestrictedPotential:
         implied to be 1.  Every non-reference row must be present.
         """
         shape = (spec.size,) + tuple(p.size for p in parent_specs)
-        table = np.full(shape, np.nan)
-        table[spec.reference_index] = 1.0
+        table = np.ones(shape)
+        covered = np.zeros(shape, dtype=bool)
         for key, ratio in entries.items():
             key = tuple(key)
             if len(key) != 1 + len(parent_specs):
@@ -350,7 +350,27 @@ class RestrictedPotential:
             vi = spec.value_index(key[0])
             pis = tuple(p.value_index(k) for p, k in zip(parent_specs, key[1:]))
             table[(vi,) + pis] = float(ratio)
-        if np.any(np.isnan(table)):
+            covered[(vi,) + pis] = True
+        return cls._from_covered(spec, parent_specs, layer, table, covered)
+
+    @classmethod
+    def _from_covered(
+        cls,
+        spec: VariableSpec,
+        parent_specs: Sequence[VariableSpec],
+        layer: str,
+        table: np.ndarray,
+        covered: np.ndarray,
+    ) -> "RestrictedPotential":
+        """The potential of ``table``, where ``covered`` marks the entries given.
+
+        Reference-value entries not given must hold 1 already (``covered``
+        is marked there in place); every other entry must be given.
+        Coverage is counted apart from the values, so a NaN entry is
+        reported as non-finite, not as missing.
+        """
+        covered[spec.reference_index] = True
+        if not covered.all():
             raise ValidationError(
                 f"potential for {spec.name!r}/{layer}: potential table incomplete "
                 f"(missing rows for some value combination)"
@@ -492,7 +512,7 @@ class Event:
         if (partial is None) == (states is None):
             raise ValueError("exactly one of partial/states must be given")
         self.space = space
-        self._partial = dict(partial) if partial is not None else None
+        self._partial = _checked_partial(space, partial) if partial is not None else None
         self._indexes = _flat_of(space, states) if states is not None else None
 
     @classmethod
@@ -504,11 +524,11 @@ class Event:
 
     @classmethod
     def cylinder(cls, space: Space, partial: Mapping[str, str]) -> "Event":
-        return cls(space, partial=space.partial_indexes(partial))
+        return cls._make(space, space.partial_indexes(partial), None)
 
     @classmethod
     def true(cls, space: Space) -> "Event":
-        return cls(space, partial={})
+        return cls._make(space, {}, None)
 
     @classmethod
     def from_assignments(
@@ -639,6 +659,22 @@ class Event:
         if self._partial is not None:
             return f"Event.cylinder({self.fixed_variables()!r})"
         return f"Event({self.size} states)"
+
+
+def _checked_partial(space: Space, partial: Mapping[int, int]) -> dict[int, int]:
+    """A cylinder's axis->value map, each axis one of the space's and each
+    value an index inside that axis's domain."""
+    out = {}
+    for axis, value in partial.items():
+        if axis not in range(len(space)):
+            raise ValidationError(f"axis {axis!r} outside a space of {len(space)} variables")
+        if value not in range(space.shape[axis]):
+            raise ValidationError(
+                f"value index {value!r} outside the domain of {space.names[axis]!r} "
+                f"({space.shape[axis]} values)"
+            )
+        out[int(axis)] = int(value)
+    return out
 
 
 def _flat_of(space: Space, states: Iterable[tuple[int, ...]]) -> np.ndarray:

@@ -204,15 +204,19 @@ def random_network(
     low=0.5,
     high=2.0,
     same_graphs=False,
+    random_references=False,
 ):
-    """A random network that passes the mantle-consistency check by construction."""
+    """A random network that passes the mantle-consistency check by construction.
+
+    With ``random_references`` each variable's reference label is drawn from
+    its domain instead of being the first one.
+    """
     names = [f"X{i}" for i in range(1, n_vars + 1)]
-    specs = [
-        VariableSpec(
-            name, tuple(str(v) for v in range(int(rng.choice(domain_sizes))))
-        )
-        for name in names
-    ]
+    specs = []
+    for name in names:
+        domain = tuple(str(v) for v in range(int(rng.choice(domain_sizes))))
+        reference = str(rng.integers(len(domain))) if random_references else None
+        specs.append(VariableSpec(name, domain, reference))
     prob_arcs = random_layer_arcs(rng, names, arc_prob)
     util_arcs = prob_arcs if same_graphs else random_layer_arcs(rng, names, arc_prob)
     graph = EUNGraph.of(prob_arcs=prob_arcs, util_arcs=util_arcs, nodes=names)

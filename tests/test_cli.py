@@ -7,7 +7,7 @@ import json
 import pytest
 
 import helpers
-from eunet import serialize_network
+from eunet import cli, serialize_network
 from eunet.cli import run_command
 from test_model import adversarial_net
 
@@ -367,6 +367,37 @@ def test_errors_go_to_stderr_only(chain_path):
     code, out, err = run("query", chain_path, "--prob", "-e", "Z=1")
     assert out == ""
     assert err != ""
+
+
+def test_one_parser_serves_successive_calls(chain_path, hw1_path):
+    assert run("validate", chain_path) == (0, "structure: ok\n", "")
+    assert run("query", hw1_path, "--eu", "-e", "H=1")[0] == 0
+    code, out, err = run("query", chain_path, "--prob")
+    assert (code, out) == (1, "")
+    assert "required" in err
+    assert run("independence", chain_path, "--layer", "prob", "-a", "X1", "-b", "X3",
+               "-c", "X2") == (0, "independent (graph separation)\n", "")
+    out = io.StringIO()
+    assert run_command(["decide", "--help"], stdout=out, stderr=io.StringIO()) == 0
+    assert "--decisions" in out.getvalue()
+    assert run("validate", chain_path) == (0, "structure: ok\n", "")
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 12.6 GiB"),
+         "error: out of memory (Unable to allocate 12.6 GiB)\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+)
+def test_memory_error_exits_numeric(chain_path, monkeypatch, exc, message):
+    def exhausted(args, out):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "query", exhausted)
+    assert run("query", chain_path, "--prob", "-e", "X3=1") == (3, "", message)
 
 
 @pytest.mark.parametrize("launcher", ["eun", "python-m-eunet"])

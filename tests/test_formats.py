@@ -10,9 +10,11 @@ import helpers
 from eunet import (
     PROB,
     UTIL,
+    RestrictedPotential,
     SchemaError,
     ValidationError,
     bn_to_eun,
+    build_network,
     build_vickrey_auction,
     joint_ratio,
     moral_arcs,
@@ -21,6 +23,8 @@ from eunet import (
     reconstruct_joint,
     serialize_network,
 )
+from eunet import formats
+from eunet.formats import _parse_rows
 
 
 MINIMAL_DOC = """
@@ -473,3 +477,248 @@ def test_auction_shaped_bayes_net_moralises_like_the_auction():
 def test_document_order_is_the_conversion_ordering():
     bn = parse_bayes_net(bn_doc())
     assert bn_to_eun(bn).ordering == ("X", "Y")
+
+
+# -- the one-pass table reader against the per-row oracle -------------------------
+
+
+def oracle_potential(network, layer, name, rows, at):
+    """The row-by-row route: ``_parse_rows`` then ``from_entries``."""
+    spec = network.space.spec(name)
+    parents = network.below_neighbors(layer, name)
+    entries = {key: r for _, key, r in _parse_rows(rows, at, parents, "ratio", "a neighbour")}
+    return RestrictedPotential.from_entries(
+        spec, [network.space.spec(p) for p in parents], layer, entries
+    )
+
+
+def scrambled(doc, rng):
+    """The same network in another valid spelling: rows shuffled, ``given``
+    keys reordered, some reference rows written out, and some empty
+    ``given`` objects left out."""
+    doc = json.loads(json.dumps(doc))
+    refs = {v["name"]: v["reference"] for v in doc["variables"]}
+    for key in ("q", "w"):
+        for name, rows in doc[key].items():
+            for row in rows:
+                items = list(row["given"].items())
+                rng.shuffle(items)
+                row["given"] = dict(items)
+                if not items and rng.random() < 0.5:
+                    del row["given"]
+            extra = [
+                {"value": refs[name], "given": dict(row.get("given", {})), "ratio": 1.0}
+                for row in rows
+                if row["value"] == rows[0]["value"] and rng.random() < 0.3
+            ]
+            rows.extend(extra)
+            order = rng.permutation(len(rows))
+            doc[key][name] = [rows[int(i)] for i in order]
+    return doc
+
+
+def per_row_checks_run(*args):
+    raise AssertionError("the per-row checks ran on a valid document")
+
+
+def test_reader_matches_row_by_row_oracle_on_random_networks(monkeypatch):
+    # The per-row checks only word errors; valid documents never reach them.
+    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
+    rng = np.random.default_rng(2024)
+    for trial in range(24):
+        base = helpers.random_network(
+            rng, n_vars=int(rng.integers(2, 6)), domain_sizes=(2, 3, 4),
+            arc_prob=0.5, random_references=True,
+        )
+        # Leave some tables out: they parse back as identity tables.
+        kept = [
+            base.potential(layer, name)
+            for layer in (PROB, UTIL)
+            for name in base.ordering
+            if rng.random() < 0.7
+        ]
+        net = build_network(base.space.specs, base.ordering, base.graph, kept)
+        doc = json.loads(serialize_network(net))
+        if trial % 2:
+            doc = scrambled(doc, rng)
+        parsed = parse_network(json.dumps(doc))
+        for layer, key in ((PROB, "q"), (UTIL, "w")):
+            for name in net.ordering:
+                got = parsed.potential(layer, name).table
+                assert got.tobytes() == net.potential(layer, name).table.tobytes()
+                if name in doc[key]:
+                    want = oracle_potential(net, layer, name, doc[key][name], f"$.{key}.{name}")
+                    assert got.tobytes() == want.table.tobytes()
+
+
+def test_cpt_reader_matches_row_by_row_oracle(monkeypatch):
+    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        doc = json.loads(bn_doc())
+        for rows in doc["cpts"].values():
+            for k in range(0, len(rows), 2):
+                p = float(rng.uniform(0.05, 0.95))
+                rows[k]["p"], rows[k + 1]["p"] = p, 1.0 - p
+            rng.shuffle(rows)
+        bn = parse_bayes_net(json.dumps(doc))
+        for name in ("X", "Y"):
+            parents = bn.parents[name]
+            specs = [bn.specs[bn.names.index(v)] for v in (name, *parents)]
+            want = np.zeros(bn.cpts[name].shape)
+            for _, key, p in _parse_rows(doc["cpts"][name], "$", parents, "p", "a parent"):
+                want[tuple(s.value_index(label) for s, label in zip(specs, key))] = p
+            assert bn.cpts[name].tobytes() == want.tobytes()
+
+
+def fault_doc():
+    """X binary; Y over a, b, c with reference b and X as its one neighbour."""
+    return {
+        "format": "eun/1",
+        "variables": [
+            {"name": "X", "domain": ["0", "1"]},
+            {"name": "Y", "domain": ["a", "b", "c"], "reference": "b"},
+        ],
+        "ordering": ["X", "Y"],
+        "prob_arcs": [["X", "Y"]],
+        "q": {
+            "X": [{"value": "1", "given": {}, "ratio": 2.0}],
+            "Y": [
+                {"value": v, "given": {"X": x}, "ratio": r}
+                for (v, x), r in zip(
+                    [("a", "0"), ("a", "1"), ("c", "0"), ("c", "1")], (0.5, 1.5, 2.5, 3.5)
+                )
+            ],
+        },
+    }
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        target = doc
+        for step in head:
+            target = target[step]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return mutate
+
+
+_DELETE = object()
+_NAN = float("nan")
+NOT_NEIGHBOUR = "is not a below-index neighbour of 'X' in the prob layer (expected [])"
+NON_UNIT = "non-unit reference row (entries at the reference value must equal 1 exactly)"
+INCOMPLETE = "potential table incomplete (missing rows for some value combination)"
+
+EUN_FAULTS = [
+    (_set(["q", "Y"], {}), SchemaError, "$.q.Y: expected an array, got dict"),
+    (_set(["q", "Y", 1], "row"), SchemaError, "$.q.Y[1]: expected an object, got str"),
+    (_set(["q", "Y", 0, "weight"], 1), SchemaError, "$.q.Y[0]: unknown key 'weight'"),
+    (_set(["q", "Y", 2, "value"], _DELETE), SchemaError,
+     "$.q.Y[2]: missing required key 'value'"),
+    (_set(["q", "Y", 3, "ratio"], _DELETE), SchemaError,
+     "$.q.Y[3]: missing required key 'ratio'"),
+    (_set(["q", "Y", 0, "value"], 1), SchemaError,
+     "$.q.Y[0].value: expected a string, got int"),
+    (_set(["q", "Y", 1, "given", "X"], 0), SchemaError,
+     "$.q.Y[1].given.X: expected a string, got int"),
+    (_set(["q", "Y", 1, "given"], ["X"]), SchemaError,
+     "$.q.Y[1].given: expected an object, got list"),
+    (_set(["q", "Y", 2, "value"], "z"), ValidationError,
+     "variable 'Y': assignment value 'z' outside domain ('a', 'b', 'c')"),
+    (_set(["q", "Y", 2, "given", "X"], "2"), ValidationError,
+     "variable 'X': assignment value '2' outside domain ('0', '1')"),
+    (_set(["q", "X", 0, "given"], {"Y": "a"}), SchemaError,
+     f"$.q.X[0].given: 'Y' {NOT_NEIGHBOUR}"),
+    (_set(["q", "Y", 0, "given"], {}), SchemaError,
+     "$.q.Y[0].given: missing condition on 'X'"),
+    (_set(["q", "Y", 0, "given"], _DELETE), SchemaError,
+     "$.q.Y[0].given: missing condition on 'X'"),
+    (_set(["q", "Y", 1, "ratio"], True), SchemaError,
+     "$.q.Y[1].ratio: expected a number, got bool"),
+    (_set(["q", "Y", 1, "ratio"], "1.5"), SchemaError,
+     "$.q.Y[1].ratio: expected a number, got str"),
+    (_set(["q", "Y", 3], {"value": "a", "given": {"X": "1"}, "ratio": 1.5}), SchemaError,
+     "$.q.Y[3]: duplicate entry for ('a', '1')"),
+    (_set(["q", "Y", 3], _DELETE), ValidationError, f"potential for 'Y'/prob: {INCOMPLETE}"),
+    (lambda d: d["q"]["Y"].append({"value": "b", "given": {"X": "0"}, "ratio": 2.0}),
+     ValidationError,
+     f"potential for 'Y'/prob: {NON_UNIT}"),
+    (_set(["q", "Y", 0, "ratio"], -1.5), ValidationError,
+     "potential for 'Y'/prob: non-positive potential entry"),
+    (_set(["q", "Y", 0, "ratio"], 0), ValidationError,
+     "potential for 'Y'/prob: non-positive potential entry"),
+    (_set(["q", "Y", 0, "ratio"], float("inf")), ValidationError,
+     "potential for 'Y'/prob: non-finite entry"),
+    (_set(["q", "Y", 0, "ratio"], _NAN), ValidationError,
+     "potential for 'Y'/prob: non-finite entry"),
+    # Two faults: every row passes the row checks before any label is
+    # looked up in its domain, as the per-row checks always did.
+    (lambda d: (_set(["q", "Y", 0, "value"], "z")(d), _set(["q", "Y", 3, "weight"], 1)(d)),
+     SchemaError, "$.q.Y[3]: unknown key 'weight'"),
+    # A missing row is reported before a bad number elsewhere in the table.
+    (lambda d: (_set(["q", "Y", 3], _DELETE)(d), _set(["q", "Y", 0, "ratio"], _NAN)(d)),
+     ValidationError, f"potential for 'Y'/prob: {INCOMPLETE}"),
+]
+
+
+@pytest.mark.parametrize("mutate, kind, message", EUN_FAULTS)
+def test_one_fault_eun_documents_keep_their_errors(mutate, kind, message):
+    doc = fault_doc()
+    mutate(doc)
+    with pytest.raises(ValidationError) as err:
+        parse_network(json.dumps(doc))
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+BN_FAULTS = [
+    (_set(["cpts", "Y", 1], 3), "$.cpts.Y[1]: expected an object, got int"),
+    (_set(["cpts", "Y", 0, "q"], 0.1), "$.cpts.Y[0]: unknown key 'q'"),
+    (_set(["cpts", "Y", 2, "value"], _DELETE), "$.cpts.Y[2]: missing required key 'value'"),
+    (_set(["cpts", "X", 0, "p"], _DELETE), "$.cpts.X[0]: missing required key 'p'"),
+    (_set(["cpts", "Y", 0, "value"], 0), "$.cpts.Y[0].value: expected a string, got int"),
+    (_set(["cpts", "X", 0, "given"], {"Y": "0"}), "$.cpts.X[0].given: 'Y' is not a parent of 'X'"),
+    (_set(["cpts", "Y", 1, "given"], {}), "$.cpts.Y[1].given: missing condition on 'X'"),
+    (_set(["cpts", "Y", 1, "p"], False), "$.cpts.Y[1].p: expected a number, got bool"),
+    (_set(["cpts", "Y", 1, "p"], "0.1"), "$.cpts.Y[1].p: expected a number, got str"),
+    (_set(["cpts", "Y", 1], {"value": "0", "given": {"X": "0"}, "p": 0.9}),
+     "$.cpts.Y[1]: duplicate entry for ('0', '0')"),
+    (_set(["cpts", "Y", 3], _DELETE),
+     "$.cpts.Y: incomplete table (missing rows for some value combination)"),
+    (_set(["cpts", "X", 1, "p"], -0.6),
+     "$.cpts.X[1].p: probabilities must be strictly positive, got -0.6"),
+    (_set(["cpts", "X", 1, "p"], _NAN), "$.cpts.X[1].p: non-finite entry nan"),
+    (_set(["cpts", "X", 1, "p"], 0.7),
+     "$.cpts.X: rows must sum to 1 for every parent configuration (off by 0.1)"),
+    # Two faults: the CPT rows are checked one row at a time.
+    (lambda d: (_set(["cpts", "Y", 0, "p"], 0)(d), _set(["cpts", "Y", 2, "q"], 1)(d)),
+     "$.cpts.Y[0].p: probabilities must be strictly positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", BN_FAULTS)
+def test_one_fault_bn_documents_keep_their_errors(mutate, message):
+    doc = json.loads(bn_doc())
+    mutate(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_bayes_net(json.dumps(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("label, where", [("2", "value"), ("2", "given")])
+def test_cpt_label_outside_domain(label, where):
+    doc = json.loads(bn_doc())
+    row = doc["cpts"]["Y"][1]
+    if where == "value":
+        row["value"] = label
+    else:
+        row["given"]["X"] = label
+    with pytest.raises(ValidationError) as err:
+        parse_bayes_net(json.dumps(doc))
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "variable {!r}: assignment value '2' outside domain ('0', '1')".format(
+        "Y" if where == "value" else "X"
+    )

@@ -443,6 +443,21 @@ def test_explicit_states_are_checked_at_construction(chain_net):
     assert Event(space, states=[(1, 0, 1), (1, 0, 1)]).size == 1
 
 
+@pytest.mark.parametrize(
+    "partial, message",
+    [
+        ({5: 0}, "axis 5 outside a space of 3 variables"),
+        ({-1: 0}, "axis -1 outside a space of 3 variables"),
+        ({0: 7}, "value index 7 outside the domain of 'X1' (2 values)"),
+    ],
+)
+def test_cylinder_axes_are_checked_at_construction(chain_net, partial, message):
+    with pytest.raises(ValidationError) as err:
+        Event(chain_net.space, partial=partial)
+    assert str(err.value) == message
+    assert Event(chain_net.space, partial={2: 1}).size == 4
+
+
 def test_space_past_flat_index_range_raises_typed_error():
     space = Space([binary(f"X{i}") for i in range(64)])
     with pytest.raises(EunError, match="flat-indexing"):

@@ -32,9 +32,8 @@ from .model import (
     Space,
     ValidationError,
     VariableSpec,
-    _require_cap,
+    _factor_potentials,
     build_network,
-    derive_restricted_potentials,
     resolve_state_cap,
 )
 
@@ -313,6 +312,11 @@ def build_vickrey_auction(
     spreads epsilon on every other outcome.  The utility layer touches only
     the allocation: relative to losing, winning at price m is worth
     (1 + v) / (1 + m) to a bidder with value v.
+
+    The probability potentials are read off the two non-uniform factors,
+    the opponent's bid table and the allocation, so the build allocates
+    nothing that grows with the state count; the queries on the network
+    check the state cap themselves.
     """
     if resolution < 2:
         raise ValidationError("grid resolution must be at least 2")
@@ -338,7 +342,6 @@ def build_vickrey_auction(
         nodes=ordering,
     )
     space = Space(specs)
-    _require_cap(space.state_count, None, "the auction joint over")
 
     if opponent_bid_table is None:
         c_given_s = np.full((g, g), epsilon)
@@ -360,14 +363,10 @@ def build_vickrey_auction(
             winner = g + c if b >= c else b
             alloc[b, c, winner] = 1.0 - (r - 1) * epsilon
 
-    joint = (
-        (1.0 / g) ** 3
-        * c_given_s[np.newaxis, np.newaxis, :, :, np.newaxis]
-        * alloc[np.newaxis, :, np.newaxis, :, :]
-    )
-    joint = np.broadcast_to(joint, space.shape).copy()
-
-    q_pots = derive_restricted_potentials(joint, space, graph, PROB)
+    # The joint is (1/g)^3 c_given_s[s, c] alloc[b, c, a] over (V, B, S, C, A);
+    # the uniform constant cancels from every ratio.
+    factors = [((2, 3), c_given_s), ((1, 3, 4), alloc)]
+    q_pots = _factor_potentials(factors, space, graph, PROB)
 
     w_a = np.ones((r, g))
     # winner-side rows sit after the g losing rows, so the price index is

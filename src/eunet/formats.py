@@ -10,8 +10,9 @@ them, so round trips are bit-identical on the stored entries.
 
 ``eun-bn/1`` stores an ordinary Bayes network (directed edges, conditional
 probability tables).  ``bn_to_eun`` converts it: the probability layer is
-the moral graph with ratio potentials read off the CPT-product joint, and
-the utility layer starts out identically 1 for the caller to fill in.
+the moral graph with ratio potentials read off the CPTs that mention each
+variable (no joint table is built), and the utility layer starts out
+identically 1 for the caller to fill in.
 
 Schema violations raise ``SchemaError`` with a dotted key path pointing at
 the offending spot.
@@ -37,10 +38,9 @@ from .model import (
     Space,
     ValidationError,
     VariableSpec,
-    _require_cap,
+    _factor_potentials,
     _structure,
     build_network,
-    derive_restricted_potentials,
 )
 
 __all__ = [
@@ -90,7 +90,10 @@ def _as_str(value: object, path: str) -> str:
 def _as_number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "integer out of float range")
 
 
 def _require(obj: dict, key: str, path: str) -> object:
@@ -485,27 +488,20 @@ def moral_arcs(bn: BayesNet) -> frozenset[tuple[str, str]]:
     return frozenset(arcs)
 
 
-def bn_to_eun(bn: BayesNet, state_cap: int | None = None) -> Network:
+def bn_to_eun(bn: BayesNet) -> Network:
     """Convert a Bayes network to the undirected ratio representation.
 
-    The probability layer is the moral graph carrying ratio potentials read
-    off the CPT-product joint; reconstructing that network's joint gives back
-    the Bayes network's distribution.  The utility layer is identically 1.
+    The probability layer is the moral graph.  Each variable's ratio
+    potential is read off the CPTs that mention it, its own and its
+    children's, so no joint table is built; reconstructing the network's
+    joint gives back the Bayes network's distribution.  The utility layer
+    is identically 1.
     """
     space = Space(bn.specs)
-    _require_cap(space.state_count, state_cap, "joint enumeration over")
-    n = len(space)
-    joint = np.ones(space.shape)
-    for name in bn.names:
-        table = bn.cpts[name]
-        axes = [space.index(name)] + [space.index(p) for p in bn.parents[name]]
-        expanded = np.moveaxis(
-            table.reshape(table.shape + (1,) * (n - table.ndim)),
-            range(table.ndim),
-            axes,
-        )
-        joint = joint * expanded
-
+    factors = [
+        ((space.index(name),) + tuple(space.index(p) for p in bn.parents[name]), bn.cpts[name])
+        for name in bn.names
+    ]
     graph = EUNGraph.of(prob_arcs=moral_arcs(bn), util_arcs=(), nodes=bn.names)
-    q_pots = derive_restricted_potentials(joint, space, graph, PROB)
+    q_pots = _factor_potentials(factors, space, graph, PROB)
     return build_network(bn.specs, bn.names, graph, q_pots)

@@ -27,7 +27,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, TypeVar
 
 import numpy as np
@@ -191,12 +191,23 @@ class EUNGraph:
 
     Arcs are stored as sorted name pairs.  ``nodes`` lists every node the
     graph knows about, including isolated ones; arc endpoints are always
-    members.
+    members.  Each layer's adjacency map is built once, with the graph.
     """
 
     prob_arcs: frozenset[tuple[str, str]]
     util_arcs: frozenset[tuple[str, str]]
     nodes: frozenset[str]
+    _adjacent: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        adjacent = {}
+        for layer, arcs in ((PROB, self.prob_arcs), (UTIL, self.util_arcs)):
+            adj: dict[str, set[str]] = {n: set() for n in self.nodes}
+            for x, y in arcs:
+                adj.setdefault(x, set()).add(y)
+                adj.setdefault(y, set()).add(x)
+            adjacent[layer] = {n: frozenset(out) for n, out in adj.items()}
+        object.__setattr__(self, "_adjacent", adjacent)
 
     @classmethod
     def of(
@@ -213,32 +224,15 @@ class EUNGraph:
             ns.add(y)
         return cls(p, u, frozenset(ns))
 
-    def arcs(self, layer: str) -> frozenset[tuple[str, str]]:
-        _check_layer(layer)
-        return self.prob_arcs if layer == PROB else self.util_arcs
-
     def neighbors(self, layer: str, name: str) -> frozenset[str]:
         if name not in self.nodes:
             raise ValidationError(f"unknown variable {name!r} in graph query")
-        out = set()
-        for x, y in self.arcs(layer):
-            if x == name:
-                out.add(y)
-            elif y == name:
-                out.add(x)
-        return frozenset(out)
+        return self._adjacent[_check_layer(layer)][name]
 
     def below_neighbors(self, layer: str, name: str, ordering: Sequence[str]) -> tuple[str, ...]:
         """Neighbours of ``name`` that precede it in ``ordering``, in that order."""
         mantle = self.neighbors(layer, name)
         return tuple(n for n in ordering[: ordering.index(name)] if n in mantle)
-
-    def _adjacency(self, layer: str) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for x, y in self.arcs(layer):
-            adj[x].add(y)
-            adj[y].add(x)
-        return adj
 
     def separating(
         self,
@@ -251,7 +245,7 @@ class EUNGraph:
 
         Assumes the three sets are checked elsewhere (disjoint, known names).
         """
-        adj = self._adjacency(layer)
+        adj = self._adjacent[_check_layer(layer)]
         seen = set(a)
         frontier = list(a)
         while frontier:
@@ -840,14 +834,17 @@ class Network:
 
         def build() -> np.ndarray:
             n = len(self.space)
-            total = np.zeros(self.space.shape)
-            for axes, logt in self._log_potentials(layer):
-                order = sorted(range(len(axes)), key=lambda k: axes[k])
+            # Identity tables add 0 everywhere and are skipped; the first term
+            # is added to 0.0, not to a table of zeros.
+            terms = [(axes, logt) for axes, logt in self._log_potentials(layer) if logt.any()]
+            total = np.empty(self.space.shape) if terms else np.zeros(self.space.shape)
+            for k, (axes, logt) in enumerate(terms):
+                order = sorted(range(len(axes)), key=lambda a: axes[a])
                 view = logt.transpose(order)
                 idx: list[object] = [None] * n
                 for v in sorted(axes):
                     idx[v] = slice(None)
-                total += view[tuple(idx)]
+                np.add(total if k else 0.0, view[tuple(idx)], out=total)
             # An overflow is left as inf for the readers to report.
             with np.errstate(over="ignore"):
                 np.exp(total, out=total)
@@ -865,7 +862,8 @@ class Network:
         )
 
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
-        """Cached mantle-consistency report at the default tolerance."""
+        """Mantle-consistency report, cached at the default tolerance; checks the cap each call."""
+        _require_cap(self.state_count, state_cap, "enumeration over")
         if tolerance == 1e-9:
             return self._cached(
                 "imap", lambda: validate_imap(self, tolerance, state_cap=state_cap)
@@ -1125,6 +1123,37 @@ def validate_imap(
     return ImapReport(tolerance=tolerance, violations=tuple(violations))
 
 
+def _factor_potentials(
+    factors: Sequence[tuple[tuple[int, ...], np.ndarray]],
+    space: Space, graph: EUNGraph, layer: str,
+) -> list[RestrictedPotential]:
+    """Restricted potentials of the product of ``(axes, positive table)`` factors.
+
+    Variable i's entry at (x_i, pa) is the product over the factors that
+    mention i of f(x_i, pa, rest at reference) / f(ref_i, pa, rest at
+    reference); the other factors cancel from the ratio, and a variable
+    that no factor mentions gets the identity table.
+    """
+    refs = space.reference_indexes
+    out = []
+    for i, name in enumerate(space.names):
+        parents = graph.below_neighbors(layer, name, space.names)
+        kept = [i] + [space.index(p) for p in parents]
+        ratio = np.ones(tuple(space.shape[a] for a in kept))
+        for axes, table in factors:
+            if i not in axes:
+                continue
+            sub = table[tuple(slice(None) if a in kept else refs[a] for a in axes)]
+            here = [a for a in axes if a in kept]
+            # In ``kept`` order, with length-1 axes for parents the factor lacks.
+            sub = sub.transpose(sorted(range(len(here)), key=lambda k: kept.index(here[k])))
+            sub = sub.reshape([space.shape[a] if a in here else 1 for a in kept])
+            ratio *= sub / sub[refs[i]]
+        ratio[refs[i]] = 1.0
+        out.append(RestrictedPotential(name, layer, parents, ratio, reference_index=refs[i]))
+    return out
+
+
 def derive_restricted_potentials(
     table: np.ndarray,
     space: Space,
@@ -1149,30 +1178,4 @@ def derive_restricted_potentials(
         raise ValidationError("joint table must be strictly positive")
 
     graph = EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(space.names))
-    out = []
-    n = len(space)
-    for i, name in enumerate(space.names):
-        parents = graph.below_neighbors(layer, name, space.names)
-        parent_axes = [space.index(p) for p in parents]
-        take: list[object] = [space.reference_indexes[a] for a in range(n)]
-        take[i] = slice(None)
-        for a in parent_axes:
-            take[a] = slice(None)
-        sub = arr[tuple(take)]
-        # Axes of sub follow ascending variable index, and parents are already
-        # in index order, so only the variable's own axis needs moving.
-        kept = sorted([i] + parent_axes)
-        sub = np.moveaxis(sub, kept.index(i), 0)
-        ref = sub[space.reference_indexes[i]]
-        ratio = sub / ref
-        ratio[space.reference_indexes[i]] = 1.0
-        out.append(
-            RestrictedPotential(
-                name,
-                layer,
-                parents,
-                ratio,
-                reference_index=space.reference_indexes[i],
-            )
-        )
-    return out
+    return _factor_potentials([(tuple(range(len(space))), arr)], space, graph, layer)

@@ -14,6 +14,7 @@ import numpy as np
 from eunet import (
     PROB,
     UTIL,
+    BayesNet,
     EUNGraph,
     Network,
     RestrictedPotential,
@@ -281,3 +282,58 @@ def planted_factor_table(rng, n_vars, factor_scopes, low=0.5, high=2.0) -> np.nd
         )
         out = out * expanded
     return out
+
+
+def oracle_factor_potentials(space, factors, parents_of) -> dict[str, np.ndarray]:
+    """Restricted potentials of the measure that multiplies ``factors``.
+
+    ``factors`` are ``(axes, table)`` pairs and ``parents_of`` maps a name to
+    its below-neighbours.  Entry (x_i, pa) divides the product of every
+    factor's entry at the state with x_i and pa set and everything else at
+    reference by the same product with x_i at reference too.
+    """
+    refs = space.reference_indexes
+
+    def measure(state):
+        total = 1.0
+        for axes, table in factors:
+            total *= float(table[tuple(state[a] for a in axes)])
+        return total
+
+    out = {}
+    for i, name in enumerate(space.names):
+        kept = [i] + [space.index(p) for p in parents_of(name)]
+        table = np.empty(tuple(space.shape[a] for a in kept))
+        for combo in itertools.product(*(range(space.shape[a]) for a in kept)):
+            state = list(refs)
+            for a, v in zip(kept, combo):
+                state[a] = v
+            num = measure(state)
+            state[i] = refs[i]
+            table[combo] = num / measure(state)
+        out[name] = table
+    return out
+
+
+def random_bayes_net(rng, sizes, max_parents=3):
+    """A Bayes network over ``sizes`` (domain sizes, in ordering order).
+
+    Reference labels are drawn at random.  Variable i draws
+    ``min(i, max_parents)`` parents among the earlier ones, so with four or
+    more variables the fourth has three parents, whose moralisation marries
+    all three.
+    """
+    names = [f"B{i}" for i in range(len(sizes))]
+    specs = tuple(
+        VariableSpec(name, tuple(f"s{v}" for v in range(size)), f"s{rng.integers(size)}")
+        for name, size in zip(names, sizes)
+    )
+    parents, cpts = {}, {}
+    for i, name in enumerate(names):
+        k = min(i, max_parents)
+        chosen = sorted(rng.choice(i, size=k, replace=False)) if k else []
+        parents[name] = tuple(names[j] for j in chosen)
+        raw = rng.uniform(0.2, 1.0, (sizes[i], *(sizes[j] for j in chosen)))
+        cpts[name] = raw / raw.sum(axis=0, keepdims=True)
+    edges = frozenset((p, name) for name in names for p in parents[name])
+    return BayesNet(specs=specs, edges=edges, parents=parents, cpts=cpts)

@@ -230,6 +230,24 @@ def test_import_bn_schema_failure(tmp_path):
     assert "sum" in err
 
 
+def test_integer_past_float_range_is_a_schema_failure(tmp_path):
+    doc = json.loads(serialize_network(helpers.binary_chain_net()))
+    doc["q"]["X1"][0]["ratio"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run("validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: $.q.X1[0].ratio: integer out of float range\n"
+
+    bad = json.loads(BN_DOC)
+    bad["cpts"]["Y"][1]["p"] = 10**400
+    src = tmp_path / "huge-bn.json"
+    src.write_text(json.dumps(bad))
+    code, out, err = run("import-bn", str(src), "-o", str(tmp_path / "x.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: $.cpts.Y[1].p: integer out of float range\n"
+
+
 # -- auction ------------------------------------------------------------------------
 
 
@@ -273,6 +291,16 @@ def test_auction_rejects_bad_epsilon():
     code, out, err = run("auction", "--grid", "2", "--eps", "0.5", "--value", "0")
     assert code == 2
     assert "epsilon" in err
+
+
+def test_auction_above_the_cap_fails_at_the_query(monkeypatch):
+    # K = 20 has 8,168,202 states: the build answers, the best response
+    # meets the cap.
+    monkeypatch.delenv("EUN_STATE_CAP", raising=False)
+    code, out, err = run("auction", "--grid", "20", "--value", "0.5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: enumeration over 8168202 states exceeds the cap of 1000000\n"
 
 
 def test_auction_non_numeric_grid_is_usage_error():

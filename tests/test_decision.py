@@ -2,6 +2,7 @@
 sealed-bid auction construction."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -296,11 +297,14 @@ def test_auction_rejects_bad_parameters():
         build_vickrey_auction(2, epsilon=1e-3)
 
 
-def test_auction_build_respects_state_cap(monkeypatch):
-    # K = 4 has 5 * 5 * 5 * 5 * 10 = 6,250 states
+def test_auction_query_respects_state_cap(monkeypatch):
+    # K = 4 has 5 * 5 * 5 * 5 * 10 = 6,250 states.  The build reads its
+    # potentials off the factors and allocates nothing of that size, so it
+    # answers; the query that enumerates the states checks the cap.
     monkeypatch.setenv("EUN_STATE_CAP", "1000")
+    model = build_vickrey_auction(4)
     with pytest.raises(StateCapError, match="6250 states exceeds the cap of 1000"):
-        build_vickrey_auction(4)
+        auction_best_response(model, 0.5)
 
 
 def test_auction_grid_and_ordering(auction_k2):
@@ -427,6 +431,51 @@ def test_auction_opponent_table_validation():
     negative[0, 1] = 1.0
     with pytest.raises(ValidationError, match="positive"):
         build_vickrey_auction(2, opponent_bid_table=negative)
+
+
+def auction_joint_factors(resolution, epsilon, opponent):
+    """The auction's joint as (axes, table) factors over (V, B, S, C, A),
+    written out from the model's definition: uniform V, B and S, the
+    opponent's bid table on (S, C) and the smoothed allocation on (B, C, A)."""
+    g = resolution + 1
+    r = 2 * g
+    alloc = np.full((g, g, r), epsilon)
+    for b, c in itertools.product(range(g), repeat=2):
+        alloc[b, c, g + c if b >= c else b] = 1.0 - (r - 1) * epsilon
+    uniform = [((axis,), np.full(g, 1.0 / g)) for axis in (0, 1, 2)]
+    return [*uniform, ((2, 3), opponent), ((1, 3, 4), alloc)]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 5])
+def test_auction_potentials_match_the_factor_oracle(resolution):
+    g = resolution + 1
+    rng = np.random.default_rng(100 + resolution)
+    opponent = rng.uniform(0.2, 1.0, (g, g))
+    opponent /= opponent.sum(axis=1, keepdims=True)
+    net = build_vickrey_auction(resolution, 1e-6, opponent).network
+    want = helpers.oracle_factor_potentials(
+        net.space,
+        auction_joint_factors(resolution, 1e-6, opponent),
+        lambda name: net.below_neighbors(PROB, name),
+    )
+    for name in net.ordering:
+        got = net.potential(PROB, name).table
+        assert np.allclose(got, want[name], rtol=1e-12, atol=0.0), name
+
+
+def test_auction_build_above_the_cap_holds_no_joint(monkeypatch):
+    # K = 20 has 21**4 * 42 = 8,168,202 states; its joint would take 62 MiB.
+    monkeypatch.delenv("EUN_STATE_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        model = build_vickrey_auction(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.network.state_count == 8_168_202
+    assert peak < 4 * 2**20
+    with pytest.raises(StateCapError, match="8168202 states exceeds the cap of 1000000"):
+        auction_best_response(model, 0.5)
 
 
 def test_auction_decision_problem_pins_the_value(auction_k2):

@@ -2,6 +2,7 @@
 diagnostics, and Bayes-net import."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import helpers
 from eunet import (
     PROB,
     UTIL,
+    BayesNet,
     RestrictedPotential,
     SchemaError,
     ValidationError,
+    VariableSpec,
     bn_to_eun,
     build_network,
     build_vickrey_auction,
@@ -474,6 +477,58 @@ def test_auction_shaped_bayes_net_moralises_like_the_auction():
     assert joint[tuple(idx)] == pytest.approx(want, rel=1e-12)
 
 
+def bn_factors(bn, space):
+    return [
+        ((space.index(name),) + tuple(space.index(p) for p in bn.parents[name]), bn.cpts[name])
+        for name in bn.names
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bn_conversion_matches_the_factor_oracle(seed):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(2, 4, int(rng.integers(4, 7))))
+    bn = helpers.random_bayes_net(rng, sizes)
+    assert len(bn.parents[bn.names[3]]) == 3
+    net = bn_to_eun(bn)
+    want = helpers.oracle_factor_potentials(
+        net.space, bn_factors(bn, net.space), lambda name: net.below_neighbors(PROB, name)
+    )
+    for name in net.ordering:
+        got = net.potential(PROB, name).table
+        assert np.allclose(got, want[name], rtol=1e-12, atol=0.0), name
+
+
+def test_bn_conversion_above_the_cap_holds_no_joint():
+    # A chain of 24 binary variables: 16.7M states, a 128 MiB joint.
+    rng = np.random.default_rng(3)
+    names = [f"X{i:02d}" for i in range(24)]
+    parents = {n: tuple(names[i - 1 : i]) for i, n in enumerate(names)}
+    cpts = {}
+    for n in names:
+        raw = rng.uniform(0.2, 1.0, (2,) * (1 + len(parents[n])))
+        cpts[n] = raw / raw.sum(axis=0, keepdims=True)
+    bn = BayesNet(
+        specs=tuple(VariableSpec(n, ("0", "1")) for n in names),
+        edges=frozenset((p, n) for n in names for p in parents[n]),
+        parents=parents,
+        cpts=cpts,
+    )
+    tracemalloc.start()
+    try:
+        net = bn_to_eun(bn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.state_count == 2**24
+    assert peak < 2**20
+    want = helpers.oracle_factor_potentials(
+        net.space, bn_factors(bn, net.space), lambda name: net.below_neighbors(PROB, name)
+    )
+    for name in names:
+        assert np.allclose(net.potential(PROB, name).table, want[name], rtol=1e-12, atol=0.0)
+
+
 def test_document_order_is_the_conversion_ordering():
     bn = parse_bayes_net(bn_doc())
     assert bn_to_eun(bn).ordering == ("X", "Y")
@@ -654,6 +709,8 @@ EUN_FAULTS = [
      "potential for 'Y'/prob: non-finite entry"),
     (_set(["q", "Y", 0, "ratio"], _NAN), ValidationError,
      "potential for 'Y'/prob: non-finite entry"),
+    (_set(["q", "Y", 2, "ratio"], 10**400), SchemaError,
+     "$.q.Y[2].ratio: integer out of float range"),
     # Two faults: every row passes the row checks before any label is
     # looked up in its domain, as the per-row checks always did.
     (lambda d: (_set(["q", "Y", 0, "value"], "z")(d), _set(["q", "Y", 3, "weight"], 1)(d)),
@@ -691,6 +748,7 @@ BN_FAULTS = [
     (_set(["cpts", "X", 1, "p"], -0.6),
      "$.cpts.X[1].p: probabilities must be strictly positive, got -0.6"),
     (_set(["cpts", "X", 1, "p"], _NAN), "$.cpts.X[1].p: non-finite entry nan"),
+    (_set(["cpts", "Y", 2, "p"], 10**400), "$.cpts.Y[2].p: integer out of float range"),
     (_set(["cpts", "X", 1, "p"], 0.7),
      "$.cpts.X: rows must sum to 1 for every parent configuration (off by 0.1)"),
     # Two faults: the CPT rows are checked one row at a time.

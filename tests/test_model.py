@@ -112,6 +112,35 @@ def test_neighbors_and_layers_are_independent():
     assert g.neighbors(UTIL, "B") == frozenset({"C"})
 
 
+def test_adjacency_matches_the_arc_list(rng):
+    names = [f"N{i}" for i in range(7)]
+    for _ in range(20):
+        layers = {
+            layer: [pair for pair in itertools.combinations(names, 2) if rng.random() < 0.3]
+            for layer in (PROB, UTIL)
+        }
+        g = EUNGraph.of(prob_arcs=layers[PROB], util_arcs=layers[UTIL], nodes=names)
+        for layer, arcs in layers.items():
+            for name in names:
+                scan = {y for x, y in arcs if x == name} | {x for x, y in arcs if y == name}
+                assert g.neighbors(layer, name) == scan
+                assert g.below_neighbors(layer, name, names) == tuple(
+                    n for n in names[: names.index(name)] if n in scan
+                )
+            a, b, *rest = rng.permutation(names)
+            c = frozenset(rest[: int(rng.integers(0, 4))])
+            # a and b are separated by c when no path joins them outside c
+            reach, frontier = {a}, [a]
+            while frontier:
+                node = frontier.pop()
+                for x, y in arcs:
+                    nxt = y if x == node else x if y == node else None
+                    if nxt is not None and nxt not in c and nxt not in reach:
+                        reach.add(nxt)
+                        frontier.append(nxt)
+            assert g.separating(layer, frozenset({a}), frozenset({b}), c) == (b not in reach)
+
+
 def test_separating_bfs():
     g = EUNGraph.of(prob_arcs=[("A", "B"), ("B", "C"), ("C", "D")])
     assert g.separating(PROB, frozenset("A"), frozenset("D"), frozenset("B"))
@@ -375,6 +404,14 @@ def test_validate_imap_flags_underdeclared_dependence():
 
 def test_imap_report_is_cached(chain_net):
     assert chain_net.imap_report() is chain_net.imap_report()
+
+
+def test_cached_imap_report_checks_the_cap(chain_net):
+    # 8 states: a cached report answers only under a cap that admits them.
+    report = chain_net.imap_report()
+    with pytest.raises(StateCapError, match="8 states exceeds the cap of 4"):
+        chain_net.imap_report(state_cap=4)
+    assert chain_net.imap_report(state_cap=8) is report
 
 
 # -- events ---------------------------------------------------------------------

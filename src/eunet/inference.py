@@ -372,7 +372,8 @@ def local_conditional_eu(
     where w and q are the two layers' ratio tables over the B block given
     the A block (everything else pinned at reference, which the separation
     makes irrelevant), and p(b|a) is q(b|a) renormalised over the B block.
-    The enumeration runs over the B block only.
+    The enumeration runs over the B block only; the cached mantle check
+    (``imap_report``) reads windows off the factors, not the joint.
     """
     b_idx = network.space.partial_indexes(b)
     a_idx = network.space.partial_indexes(a)

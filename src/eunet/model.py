@@ -804,20 +804,22 @@ class Network:
                 value = self._cache.setdefault(key, value)
         return value  # type: ignore[return-value]
 
+    def _factors(self, layer: str) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """Per-variable (axes, ratio table) pairs, cached: the variable, then its parents."""
+        index, pots = self.space.index, self._potentials[layer]
+        return self._cached(f"factors/{layer}", lambda: [
+            ((index(n),) + tuple(index(p) for p in pots[n].parents), pots[n].table)
+            for n in self.space.names
+        ])
+
     def _log_potentials(self, layer: str) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         """Per-variable (axes, log table) pairs, cached.  Cap-free."""
 
         def build() -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-            out = []
-            for name in self.space.names:
-                pot = self._potentials[layer][name]
-                axes = (self.space.index(name),) + tuple(
-                    self.space.index(p) for p in pot.parents
-                )
-                logt = np.log(pot.table)
+            out = tuple((axes, np.log(table)) for axes, table in self._factors(layer))
+            for _, logt in out:
                 logt.flags.writeable = False
-                out.append((axes, logt))
-            return tuple(out)
+            return out
 
         return self._cached(f"logpots/{layer}", build)
 
@@ -862,12 +864,11 @@ class Network:
         )
 
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
-        """Mantle-consistency report, cached at the default tolerance; checks the cap each call."""
-        _require_cap(self.state_count, state_cap, "enumeration over")
+        """The :func:`validate_imap` report, cached at the default tolerance;
+        every call first checks the audit's largest window against the cap."""
+        _require_cap(_audit_windows(self)[1], state_cap, "an audit window over")
         if tolerance == 1e-9:
-            return self._cached(
-                "imap", lambda: validate_imap(self, tolerance, state_cap=state_cap)
-            )
+            return self._cached("imap", lambda: validate_imap(self, tolerance, state_cap=state_cap))
         return validate_imap(self, tolerance, state_cap=state_cap)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -882,7 +883,8 @@ def _structure(
 ) -> tuple[Space, EUNGraph]:
     """Check names, ordering and arc ends; return the ordered space and graph.
 
-    The returned graph's nodes are exactly the ordering.
+    The returned graph's nodes are exactly the ordering; it is ``graph``
+    itself when they already are.
     """
     by_name = {}
     for spec in specs:
@@ -901,7 +903,9 @@ def _structure(
     unknown -= set(ordering)
     if unknown:
         raise ValidationError(f"unknown variable in an arc: {sorted(unknown)}")
-    return space, EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(ordering))
+    if graph.nodes != frozenset(ordering):
+        graph = EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(ordering))
+    return space, graph
 
 
 def build_network(
@@ -986,19 +990,10 @@ def joint_ratio(network: Network, layer: str, x: Assignment | Mapping[str, str])
     return math.exp(total)
 
 
-def _finite_ratio_table(network: Network, layer: str, state_cap: int | None) -> np.ndarray:
-    """The layer's ratio table, when every entry is finite and positive.
-
-    Raises NumericRangeError when an entry overflowed to inf or underflowed
-    to 0, so no reader turns it into an inf or a NaN in its answer.
-    """
-    table = network.ratio_tables(layer, state_cap)
+def _require_in_range(table: np.ndarray, what: str) -> None:
+    """Raise NumericRangeError on an inf, 0 or NaN entry of a ratio table."""
     if not (table.min() > 0.0 and table.max() < math.inf):
-        raise NumericRangeError(
-            f"the {layer} ratio table holds an inf or 0 entry: the joint ratios "
-            "over- or underflow on this network"
-        )
-    return table
+        raise NumericRangeError(f"{what} holds an inf or 0 entry: its ratios over- or underflow")
 
 
 def reconstruct_joint(network: Network, state_cap: int | None = None) -> ReconstructedJoint:
@@ -1009,9 +1004,9 @@ def reconstruct_joint(network: Network, state_cap: int | None = None) -> Reconst
     is the oracle backbone for everything else in the package: every other
     numeric operation must agree with sums over these tables.
     """
-    cap = resolve_state_cap(state_cap)
-    pr = _finite_ratio_table(network, PROB, cap)
-    ur = _finite_ratio_table(network, UTIL, cap)
+    pr, ur = (network.ratio_tables(layer, state_cap) for layer in LAYERS)
+    for layer, table in zip(LAYERS, (pr, ur)):
+        _require_in_range(table, f"the {layer} ratio table")
     p = pr / pr.sum()
     p.flags.writeable = False
     return ReconstructedJoint(p=p, u=ur)
@@ -1036,90 +1031,112 @@ def ratio_spread(
     return ratio, (hi - lo) / lo
 
 
+def _ratio_window(
+    factors: Sequence[tuple[tuple[int, ...], np.ndarray]], space: Space, i: int, kept: list[int]
+) -> np.ndarray:
+    """Variable i's ratio over the ``kept`` axes (i first), read off its factors:
+    the product over the ``(axes, positive table)`` factors that mention i of
+    f(kept axes, rest at reference) / f(the same, x_i at reference).  The
+    other factors cancel from the ratio.  Checked for float range."""
+    refs = space.reference_indexes
+    ratio = np.ones(tuple(space.shape[a] for a in kept))
+    for axes, table in (f for f in factors if i in f[0]):
+        sub = table[tuple(slice(None) if a in kept else refs[a] for a in axes)]
+        here = [a for a in axes if a in kept]
+        # In ``kept`` order, with length-1 axes for the kept axes the factor lacks.
+        sub = sub.transpose(sorted(range(len(here)), key=lambda k: kept.index(here[k])))
+        sub = sub.reshape([space.shape[a] if a in here else 1 for a in kept])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            ratio *= sub / sub[refs[i]]
+    _require_in_range(ratio, f"the ratio window of {space.names[i]!r}")
+    return ratio
+
+
+def _mantle_window(network: Network, layer: str, i: int) -> tuple[list[int], list[int]]:
+    """Variable i's window, i then the other axes of the factors that mention
+    it in index order, and the positions of its non-mantle axes in it."""
+    mantle = {network.space.index(m) for m in network.mantle(layer, network.space.names[i])}
+    scope = {a for axes, _ in network._factors(layer) if i in axes for a in axes}
+    kept = [i] + sorted(scope - {i})
+    return kept, [k for k, a in enumerate(kept) if k and a not in mantle]
+
+
+def _audit_windows(network: Network) -> tuple[list[tuple[str, int, list[int], list[int]]], int]:
+    """The ``(layer, i, kept, free)`` windows :func:`validate_imap` builds,
+    and the state count of the largest (1 if none); cached, cap-free."""
+
+    def build() -> tuple[list[tuple[str, int, list[int], list[int]]], int]:
+        every = ((layer, i, *_mantle_window(network, layer, i)) for layer in LAYERS
+                 for i in range(len(network.space)))
+        windows = [w for w in every if w[3]]
+        sizes = (math.prod(network.space.shape[a] for a in w[2]) for w in windows)
+        return windows, max(sizes, default=1)
+
+    return network._cached("imap_windows", build)
+
+
 def full_mantle_potential(
-    network: Network,
-    layer: str,
-    var: str,
-    tolerance: float = 1e-9,
-    strict: bool = True,
+    network: Network, layer: str, var: str, tolerance: float = 1e-9, strict: bool = True,
     state_cap: int | None = None,
 ) -> MantlePotential:
     """The ratio table of ``var`` conditioned on its whole mantle.
 
-    Evaluated from the reconstructed joint with the non-mantle variables held
-    at their reference values.  If the ratio varies across non-mantle
-    completions beyond ``tolerance`` (relative), strict mode raises; loose
-    mode returns the reference-completion table anyway.
+    Read off ``var``'s window (see :func:`validate_imap`) with its non-mantle
+    variables at their reference values.  If the ratio varies across
+    non-mantle completions beyond ``tolerance`` (relative), strict mode
+    raises; loose mode returns the reference-completion table anyway.
     """
     _check_layer(layer)
     i = network.space.index(var)
-    table = _finite_ratio_table(network, layer, state_cap)
-    mantle_axes = sorted(network.space.index(m) for m in network.mantle(layer, var))
-    free_axes = [
-        a for a in range(len(network.space)) if a != i and a not in mantle_axes
-    ]
-
-    ratio, spread = ratio_spread(table, {i: network.space.reference_indexes[i]}, free_axes)
-    if free_axes:
-        deviation = float(spread.max())
-        if strict and deviation > tolerance:
-            raise ValidationError(
-                f"full-mantle potential for {var!r}/{layer}: non-mantle dependence detected "
-                f"(relative deviation {deviation:.3e} exceeds {tolerance:.1e})"
-            )
-
-    take: list[object] = [slice(None)] * len(network.space)
-    for a in free_axes:
-        take[a] = network.space.reference_indexes[a]
-    picked = ratio[tuple(take)]
-    # Move the variable's own axis first, mantle axes follow in index order.
-    kept = [a for a in range(len(network.space)) if a == i or a in mantle_axes]
-    dest = kept.index(i)
-    picked = np.moveaxis(picked, dest, 0)
-    picked = np.ascontiguousarray(picked)
-    picked.flags.writeable = False
-    return MantlePotential(
-        var=var,
-        given=tuple(network.space.names[a] for a in mantle_axes),
-        table=picked,
-    )
+    kept, free = _mantle_window(network, layer, i)
+    _require_cap(math.prod(network.space.shape[a] for a in kept), state_cap, "a window over")
+    refs = network.space.reference_indexes
+    ratio = _ratio_window(network._factors(layer), network.space, i, kept)
+    deviation = float(ratio_spread(ratio, {0: refs[i]}, free)[1].max()) if free else 0.0
+    if strict and deviation > tolerance:
+        raise ValidationError(
+            f"full-mantle potential for {var!r}/{layer}: non-mantle dependence detected "
+            f"(relative deviation {deviation:.3e} exceeds {tolerance:.1e})"
+        )
+    # The variable's own axis first, mantle axes follow in index order.
+    pick = tuple(refs[a] if k in free else slice(None) for k, a in enumerate(kept))
+    table = np.ascontiguousarray(ratio[pick])
+    table.flags.writeable = False
+    given = tuple(network.space.names[a] for k, a in enumerate(kept) if k and k not in free)
+    return MantlePotential(var=var, given=given, table=table)
 
 
 def validate_imap(
     network: Network, tolerance: float = 1e-9, state_cap: int | None = None
 ) -> ImapReport:
-    """Check by enumeration that each layer's graph is an independence map.
+    """Check that each layer's graph is an independence map.
 
     For every variable and layer, the full-window ratio of the variable (its
     joint ratio against the same state with the variable moved to its
-    reference value) must depend only on the variable's declared mantle.  Any
-    dependence on a non-mantle variable beyond the relative tolerance is a
-    violation; the report carries a witness configuration for each.
+    reference value) must depend only on the variable's declared mantle.
+    The factors that do not mention the variable cancel from it, so it is
+    read off its window: the variable, its mantle and the below-neighbours
+    of its above-neighbours.  Windows with no non-mantle axis are skipped;
+    the largest one built must pass the cap.  A dependence beyond the
+    relative tolerance is a violation.  Its witness is the first assignment
+    of the variable and its mantle, in row-major order over them in
+    ordering order, whose spread is within 1e-12 relative of the maximum.
     """
+    windows, largest = _audit_windows(network)
+    _require_cap(largest, state_cap, "an audit window over")
+    space = network.space
     violations = []
-    n = len(network.space)
-    cap = resolve_state_cap(state_cap)
-    for layer in LAYERS:
-        table = _finite_ratio_table(network, layer, cap)
-        for i, var in enumerate(network.space.names):
-            mantle_axes = {network.space.index(m) for m in network.mantle(layer, var)}
-            free_axes = [a for a in range(n) if a != i and a not in mantle_axes]
-            if not free_axes:
-                continue
-            _, rel = ratio_spread(table, {i: network.space.reference_indexes[i]}, free_axes)
-            deviation = float(rel.max())
-            if deviation > tolerance:
-                kept = [a for a in range(n) if a not in free_axes]
-                flat = int(np.argmax(rel))
-                kept_shape = [network.space.shape[a] for a in kept]
-                kept_vals = np.unravel_index(flat, kept_shape) if kept_shape else ()
-                witness = {
-                    network.space.names[a]: network.space.specs[a].domain[v]
-                    for a, v in zip(kept, kept_vals)
-                }
-                violations.append(
-                    ImapViolation(variable=var, layer=layer, deviation=deviation, witness=witness)
-                )
+    for layer, i, kept, free in windows:
+        ratio = _ratio_window(network._factors(layer), space, i, kept)
+        rel = ratio_spread(ratio, {0: space.reference_indexes[i]}, free)[1]
+        deviation = float(rel.max())
+        if deviation > tolerance:
+            # ``rel`` runs over i, then its mantle: put i at its index position.
+            axes = sorted(a for k, a in enumerate(kept) if k not in free)
+            rel = np.moveaxis(rel, 0, axes.index(i))
+            values = np.argwhere(rel >= deviation * (1.0 - 1e-12))[0]  # row-major: the first
+            witness = {space.names[a]: space.specs[a].domain[v] for a, v in zip(axes, values)}
+            violations.append(ImapViolation(space.names[i], layer, deviation, witness))
     return ImapReport(tolerance=tolerance, violations=tuple(violations))
 
 
@@ -1129,28 +1146,15 @@ def _factor_potentials(
 ) -> list[RestrictedPotential]:
     """Restricted potentials of the product of ``(axes, positive table)`` factors.
 
-    Variable i's entry at (x_i, pa) is the product over the factors that
-    mention i of f(x_i, pa, rest at reference) / f(ref_i, pa, rest at
-    reference); the other factors cancel from the ratio, and a variable
-    that no factor mentions gets the identity table.
+    Variable i's table is its :func:`_ratio_window` over (i, pa), so a
+    variable that no factor mentions gets the identity table.
     """
-    refs = space.reference_indexes
     out = []
     for i, name in enumerate(space.names):
         parents = graph.below_neighbors(layer, name, space.names)
-        kept = [i] + [space.index(p) for p in parents]
-        ratio = np.ones(tuple(space.shape[a] for a in kept))
-        for axes, table in factors:
-            if i not in axes:
-                continue
-            sub = table[tuple(slice(None) if a in kept else refs[a] for a in axes)]
-            here = [a for a in axes if a in kept]
-            # In ``kept`` order, with length-1 axes for parents the factor lacks.
-            sub = sub.transpose(sorted(range(len(here)), key=lambda k: kept.index(here[k])))
-            sub = sub.reshape([space.shape[a] if a in here else 1 for a in kept])
-            ratio *= sub / sub[refs[i]]
-        ratio[refs[i]] = 1.0
-        out.append(RestrictedPotential(name, layer, parents, ratio, reference_index=refs[i]))
+        ratio = _ratio_window(factors, space, i, [i] + [space.index(p) for p in parents])
+        ref = space.reference_indexes[i]
+        out.append(RestrictedPotential(name, layer, parents, ratio, reference_index=ref))
     return out
 
 
@@ -1166,7 +1170,7 @@ def derive_restricted_potentials(
     is the ratio of the joint at that configuration, with every other
     variable at its reference value, against the same configuration with the
     variable itself moved to its reference value.  The input table may be
-    unnormalised; ratios are scale free.
+    unnormalised; ratios are scale free (NumericRangeError if one leaves float range).
     """
     _check_layer(layer)
     arr = np.asarray(table, dtype=float)
@@ -1174,8 +1178,8 @@ def derive_restricted_potentials(
         raise ValidationError(
             f"joint table shape {arr.shape} does not match the variable domains {space.shape}"
         )
-    if not np.all(arr > 0.0):
-        raise ValidationError("joint table must be strictly positive")
+    if not (np.all(arr > 0.0) and np.all(np.isfinite(arr))):
+        raise ValidationError("joint table must be strictly positive and finite")
 
     graph = EUNGraph(graph.prob_arcs, graph.util_arcs, frozenset(space.names))
     return _factor_potentials([(tuple(range(len(space))), arr)], space, graph, layer)

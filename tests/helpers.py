@@ -8,6 +8,7 @@ implementation the engine is checked against.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -120,6 +121,43 @@ def extreme_ratio_net():
     )
 
 
+def overflow_window_net():
+    """Ordering (A, D, B), arcs A - B and D - B, and B's ratio 1e200 at A=1
+    against 1e-200 at A=0.
+
+    Every stored entry is finite, yet A's window over (A, D, B) has a
+    non-mantle axis (D) and holds the ratio 1e400 at A=1, B=1.
+    """
+    return net_of(
+        {"A": ("0", "1"), "D": ("0", "1"), "B": ("0", "1")},
+        ordering=("A", "D", "B"),
+        prob_arcs=[("A", "B"), ("D", "B")],
+        q={"B": {("1", a, d): (1e200 if a == "1" else 1e-200) for a in "01" for d in "01"}},
+    )
+
+
+def underflow_bn_doc() -> str:
+    """A valid ``eun-bn/1`` document whose converted ratio underflows.
+
+    X is binary with two children Y and Z, whose CPTs put 1e-200 on
+    (0 | X=1) against 0.5 on (0 | X=0), so X's ratio is 4e-400: 0 in floats.
+    """
+    child = [
+        {"value": y, "given": {"X": x}, "p": p}
+        for x, y, p in (("0", "0", 0.5), ("0", "1", 0.5), ("1", "0", 1e-200), ("1", "1", 1.0))
+    ]
+    return json.dumps({
+        "format": "eun-bn/1",
+        "variables": [{"name": n, "domain": ["0", "1"]} for n in "XYZ"],
+        "dag_edges": [["X", "Y"], ["X", "Z"]],
+        "cpts": {
+            "X": [{"value": "0", "given": {}, "p": 0.5}, {"value": "1", "given": {}, "p": 0.5}],
+            "Y": child,
+            "Z": child,
+        },
+    })
+
+
 def oracle_ratio_table(network: Network, layer: str) -> np.ndarray:
     """Joint ratio table by direct scalar multiplication over every state."""
     space = network.space
@@ -134,6 +172,55 @@ def oracle_ratio_table(network: Network, layer: str) -> np.ndarray:
         for pot, ax in zip(pots, axes):
             total *= float(pot.table[tuple(values[a] for a in ax)])
         out[values] = total
+    return out
+
+
+def oracle_mantle_spread(network: Network, layer: str, var: str, table=None):
+    """The full-table audit of one variable, in plain numpy.
+
+    ``table`` is the layer's joint ratio table (``oracle_ratio_table`` by
+    default).  Returns ``(spread, ratio)``: the relative spread (hi - lo) / lo
+    of the variable's full-window ratio across every non-mantle axis, with
+    one axis per variable and mantle member in ordering order (None when no
+    axis is free), and that ratio with the non-mantle axes at reference, the
+    variable's axis first and the mantle after it in ordering order.
+    """
+    space, refs = network.space, network.space.reference_indexes
+    table = oracle_ratio_table(network, layer) if table is None else table
+    i = space.index(var)
+    mantle = {space.index(m) for m in network.mantle(layer, var)}
+    free = tuple(a for a in range(len(space)) if a != i and a not in mantle)
+    ratio = table / np.take(table, [refs[i]], axis=i)
+    spread = None
+    if free:
+        hi, lo = ratio.max(axis=free), ratio.min(axis=free)
+        spread = (hi - lo) / lo
+    at_ref = tuple(refs[a] if a in free else slice(None) for a in range(len(space)))
+    kept = [a for a in range(len(space)) if a not in free]
+    return spread, np.moveaxis(ratio[at_ref], kept.index(i), 0)
+
+
+def oracle_imap_report(network: Network, tolerance: float = 1e-9):
+    """Full-table i-map audit: ``[(variable, layer, deviation, witness)]``.
+
+    The witness is the first assignment of the variable and its mantle, in
+    row-major order over them in ordering order, whose spread is within
+    1e-12 relative of the maximum.
+    """
+    space = network.space
+    out = []
+    for layer in (PROB, UTIL):
+        table = oracle_ratio_table(network, layer)
+        for i, var in enumerate(space.names):
+            spread, _ = oracle_mantle_spread(network, layer, var, table)
+            if spread is None or spread.max() <= tolerance:
+                continue
+            deviation = float(spread.max())
+            mantle = network.mantle(layer, var)
+            kept = [a for a, name in enumerate(space.names) if a == i or name in mantle]
+            first = np.argwhere(spread >= deviation * (1.0 - 1e-12))[0]
+            witness = {space.names[a]: space.specs[a].domain[v] for a, v in zip(kept, first)}
+            out.append((var, layer, deviation, witness))
     return out
 
 
@@ -177,12 +264,13 @@ def cylinder_member(network: Network, partial):
     return lambda values: all(values[a] == v for a, v in fixed.items())
 
 
-def random_layer_arcs(rng, names, arc_prob):
+def random_layer_arcs(rng, names, arc_prob, fill_in=True):
     """A random arc set closed under marrying each node's below-neighbours.
 
     After the fill-in, every below-neighbour set is a clique, which makes the
     graph consistent with arbitrary potential tables: each variable's full
-    conditional then provably touches only its neighbours.
+    conditional then provably touches only its neighbours.  ``fill_in=False``
+    returns the arcs as drawn.
     """
     names = list(names)
     arcs = {
@@ -190,6 +278,8 @@ def random_layer_arcs(rng, names, arc_prob):
         for a, b in itertools.combinations(names, 2)
         if rng.random() < arc_prob
     }
+    if not fill_in:
+        return arcs
     for i in range(len(names) - 1, -1, -1):
         below = [names[j] for j in range(i) if (names[j], names[i]) in arcs]
         for pair in itertools.combinations(below, 2):
@@ -206,11 +296,14 @@ def random_network(
     high=2.0,
     same_graphs=False,
     random_references=False,
+    fill_in=True,
 ):
     """A random network that passes the mantle-consistency check by construction.
 
     With ``random_references`` each variable's reference label is drawn from
-    its domain instead of being the first one.
+    its domain instead of being the first one.  With ``fill_in=False`` the
+    arcs are left as drawn, so the tables may depend on non-neighbours and
+    the network may fail the check.
     """
     names = [f"X{i}" for i in range(1, n_vars + 1)]
     specs = []
@@ -218,8 +311,8 @@ def random_network(
         domain = tuple(str(v) for v in range(int(rng.choice(domain_sizes))))
         reference = str(rng.integers(len(domain))) if random_references else None
         specs.append(VariableSpec(name, domain, reference))
-    prob_arcs = random_layer_arcs(rng, names, arc_prob)
-    util_arcs = prob_arcs if same_graphs else random_layer_arcs(rng, names, arc_prob)
+    prob_arcs = random_layer_arcs(rng, names, arc_prob, fill_in)
+    util_arcs = prob_arcs if same_graphs else random_layer_arcs(rng, names, arc_prob, fill_in)
     graph = EUNGraph.of(prob_arcs=prob_arcs, util_arcs=util_arcs, nodes=names)
     skeleton = build_network(specs, names, graph)
     by_name = {s.name: s for s in specs}

@@ -230,6 +230,25 @@ def test_import_bn_schema_failure(tmp_path):
     assert "sum" in err
 
 
+def test_import_bn_underflow_exits_numeric(tmp_path):
+    src = tmp_path / "underflow-bn.json"
+    src.write_text(helpers.underflow_bn_doc())
+    dst = tmp_path / "x.json"
+    code, out, err = run("import-bn", str(src), "-o", str(dst))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "inf or 0 entry" in err
+    assert not dst.exists()
+
+
+def test_strict_validate_answers_above_the_cap(tmp_path):
+    # 24 binary variables in a chain: 16,777,216 states, above the default cap.
+    names = [f"X{i:02d}" for i in range(24)]
+    path = tmp_path / "chain24.json"
+    path.write_text(serialize_network(helpers.chain_net(5, dict.fromkeys(names, 2), names)))
+    code, out, err = run("validate", str(path), "--strict")
+    assert (code, out, err) == (0, "structure: ok\ntables: consistent with the graph\n", "")
+
+
 def test_integer_past_float_range_is_a_schema_failure(tmp_path):
     doc = json.loads(serialize_network(helpers.binary_chain_net()))
     doc["q"]["X1"][0]["ratio"] = 10**400
@@ -461,8 +480,8 @@ def test_query_on_overflowing_network_exits_numeric(tmp_path):
 
 
 def test_strict_validate_on_overflowing_network_exits_numeric(tmp_path):
-    path = tmp_path / "extreme.json"
-    path.write_text(serialize_network(helpers.extreme_ratio_net()))
+    path = tmp_path / "overflow.json"
+    path.write_text(serialize_network(helpers.overflow_window_net()))
     code, out, err = run("validate", str(path), "--strict")
     assert (code, out) == (3, "structure: ok\n")
     assert err.startswith("error: ") and "inf or 0 entry" in err

@@ -12,6 +12,8 @@ from eunet import (
     PROB,
     UTIL,
     BayesNet,
+    EUNGraph,
+    NumericRangeError,
     RestrictedPotential,
     SchemaError,
     ValidationError,
@@ -527,6 +529,25 @@ def test_bn_conversion_above_the_cap_holds_no_joint():
     )
     for name in names:
         assert np.allclose(net.potential(PROB, name).table, want[name], rtol=1e-12, atol=0.0)
+
+
+def test_bn_conversion_underflow_is_a_numeric_range_error():
+    # The document is valid: X's ratio 4e-400 is a float-range fault, not a model one.
+    bn = parse_bayes_net(helpers.underflow_bn_doc())
+    with pytest.raises(NumericRangeError, match="ratio window of 'X' holds an inf or 0 entry"):
+        bn_to_eun(bn)
+
+
+def test_parse_builds_one_graph(monkeypatch):
+    built = []
+    post_init = EUNGraph.__post_init__
+    monkeypatch.setattr(EUNGraph, "__post_init__", lambda self: built.append(post_init(self)))
+    names = [f"X{i:02d}" for i in range(12)]
+    text = serialize_network(helpers.chain_net(2, dict.fromkeys(names, 3), names))
+    built.clear()
+    net = parse_network(text)
+    assert len(built) == 1
+    assert net.graph.nodes == frozenset(names)
 
 
 def test_document_order_is_the_conversion_ordering():

@@ -13,6 +13,7 @@ from eunet import (
     STATE_CAP_ENV,
     EmptyEventError,
     Event,
+    Network,
     NumericRangeError,
     SeparationError,
     StateCapError,
@@ -305,6 +306,19 @@ def test_local_shortcut_with_multi_variable_block():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_local_shortcut_answers_above_the_cap():
+    # 24 binary variables in a chain: the audit reads windows, and the
+    # shortcut enumerates X10 alone, so nothing goes near 16.7M states.
+    names = [f"X{i:02d}" for i in range(24)]
+    net = helpers.chain_net(9, dict.fromkeys(names, 2), names)
+    a = {"X09": "0", "X11": "1"}
+    x = [dict.fromkeys(names, "0") | a | {"X10": v} for v in "01"]
+    q = [joint_ratio(net, PROB, s) for s in x]
+    w = [joint_ratio(net, UTIL, s) for s in x]
+    want = w[1] / sum(wv * qv / sum(q) for wv, qv in zip(w, q))
+    assert local_conditional_eu(net, {"X10": "1"}, a) == pytest.approx(want, rel=1e-12)
+
+
 def test_local_shortcut_refuses_unseparated_blocks():
     net = double_chain_net()
     with pytest.raises(SeparationError, match="does not separate|do not separate"):
@@ -459,8 +473,14 @@ def test_reconstruct_joint_raises_on_an_overflowing_table():
 
 
 def test_imap_readers_raise_on_an_overflowing_table():
+    # The readers build windows, not the joint: extreme_ratio_net has no
+    # arcs, so no window has a non-mantle axis and A's window is its own table.
     net = helpers.extreme_ratio_net()
-    with pytest.raises(NumericRangeError, match="inf or 0 entry"):
-        validate_imap(net)
-    with pytest.raises(NumericRangeError, match="inf or 0 entry"):
-        full_mantle_potential(net, PROB, "A")
+    assert validate_imap(net).ok and net.imap_report().ok
+    assert full_mantle_potential(net, PROB, "A").table.tolist() == [1.0, 1e200]
+    # A's window over (A, D, B) holds 1e400 at A=1, B=1.
+    net = helpers.overflow_window_net()
+    readers = (validate_imap, Network.imap_report, lambda n: full_mantle_potential(n, PROB, "A"))
+    for read in readers:
+        with pytest.raises(NumericRangeError, match="window of 'A' holds an inf or 0 entry"):
+            read(net)

@@ -15,8 +15,10 @@ from eunet import (
     Assignment,
     EmptyEventError,
     EunError,
+    NumericRangeError,
     EUNGraph,
     Event,
+    Network,
     RestrictedPotential,
     Space,
     StateCapError,
@@ -36,16 +38,17 @@ def binary(name):
     return VariableSpec(name, ("0", "1"))
 
 
-def adversarial_net():
+def adversarial_net(free=0):
     """Chain graph X1 - X2 - X3 ordered (X1, X3, X2).
 
     X2's stored table conditions on both neighbours; the chosen entries make
     X1's full conditional depend on X3, which is not one of X1's neighbours,
-    so the graph under-declares the dependence structure.
+    so the graph under-declares the dependence structure.  ``free`` binary
+    variables F0, F1, ... with no arcs follow the core in the ordering.
     """
+    domains = {name: ("0", "1") for name in ("X1", "X3", "X2", *(f"F{k}" for k in range(free)))}
     return helpers.net_of(
-        {"X1": ("0", "1"), "X3": ("0", "1"), "X2": ("0", "1")},
-        ordering=("X1", "X3", "X2"),
+        domains,
         prob_arcs=[("X1", "X2"), ("X2", "X3")],
         q={
             "X2": {
@@ -322,6 +325,17 @@ def test_round_trip_through_derived_potentials(rng):
             assert np.allclose(pot.table, stored.table, rtol=1e-12, atol=0.0)
 
 
+def test_derived_potentials_check_input_and_float_range(hw1):
+    # An inf entry is a bad input; finite entries whose ratio leaves float
+    # range are a float-range fault.
+    space, graph = hw1.space, hw1.graph
+    with pytest.raises(ValidationError, match="strictly positive and finite"):
+        derive_restricted_potentials(np.array([[1.0, 1.0], [1.0, np.inf]]), space, graph, UTIL)
+    table = np.array([[1e-300, 1.0], [1e300, 1.0]])
+    with pytest.raises(NumericRangeError, match="window of 'H' holds an inf or 0 entry"):
+        derive_restricted_potentials(table, space, graph, UTIL)
+
+
 def test_any_ordering_reproduces_the_same_joint(hw2):
     # Read potentials off hw2's utility table under the reversed ordering and
     # rebuild; the reconstructed measure must be the original one transposed.
@@ -406,12 +420,89 @@ def test_imap_report_is_cached(chain_net):
     assert chain_net.imap_report() is chain_net.imap_report()
 
 
-def test_cached_imap_report_checks_the_cap(chain_net):
-    # 8 states: a cached report answers only under a cap that admits them.
-    report = chain_net.imap_report()
+def test_cached_imap_report_checks_the_cap():
+    # X1's window over (X1, X3, X2) has 8 states: cached or not, the report
+    # answers only under a cap that admits the audit's largest window.
+    net = adversarial_net()
     with pytest.raises(StateCapError, match="8 states exceeds the cap of 4"):
-        chain_net.imap_report(state_cap=4)
-    assert chain_net.imap_report(state_cap=8) is report
+        net.imap_report(state_cap=4)
+    report = net.imap_report()
+    with pytest.raises(StateCapError, match="8 states exceeds the cap of 4"):
+        net.imap_report(state_cap=4)
+    assert net.imap_report(state_cap=8) is report
+
+
+def _audit_nets(count, max_states=4096):
+    """Random networks with 3-8 variables, domains 2-4, random references and
+    arcs as drawn (no fill-in), so many fail the audit.  Networks above
+    ``max_states`` are redrawn to keep the scalar oracle quick."""
+    rng = np.random.default_rng(20261018)
+    while count:
+        net = helpers.random_network(
+            rng, n_vars=int(rng.integers(3, 9)), domain_sizes=(2, 3, 4),
+            arc_prob=float(rng.uniform(0.2, 0.6)), low=0.2, high=5.0,
+            random_references=True, fill_in=False,
+        )
+        if net.state_count <= max_states:
+            count -= 1
+            yield net
+
+
+def test_window_audit_matches_the_full_table_oracle():
+    violations = 0
+    for net in _audit_nets(200):
+        got = validate_imap(net).violations
+        want = helpers.oracle_imap_report(net)
+        assert [(v.variable, v.layer, v.witness) for v in got] == [
+            (var, layer, witness) for var, layer, _, witness in want
+        ]
+        for v, (_, _, deviation, _) in zip(got, want):
+            assert v.deviation == pytest.approx(deviation, rel=1e-12, abs=0.0)
+        violations += len(got)
+        for layer in (PROB, UTIL):
+            table = helpers.oracle_ratio_table(net, layer)
+            for var in net.ordering:
+                spread, ratio = helpers.oracle_mantle_spread(net, layer, var, table)
+                pot = full_mantle_potential(net, layer, var, strict=False)
+                assert pot.table.shape == ratio.shape
+                assert np.allclose(pot.table, ratio, rtol=1e-12, atol=0.0)
+                if spread is not None and spread.max() > 1e-9:
+                    with pytest.raises(ValidationError, match="non-mantle dependence"):
+                        full_mantle_potential(net, layer, var)
+                else:
+                    assert full_mantle_potential(net, layer, var).given == pot.given
+    assert violations > 200
+
+
+def test_audit_reads_no_joint_table(monkeypatch):
+    def fail(self, layer, state_cap=None):
+        raise AssertionError("the audit read a joint table")
+
+    monkeypatch.setattr(Network, "ratio_tables", fail)
+    net = adversarial_net()
+    assert [v.variable for v in validate_imap(net).violations] == ["X1", "X3"]
+    assert not net.imap_report().ok
+    assert full_mantle_potential(net, PROB, "X1", strict=False).given == ("X2",)
+
+
+def test_audit_answers_above_the_cap():
+    # 24 binary variables in a chain in both layers: 16,777,216 states.
+    names = [f"X{i:02d}" for i in range(24)]
+    net = helpers.chain_net(5, dict.fromkeys(names, 2), names)
+    assert net.state_count > resolve_state_cap()
+    assert net.imap_report().ok and validate_imap(net).ok
+    pot = full_mantle_potential(net, UTIL, "X10")
+    assert pot.given == ("X09", "X11")
+    x = dict.fromkeys(names, "0") | {"X09": "1", "X10": "1", "X11": "1"}
+    want = joint_ratio(net, UTIL, x) / joint_ratio(net, UTIL, x | {"X10": "0"})
+    assert pot.table[1, 1, 1] == pytest.approx(want, rel=1e-12)
+
+
+def test_audit_above_the_cap_reports_its_core():
+    core, wide = adversarial_net(), adversarial_net(free=21)
+    assert wide.state_count > resolve_state_cap()
+    assert not core.imap_report().ok
+    assert wide.imap_report().violations == core.imap_report().violations
 
 
 # -- events ---------------------------------------------------------------------

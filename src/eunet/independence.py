@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .inference import _event_sums
+from .inference import _cylinder_sums, _event_sums
 from .model import (
     PROB,
     UTIL,
@@ -31,6 +31,7 @@ from .model import (
     Network,
     ValidationError,
     _check_layer,
+    _merged,
     ratio_spread,
     resolve_state_cap,
 )
@@ -223,22 +224,33 @@ def eu_independent_events(
     """Numeric check that u(E and F | G) equals u(E | G) u(F | G).
 
     All three conditionals must be defined, so E, F and their intersection
-    must meet G.  Tolerance is relative.
+    must meet G.  Tolerance is relative.  When all three events are cylinders
+    the meets are merged axis->value maps and no Event is built.
     """
-    meets = []
-    for name, ev in (("E", e), ("F", f), ("E and F", e & f)):
-        meets.append(ev & g)
-        if meets[-1].is_empty:
+    cylinders = e.is_cylinder and f.is_cylinder and g.is_cylinder
+    if cylinders:
+        if any(ev.space != network.space for ev in (e, f, g)):
+            raise ValidationError("event belongs to a different variable system")
+        eg, fg = _merged(e._partial, g._partial), _merged(f._partial, g._partial)
+        efg = None if eg is None else _merged(eg, f._partial)
+        regions = [g._partial, eg, fg, efg]
+    else:
+        regions = [g] + [None if m.is_empty else m for m in (ev & g for ev in (e, f, e & f))]
+    for name, meet in zip(("E", "F", "E and F"), regions[1:]):
+        if meet is None:
             raise EmptyEventError(
                 f"empty conditioning intersection ({name} meets G nowhere), "
                 "conditional utility undefined"
             )
     # one pass over G serves all three conditionals
     cap = resolve_state_cap()
-    sp_g, su_g = _event_sums(network, g, cap)
+    if cylinders:
+        pr, ur = network._ratio_pair(cap)
+        sums = [_cylinder_sums(pr, ur, fixed, ()) for fixed in regions]
+    else:
+        sums = [_event_sums(network, ev, cap) for ev in regions]
+    (sp_g, su_g), *meet_sums = sums
     u_g = su_g / sp_g
-    u_e, u_f, u_ef = (
-        (su / sp) / u_g for sp, su in (_event_sums(network, m, cap) for m in meets)
-    )
+    u_e, u_f, u_ef = ((su / sp) / u_g for sp, su in meet_sums)
     rhs = u_e * u_f
     return abs(u_ef - rhs) <= tolerance * abs(rhs)

@@ -85,9 +85,8 @@ def _event_sums(
     if event.space != network.space:
         raise ValidationError("event belongs to a different variable system")
     pr, ur = network._ratio_pair(cap)
-    fixed = event.fixed
-    if fixed is not None:
-        return _cylinder_sums(pr, ur, fixed, keep)
+    if event._partial is not None:
+        return _cylinder_sums(pr, ur, event._partial, keep)
     flat = event.flat_indexes()
     if flat.size == 0 and not keep:
         return 0.0, 0.0
@@ -122,7 +121,10 @@ def _cylinder_sums(
     """The cylinder branch of :func:`_event_sums`, over the two ratio tables.
 
     With no kept axes S_p is one sum over the slice and S_u one contraction
-    of the two slices, so p * u never exists as a slice-sized temporary.
+    of the two slices, so p * u never exists as a slice-sized temporary: a
+    dot product of the flattened slices when they are shorter than a long
+    run (a copy of at most that many entries, with no einsum dispatch), else
+    an einsum.
 
     With kept axes the reduction order follows the slice's layout.  Each run
     of adjacent axes with one role (fixed, kept, summed out) is one axis of a
@@ -137,13 +139,12 @@ def _cylinder_sums(
     that the tail and it make a long block.
     """
     n = pr.ndim
-    idx: list[object] = [slice(None)] * n
-    for ax, v in fixed.items():
-        idx[ax] = v
-    key = tuple(idx)
+    key = tuple([fixed.get(ax, slice(None)) for ax in range(n)])
     psub, usub = pr[key], ur[key]
     dims = list(range(psub.ndim))
     if not keep:
+        if psub.size < _LONG_RUN:
+            return _in_range(float(psub.sum()), float(np.vdot(psub, usub)))
         return _in_range(float(psub.sum()), float(np.einsum(psub, dims, usub, dims, [])))
 
     keep_set = set(keep)

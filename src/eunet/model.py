@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -101,11 +102,15 @@ class NumericRangeError(EunError):
 
 
 def resolve_state_cap(cap: int | None = None) -> int:
-    """Return the effective state cap: explicit value, else env var, else default."""
+    """Return the effective state cap: explicit value, else env var, else default.
+
+    An explicit cap must be a positive Python or numpy integer; a bool or a
+    float is rejected, not truncated.
+    """
     if cap is not None:
-        if cap < 1:
+        if isinstance(cap, (bool, np.bool_)) or not hasattr(cap, "__index__") or cap < 1:
             raise ValidationError("state cap must be a positive integer")
-        return int(cap)
+        return operator.index(cap)
     raw = os.environ.get(STATE_CAP_ENV)
     if raw is not None:
         try:
@@ -407,6 +412,8 @@ class Space:
         return len(self.specs)
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Space):
             return NotImplemented
         return self.specs == other.specs
@@ -550,7 +557,8 @@ class Event:
 
     @property
     def is_empty(self) -> bool:
-        return self.size == 0
+        # Every domain is non-empty, so no cylinder is.
+        return self._partial is None and not self._indexes.size
 
     def _members(self, state_cap: int | None = None) -> np.ndarray:
         """The sorted flat indexes; a cylinder's are built under the state cap."""
@@ -592,10 +600,9 @@ class Event:
     def __and__(self, other: "Event") -> "Event":
         self._require_same_space(other)
         if self._partial is not None and other._partial is not None:
-            merged = dict(self._partial)
-            for i, v in other._partial.items():
-                if merged.setdefault(i, v) != v:
-                    return Event._make(self.space, None, np.empty(0, dtype=np.intp))
+            merged = _merged(self._partial, other._partial)
+            if merged is None:
+                return Event._make(self.space, None, np.empty(0, dtype=np.intp))
             return Event._make(self.space, merged, None)
         if self._partial is None and other._partial is None:
             both = np.intersect1d(self._indexes, other._indexes, assume_unique=True)
@@ -653,6 +660,15 @@ class Event:
         if self._partial is not None:
             return f"Event.cylinder({self.fixed_variables()!r})"
         return f"Event({self.size} states)"
+
+
+def _merged(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """The axis->value map of two cylinders' meet, or None where they clash."""
+    merged = dict(a)
+    for i, v in b.items():
+        if merged.setdefault(i, v) != v:
+            return None
+    return merged
 
 
 def _checked_partial(space: Space, partial: Mapping[int, int]) -> dict[int, int]:

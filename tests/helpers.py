@@ -224,13 +224,13 @@ def oracle_imap_report(network: Network, tolerance: float = 1e-9):
     return out
 
 
-def oracle_event_sums(network: Network, member) -> tuple[float, float]:
+def oracle_event_sums(network: Network, member, tables=None) -> tuple[float, float]:
     """(sum of p-ratios, sum of p*u-ratios) over states passing ``member``.
 
-    ``member`` takes a tuple of value indexes.
+    ``member`` takes a tuple of value indexes.  ``tables`` is the pair of
+    ``oracle_ratio_table`` results, built here when not given.
     """
-    pr = oracle_ratio_table(network, PROB)
-    ur = oracle_ratio_table(network, UTIL)
+    pr, ur = tables or (oracle_ratio_table(network, PROB), oracle_ratio_table(network, UTIL))
     sp = su = 0.0
     for values in itertools.product(*(range(s.size) for s in network.space.specs)):
         if member(values):

@@ -1,22 +1,31 @@
 """Independence: graph separation, table ratio tests, event-level EU tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 import helpers
 from eunet import (
     PROB,
+    STATE_CAP_ENV,
     UTIL,
     EmptyEventError,
+    Event,
+    NumericRangeError,
+    StateCapError,
     ValidationError,
     declared_independent,
     derive_perfect_map,
     eu_independent_events,
     eu_independent_vars,
     max_ratio_spread,
+    parse_network,
     separates,
+    serialize_network,
     table_independent,
 )
+from eunet import independence
 
 HW_FACTORED = np.array([[1.0, 2.0], [3.0, 6.0]])
 HW_COUPLED = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -251,3 +260,150 @@ def test_event_independence_rejects_empty_intersections(hw2):
     g = hw2.true_event()
     with pytest.raises(EmptyEventError):
         eu_independent_events(hw2, e, f, g)
+
+
+# -- the cylinder route of eu_independent_events -------------------------------
+
+
+def _as_state_set(event):
+    """The same event held as explicit states, which takes the state-set branch."""
+    return Event(event.space, states=event.states())
+
+
+def _cylinder_on(rng, net, axes):
+    """The cylinder fixing each of ``axes`` at a random value."""
+    space = net.space
+    return net.cylinder({space.names[a]: space.specs[a].domain[rng.integers(space.shape[a])]
+                         for a in axes})
+
+
+def _random_triples(rng, net):
+    """Three cylinder triples: E and F on two blocks with G fixing the rest
+    (G is the true event when the rest is empty), a full assignment E with
+    G the true event, and three random sub-assignments."""
+    n = len(net.space)
+    order = [int(a) for a in rng.permutation(n)]
+    na = int(rng.integers(1, n - 1))
+    nb = int(rng.integers(1, n - na))
+    block_a, block_b, block_c = order[:na], order[na:na + nb], order[na + nb:]
+
+    def some(axes):
+        return [a for a in axes if rng.random() < 0.6]
+
+    def subset():
+        return [a for a in range(n) if rng.random() < 0.4]
+
+    return [
+        (_cylinder_on(rng, net, some(block_a)), _cylinder_on(rng, net, some(block_b)),
+         _cylinder_on(rng, net, block_c)),
+        (_cylinder_on(rng, net, range(n)), _cylinder_on(rng, net, subset()), net.true_event()),
+        tuple(_cylinder_on(rng, net, subset()) for _ in range(3)),
+    ]
+
+
+def _meet(*maps):
+    out = {}
+    for fixed in maps:
+        for ax, v in fixed.items():
+            if out.setdefault(ax, v) != v:
+                return None
+    return out
+
+
+def test_cylinder_route_matches_the_oracle(monkeypatch):
+    rng = np.random.default_rng(2026_10)
+    recorded = []
+    real = independence._cylinder_sums
+
+    def recording(pr, ur, fixed, keep):
+        out = real(pr, ur, fixed, keep)
+        recorded.append((dict(fixed), out))
+        return out
+
+    monkeypatch.setattr(independence, "_cylinder_sums", recording)
+    counts = {True: 0, False: 0, "empty": 0, "near": 0}
+    for _ in range(200):
+        net = helpers.random_network(
+            rng, n_vars=int(rng.integers(3, 7)), domain_sizes=(2, 3), random_references=True
+        )
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        for e, f, g in _random_triples(rng, net):
+            regions = [g.fixed, _meet(e.fixed, g.fixed), _meet(f.fixed, g.fixed),
+                       _meet(e.fixed, f.fixed, g.fixed)]
+            recorded.clear()
+            if None in regions:
+                counts["empty"] += 1
+                with pytest.raises(EmptyEventError) as cylinder_error:
+                    eu_independent_events(net, e, f, g)
+                with pytest.raises(EmptyEventError) as set_error:
+                    eu_independent_events(net, *map(_as_state_set, (e, f, g)))
+                assert str(cylinder_error.value) == str(set_error.value)
+                assert not recorded
+                continue
+            verdict = eu_independent_events(net, e, f, g)
+            assert [fixed for fixed, _ in recorded] == regions
+            oracle = [
+                helpers.oracle_event_sums(
+                    net, lambda v, fx=fixed: all(v[a] == x for a, x in fx.items()), tables
+                )
+                for fixed in regions
+            ]
+            for (_, got), want in zip(recorded, oracle):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            (sp_g, su_g), *meets = oracle
+            u_e, u_f, u_ef = ((su / sp) / (su_g / sp_g) for sp, su in meets)
+            gap = abs(u_ef - u_e * u_f) / abs(u_e * u_f)
+            if abs(gap - 1e-9) <= 1e-6 * 1e-9:
+                counts["near"] += 1
+                continue
+            assert verdict == (gap <= 1e-9)
+            assert eu_independent_events(net, *map(_as_state_set, (e, f, g))) == verdict
+            counts[verdict] += 1
+    assert counts[True] > 50 and counts[False] > 50 and counts["empty"] > 20, counts
+
+
+@pytest.mark.parametrize("form", [lambda ev: ev, _as_state_set], ids=["cylinder", "state set"])
+@pytest.mark.parametrize(
+    "name, e, f, g",
+    [
+        ("E", {"X1": "1"}, {"X3": "1"}, {"X1": "0"}),
+        ("F", {"X1": "1"}, {"X2": "0"}, {"X2": "1"}),
+        ("E and F", {"X1": "1"}, {"X1": "0"}, {}),
+    ],
+)
+def test_eu_events_names_the_empty_meet(chain_net, form, name, e, f, g):
+    events = [form(chain_net.cylinder(partial)) for partial in (e, f, g)]
+    with pytest.raises(EmptyEventError, match=rf"\({re.escape(name)} meets G nowhere\)"):
+        eu_independent_events(chain_net, *events)
+
+
+@pytest.mark.parametrize("foreign", [(0,), (1,), (2,), (0, 1, 2)])
+def test_eu_events_rejects_another_networks_events(chain_net, hw1, foreign):
+    events = [chain_net.cylinder({"X1": "1"}), chain_net.cylinder({"X3": "1"}),
+              chain_net.true_event()]
+    for k in foreign:
+        events[k] = hw1.true_event()
+    with pytest.raises(ValidationError):
+        eu_independent_events(chain_net, *events)
+
+
+def test_eu_events_holds_the_environment_cap(chain_net, monkeypatch):
+    e, f, g = chain_net.cylinder({"X1": "1"}), chain_net.cylinder({"X3": "1"}), chain_net.true_event()
+    monkeypatch.setenv(STATE_CAP_ENV, "4")
+    with pytest.raises(StateCapError, match="exceeds the cap of 4"):
+        eu_independent_events(chain_net, e, f, g)
+
+
+def test_eu_events_reports_sums_out_of_range():
+    net = helpers.extreme_ratio_net()
+    with pytest.raises(NumericRangeError):
+        eu_independent_events(net, net.cylinder({"A": "1"}), net.cylinder({"C": "1"}),
+                              net.true_event())
+
+
+def test_eu_events_answers_on_an_equal_space(hw2):
+    doc = serialize_network(hw2)
+    net, twin = parse_network(doc), parse_network(doc)
+    assert twin.space == net.space and twin.space is not net.space
+    e, f, g = twin.cylinder({"H": "1"}), twin.cylinder({"W": "1"}), twin.true_event()
+    assert eu_independent_events(net, e, f, g) is eu_independent_events(twin, e, f, g) is False

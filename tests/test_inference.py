@@ -369,6 +369,15 @@ def test_complement_takes_a_per_call_cap(monkeypatch):
     assert f.complement(8) == net.cylinder({"X3": "0"})
 
 
+def test_per_call_cap_must_be_an_integer(chain_net):
+    sure = chain_net.true_event()
+    # a float cap of 7.9 was once truncated to 7 and then refused 8 states
+    for cap in (7.9, 8.0, True):
+        with pytest.raises(ValidationError, match="state cap must be a positive integer"):
+            event_utility(chain_net, sure, state_cap=cap)
+    assert event_utility(chain_net, sure, state_cap=np.int64(8)).p == 1.0
+
+
 def test_utility_bayes_holds_the_per_call_cap_under_a_lower_env_cap(monkeypatch):
     net = double_chain_net()
     monkeypatch.setenv(STATE_CAP_ENV, "4")

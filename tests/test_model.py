@@ -734,6 +734,25 @@ def test_state_cap_env_must_be_positive_integer(monkeypatch):
         resolve_state_cap()
 
 
+@pytest.mark.parametrize("cap", [2.5, 7.0, np.float64(8.0), True, False, np.bool_(True), "7"])
+def test_state_cap_rejects_non_integers(cap):
+    with pytest.raises(ValidationError, match="state cap must be a positive integer"):
+        resolve_state_cap(cap)
+
+
+@pytest.mark.parametrize("cap", [3, np.int64(3), np.uint8(3), np.intp(3)])
+def test_state_cap_takes_python_and_numpy_integers(cap):
+    got = resolve_state_cap(cap)
+    assert got == 3 and type(got) is int
+
+
+@pytest.mark.parametrize("raw", ["7.9", "7.0", "True", "1e6"])
+def test_state_cap_env_rejects_non_integers(monkeypatch, raw):
+    monkeypatch.setenv(STATE_CAP_ENV, raw)
+    with pytest.raises(ValidationError, match=STATE_CAP_ENV):
+        resolve_state_cap()
+
+
 def test_enumeration_respects_cap(chain_net):
     with pytest.raises(StateCapError, match="exceeds the cap"):
         chain_net.ratio_tables(PROB, state_cap=4)

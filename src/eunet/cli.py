@@ -20,7 +20,13 @@ from pathlib import Path
 from typing import IO
 
 from .decision import DecisionProblem, build_vickrey_auction, optimal_decision
-from .formats import bn_to_eun, parse_bayes_net, parse_network, serialize_network
+from .formats import (
+    SchemaError,
+    bn_to_eun,
+    parse_bayes_net,
+    parse_network,
+    serialize_network,
+)
 from .independence import eu_independent_vars, separates
 from .inference import (
     conditional_event_utility,
@@ -58,12 +64,19 @@ def _fmt(x: float) -> str:
     return f"{x:.12f}"
 
 
-def _load_network(path: str) -> Network:
+def _read_document(path: str) -> str:
+    """The text of the document at ``path``; a file that is not UTF-8 is a
+    schema failure."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return parse_network(text)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load_network(path: str) -> Network:
+    return parse_network(_read_document(path))
 
 
 def _parse_event_terms(text: str) -> dict[str, str]:
@@ -218,11 +231,7 @@ def _cmd_decide(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _cmd_import_bn(args: argparse.Namespace, out: IO[str]) -> int:
-    try:
-        text = Path(args.bayesnet).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.bayesnet}: {exc.strerror or exc}") from None
-    network = bn_to_eun(parse_bayes_net(text))
+    network = bn_to_eun(parse_bayes_net(_read_document(args.bayesnet)))
     document = serialize_network(network)
     try:
         Path(args.output).write_text(document, encoding="utf-8")

@@ -25,6 +25,7 @@ import json
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str  # quotes, as json.dumps does
 from operator import itemgetter, methodcaller
 
 import numpy as np
@@ -113,6 +114,8 @@ def _load_document(text: str, expected_format: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested deeper than the recursion limit") from None
     doc = _as_object(doc, "$")
     fmt = _as_str(_require(doc, "format", "$"), "$.format")
     if fmt != expected_format:
@@ -181,17 +184,19 @@ def _parse_rows(
 _NO_CONDITION: dict = {}  # a row's ``given`` when it omits one
 
 
-def _read_table(
-    rows: object, specs: Sequence[VariableSpec], number_key: str
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Read a table's rows into ``(table, covered)``, or None.
+def _read_layer(
+    tables: Sequence[tuple[object, Sequence[VariableSpec]]], number_key: str
+) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
+    """Read a layer's tables into one flat buffer: ``(buffer, covered, starts)``, or None.
 
-    ``specs`` are the table's axes, the variable's own first.  One dict per
-    axis maps a label to its index times the axis's stride, so a row's
-    lookups add up to its flat code in the row-major table.  Each check and
-    lookup is one pass over all the rows; codes and numbers are scattered
-    into the table once.  ``covered`` marks the entries some row gave; the
-    others hold 1.
+    ``tables`` pairs each table's rows with its axes, the variable's own
+    first; table ``t`` fills ``buffer[starts[t]:starts[t + 1]]`` in
+    row-major order.  Per table, one dict per axis maps a label to its index
+    times the axis's stride (plus the table's start, on the first axis), so
+    a row's lookups add up to its flat code in the buffer; each lookup is
+    one pass over the table's rows.  The row checks, the code count and the
+    scatter run once for the whole layer.  ``covered`` marks the entries
+    some row gave; the others hold 1.
 
     Only direct checks run: each row is an object with no unknown key, its
     ``value`` and its ``given`` labels (exactly one per other axis) are in
@@ -199,15 +204,14 @@ def _read_table(
     None means a row failed one; the per-row checks of ``_parse_rows`` and
     ``VariableSpec.value_index`` then word the error.
     """
-    if type(rows) is not list:
-        return None
-    offsets = []
-    size = 1
-    for spec in reversed(specs):
-        offsets.append({label: i * size for i, label in enumerate(spec.domain)})
-        size *= spec.size
-    offsets.reverse()
+    starts = [0]
+    for rows, specs in tables:
+        if type(rows) is not list:
+            return None
+        starts.append(starts[-1] + math.prod(len(spec.domain) for spec in specs))
+    rows = list(itertools.chain.from_iterable(rows for rows, _ in tables))
     n = len(rows)
+    codes = np.zeros(n, np.intp)
     try:
         if not set(map(type, rows)) <= {dict}:
             return None
@@ -218,31 +222,88 @@ def _read_table(
             givens = list(map(methodcaller("get", "given", _NO_CONDITION), rows))
         else:
             return None
-        codes = np.fromiter(map(offsets[0].__getitem__, map(itemgetter("value"), rows)), np.intp, n)
-        if not set(map(type, givens)) <= {dict} or not set(map(len, givens)) <= {len(specs) - 1}:
+        if not set(map(type, givens)) <= {dict}:
             return None
-        for spec, offset in zip(specs[1:], offsets[1:]):
-            codes += np.fromiter(
-                map(offset.__getitem__, map(itemgetter(spec.name), givens)), np.intp, n
-            )
         numbers = list(map(itemgetter(number_key), rows))
         if not set(map(type, numbers)) <= {int, float}:
             return None
         values = np.fromiter(map(float, numbers), float, n)
+        end = 0
+        for (table_rows, specs), start, stop in zip(tables, starts, starts[1:]):
+            at, end = end, end + len(table_rows)
+            if at == end:
+                continue  # a table left out, or one with no rows
+            given = givens[at:end]
+            if not set(map(len, given)) <= {len(specs) - 1}:
+                return None
+            columns = [map(itemgetter("value"), table_rows)]
+            columns += [map(itemgetter(spec.name), given) for spec in specs[1:]]
+            base, stride = start, stop - start
+            for spec, labels in zip(specs, columns):
+                stride //= len(spec.domain)
+                lookup = {label: base + i * stride for i, label in enumerate(spec.domain)}
+                codes[at:end] += np.fromiter(map(lookup.__getitem__, labels), np.intp, end - at)
+                base = 0
     except (KeyError, TypeError, OverflowError):
         return None
-    counts = np.bincount(codes, minlength=size)
+    counts = np.bincount(codes, minlength=starts[-1])
     if np.count_nonzero(counts) < n:  # some code repeats
         return None
-    table = np.ones(size)
-    table[codes] = values
-    shape = tuple(spec.size for spec in specs)
-    return table.reshape(shape), counts.astype(bool).reshape(shape)
+    buffer = np.ones(starts[-1])
+    buffer[codes] = values
+    return buffer, counts.astype(bool), starts
 
 
-def _parse_layer_tables(
+def _read_potentials(
+    raw: object, layer: str, space: Space, graph: EUNGraph
+) -> dict[str, RestrictedPotential] | None:
+    """One layer's potentials, each table a read-only view of one buffer, or None.
+
+    Every check runs once over the whole layer: tables for declared
+    variables only, complete rows, finite and positive entries, and unit
+    reference rows.  A variable with no table gets the identity table.  None
+    means a check failed; ``_parse_layer_rows`` then words the error.
+    """
+    if type(raw) is not dict or not raw.keys() <= set(space.names):
+        return None
+    parents = {name: graph.below_neighbors(layer, name, space.names) for name in space.names}
+    axes = [[space.spec(n) for n in (name, *parents[name])] for name in space.names]
+    read = _read_layer([(raw.get(name, []), a) for name, a in zip(space.names, axes)], "ratio")
+    if read is None:
+        return None
+    buffer, covered, starts = read
+    # The entries that need no row: a missing table's, and each reference row.
+    implied = np.zeros(len(buffer), dtype=bool)
+    for name, spec, start, stop in zip(space.names, space.specs, starts, starts[1:]):
+        if name not in raw:
+            implied[start:stop] = True
+        else:
+            row = (stop - start) // spec.size
+            at = start + spec.reference_index * row
+            implied[at:at + row] = True
+    covered |= implied
+    if not (
+        covered.all()
+        and 0.0 < buffer.min(initial=1.0)  # a NaN fails here
+        and buffer.max(initial=1.0) < math.inf
+        and (buffer[implied] == 1.0).all()
+    ):
+        return None
+    buffer.flags.writeable = False
+    return {
+        name: RestrictedPotential._checked(
+            name, layer, parents[name],
+            buffer[start:stop].reshape([spec.size for spec in a]),
+        )
+        for name, a, start, stop in zip(space.names, axes, starts, starts[1:])
+    }
+
+
+def _parse_layer_rows(
     raw: object, path: str, layer: str, space: Space, graph: EUNGraph
 ) -> list[RestrictedPotential]:
+    """The per-row route: each table in document order through ``_parse_rows``
+    and ``RestrictedPotential.from_entries``, which word the first fault."""
     obj = _as_object(raw, path)
     names = set(space.names)
     potentials = []
@@ -251,13 +312,6 @@ def _parse_layer_tables(
         if name not in names:
             _fail(at, f"table for undeclared variable {name!r}")
         parents = graph.below_neighbors(layer, name, space.names)
-        spec = space.spec(name)
-        parent_specs = [space.spec(p) for p in parents]
-        read = _read_table(rows, [spec, *parent_specs], "ratio")
-        if read is not None:
-            potentials.append(RestrictedPotential._from_covered(spec, parent_specs, layer, *read))
-            continue
-        # A row failed a direct check: the per-row checks word the error.
         relation = (
             f"a below-index neighbour of {name!r} in the {layer} layer "
             f"(expected {sorted(parents)})"
@@ -265,7 +319,9 @@ def _parse_layer_tables(
         entries = {
             key: ratio for _, key, ratio in _parse_rows(rows, at, parents, "ratio", relation)
         }
-        potentials.append(RestrictedPotential.from_entries(spec, parent_specs, layer, entries))
+        potentials.append(RestrictedPotential.from_entries(
+            space.spec(name), [space.spec(p) for p in parents], layer, entries
+        ))
     return potentials
 
 
@@ -290,58 +346,84 @@ def parse_network(text: str) -> Network:
     # A potential's conditioning set comes from the graph and the ordering,
     # so the structure is checked before the tables are read.
     space, checked = _structure(specs, ordering, graph)
+    q, w = doc.get("q", {}), doc.get("w", {})
+    layers = {
+        PROB: _read_potentials(q, PROB, space, checked),
+        UTIL: _read_potentials(w, UTIL, space, checked),
+    }
+    if None not in layers.values():
+        return Network(space, checked, layers)
+    # A check failed: the per-row route reports the first fault in document order.
     potentials = [
-        *_parse_layer_tables(doc.get("q", {}), "$.q", PROB, space, checked),
-        *_parse_layer_tables(doc.get("w", {}), "$.w", UTIL, space, checked),
+        *_parse_layer_rows(q, "$.q", PROB, space, checked),
+        *_parse_layer_rows(w, "$.w", UTIL, space, checked),
     ]
     return build_network(specs, ordering, graph, potentials)
+
+
+def _json_list(items: Sequence[str], indent: int) -> str:
+    """A JSON array of already encoded ``items`` as ``json.dumps(indent=2)``
+    writes it at ``indent`` spaces."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return "[\n" + ",\n".join([pad + item for item in items]) + "\n" + " " * indent + "]"
+
+
+def _table_rows(network: Network, layer: str, name: str) -> str | None:
+    """A table's rows as a JSON array at indent 4, or None for the identity table."""
+    space = network.space
+    pot = network.potential(layer, name)
+    spec = space.spec(name)
+    ratios = pot.table.ravel().tolist()
+    row = len(ratios) // spec.size
+    del ratios[spec.reference_index * row:(spec.reference_index + 1) * row]
+    if ratios.count(1.0) == len(ratios):
+        return None  # the identity table is the parse-side default
+    conditions = [
+        [f"          {_json_str(p)}: {_json_str(label)}" for label in space.spec(p).domain]
+        for p in pot.parents
+    ]
+    givens = [
+        "{\n" + ",\n".join(combo) + "\n        }" if combo else "{}"
+        for combo in itertools.product(*conditions)
+    ]
+    heads = [
+        f'{{\n        "value": {_json_str(value)},\n        "given": {given},\n        "ratio": '
+        for i, value in enumerate(spec.domain) if i != spec.reference_index
+        for given in givens
+    ]
+    return _json_list([h + repr(r) + "\n      }" for h, r in zip(heads, ratios)], 4)
 
 
 def serialize_network(network: Network) -> str:
     """Render a network as an ``eun/1`` document.
 
     Entries are listed in domain index order, reference rows omitted; parsing
-    the output reproduces the potential tables bit for bit.
+    the output reproduces the potential tables bit for bit.  The text is
+    what ``json.dumps(document, indent=2)`` writes, filled into templates:
+    labels through the JSON string encoder, ratios through ``float.__repr__``.
     """
     space = network.space
     variables = [
-        {"name": s.name, "domain": list(s.domain), "reference": s.reference}
+        f'{{\n      "name": {_json_str(s.name)},\n'
+        f'      "domain": {_json_list([_json_str(v) for v in s.domain], 6)},\n'
+        f'      "reference": {_json_str(s.reference)}\n    }}'
         for s in space.specs
     ]
-    doc: dict[str, object] = {
-        "format": EUN_FORMAT,
-        "variables": variables,
-        "ordering": list(space.names),
-        "prob_arcs": sorted(list(a) for a in network.graph.prob_arcs),
-        "util_arcs": sorted(list(a) for a in network.graph.util_arcs),
+    fields = {
+        "format": _json_str(EUN_FORMAT),
+        "variables": _json_list(variables, 2),
+        "ordering": _json_list([_json_str(n) for n in space.names], 2),
     }
+    graph = network.graph
+    for key, arcs in (("prob_arcs", graph.prob_arcs), ("util_arcs", graph.util_arcs)):
+        fields[key] = _json_list([_json_list(list(map(_json_str, a)), 4) for a in sorted(arcs)], 2)
     for layer, key in _LAYER_KEYS.items():
-        tables: dict[str, list[dict[str, object]]] = {}
-        for name in space.names:
-            pot = network.potential(layer, name)
-            spec = space.spec(name)
-            parent_specs = [space.spec(p) for p in pot.parents]
-            if np.all(pot.table == 1.0):
-                continue  # the identity table is the parse-side default
-            rows = []
-            value_range = [i for i in range(spec.size) if i != spec.reference_index]
-            for vi in value_range:
-                for combo in itertools.product(*(range(p.size) for p in parent_specs)):
-                    ratio = float(pot.table[(vi,) + combo])
-                    rows.append(
-                        {
-                            "value": spec.domain[vi],
-                            "given": {
-                                p.name: p.domain[c]
-                                for p, c in zip(parent_specs, combo)
-                            },
-                            "ratio": ratio,
-                        }
-                    )
-            if rows:
-                tables[name] = rows
-        doc[key] = tables
-    return json.dumps(doc, indent=2) + "\n"
+        tables = [(name, _table_rows(network, layer, name)) for name in space.names]
+        entries = [f"    {_json_str(name)}: {rows}" for name, rows in tables if rows is not None]
+        fields[key] = "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
+    return "{\n" + ",\n".join([f'  "{key}": {value}' for key, value in fields.items()]) + "\n}\n"
 
 
 # -- Bayes networks --------------------------------------------------------
@@ -390,7 +472,7 @@ def _cpt_rows(
     rows: object, path: str, spec: VariableSpec, parent_specs: Sequence[VariableSpec]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The per-row checks of a CPT, row by row; they word the error of a
-    table that ``_read_table`` refused or that holds a number not above 0."""
+    CPT layer that ``_read_layer`` refused or that failed a layer check."""
     shape = (spec.size,) + tuple(p.size for p in parent_specs)
     table = np.ones(shape)
     covered = np.zeros(shape, dtype=bool)
@@ -406,6 +488,40 @@ def _cpt_rows(
         table[idx] = prob
         covered[idx] = True
     return table, covered
+
+
+def _sum_error(table: np.ndarray) -> float:
+    """How far a CPT's rows are from summing to 1 at worst; inf when a sum
+    overflows, which is no warning but a failed check."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(table.sum(axis=0) - 1.0)))
+
+
+def _read_cpts(
+    cpts_raw: dict, names: Sequence[str], axes: Sequence[Sequence[VariableSpec]]
+) -> dict[str, np.ndarray] | None:
+    """Every CPT as a read-only view of one buffer, or None.
+
+    One pass over the layer checks that every table is complete and every
+    entry positive; each table's rows must then sum to 1 (within 1e-9).
+    None means a check failed; ``_cpt_rows`` then words the error.
+    """
+    if not cpts_raw.keys() >= set(names):
+        return None
+    read = _read_layer([(cpts_raw[name], a) for name, a in zip(names, axes)], "p")
+    if read is None:
+        return None
+    buffer, covered, starts = read
+    if not (covered.all() and 0.0 < buffer.min(initial=1.0)):  # a NaN fails here
+        return None
+    buffer.flags.writeable = False
+    cpts = {
+        name: buffer[start:stop].reshape([spec.size for spec in a])
+        for name, a, start, stop in zip(names, axes, starts, starts[1:])
+    }
+    if not all(_sum_error(t) <= 1e-9 for t in cpts.values()):
+        return None
+    return cpts
 
 
 def parse_bayes_net(text: str) -> BayesNet:
@@ -445,25 +561,23 @@ def parse_bayes_net(text: str) -> BayesNet:
     }
 
     cpts_raw = _as_object(_require(doc, "cpts", "$"), "$.cpts")
-    cpts: dict[str, np.ndarray] = {}
-    for name in names:
-        at = f"$.cpts.{name}"
-        if name not in cpts_raw:
-            _fail("$.cpts", f"missing required key {name!r}")
-        spec = by_name[name]
-        parent_specs = [by_name[p] for p in parents[name]]
-        read = _read_table(cpts_raw[name], [spec, *parent_specs], "p")
-        if read is None or not np.all(read[0] > 0.0):
-            read = _cpt_rows(cpts_raw[name], at, spec, parent_specs)
-        table, covered = read
-        if not covered.all():
-            _fail(at, "incomplete table (missing rows for some value combination)")
-        sums = table.sum(axis=0)
-        if not np.all(np.abs(sums - 1.0) <= 1e-9):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            _fail(at, f"rows must sum to 1 for every parent configuration (off by {worst:.3g})")
-        table.flags.writeable = False
-        cpts[name] = table
+    axes = [[by_name[n] for n in (name, *parents[name])] for name in names]
+    cpts = _read_cpts(cpts_raw, names, axes)
+    if cpts is None:
+        # A check failed: the per-row route reports the first fault in name order.
+        cpts = {}
+        for name, (spec, *parent_specs) in zip(names, axes):
+            at = f"$.cpts.{name}"
+            if name not in cpts_raw:
+                _fail("$.cpts", f"missing required key {name!r}")
+            table, covered = _cpt_rows(cpts_raw[name], at, spec, parent_specs)
+            if not covered.all():
+                _fail(at, "incomplete table (missing rows for some value combination)")
+            worst = _sum_error(table)
+            if not worst <= 1e-9:
+                _fail(at, f"rows must sum to 1 for every parent configuration (off by {worst:.3g})")
+            table.flags.writeable = False
+            cpts[name] = table
 
     unused = sorted(set(cpts_raw) - set(names))
     if unused:

@@ -312,6 +312,16 @@ class RestrictedPotential:
         self.table = arr
 
     @classmethod
+    def _checked(
+        cls, var: str, layer: str, parents: tuple[str, ...], table: np.ndarray
+    ) -> "RestrictedPotential":
+        """A potential over a ``table`` its caller has checked already: read-only,
+        finite, positive, one axis per parent and a unit reference row."""
+        pot = cls.__new__(cls)
+        pot.var, pot.layer, pot.parents, pot.table = var, layer, parents, table
+        return pot
+
+    @classmethod
     def identity(
         cls, spec: VariableSpec, parent_specs: Sequence[VariableSpec], layer: str
     ) -> "RestrictedPotential":
@@ -350,24 +360,8 @@ class RestrictedPotential:
             pis = tuple(p.value_index(k) for p, k in zip(parent_specs, key[1:]))
             table[(vi,) + pis] = float(ratio)
             covered[(vi,) + pis] = True
-        return cls._from_covered(spec, parent_specs, layer, table, covered)
-
-    @classmethod
-    def _from_covered(
-        cls,
-        spec: VariableSpec,
-        parent_specs: Sequence[VariableSpec],
-        layer: str,
-        table: np.ndarray,
-        covered: np.ndarray,
-    ) -> "RestrictedPotential":
-        """The potential of ``table``, where ``covered`` marks the entries given.
-
-        Reference-value entries not given must hold 1 already (``covered``
-        is marked there in place); every other entry must be given.
-        Coverage is counted apart from the values, so a NaN entry is
-        reported as non-finite, not as missing.
-        """
+        # Coverage is counted apart from the values, so a NaN entry is
+        # reported as non-finite, not as missing.
         covered[spec.reference_index] = True
         if not covered.all():
             raise ValidationError(

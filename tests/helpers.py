@@ -158,6 +158,42 @@ def underflow_bn_doc() -> str:
     })
 
 
+def serialize_oracle(network: Network) -> str:
+    """The ``eun/1`` document of ``network`` written the plain way: one dict
+    per row, then ``json.dumps(indent=2)`` and a trailing newline."""
+    space = network.space
+    doc: dict[str, object] = {
+        "format": "eun/1",
+        "variables": [
+            {"name": s.name, "domain": list(s.domain), "reference": s.reference}
+            for s in space.specs
+        ],
+        "ordering": list(space.names),
+        "prob_arcs": sorted(list(a) for a in network.graph.prob_arcs),
+        "util_arcs": sorted(list(a) for a in network.graph.util_arcs),
+    }
+    for layer, key in ((PROB, "q"), (UTIL, "w")):
+        tables = {}
+        for name in space.names:
+            pot = network.potential(layer, name)
+            if np.all(pot.table == 1.0):
+                continue
+            spec = space.spec(name)
+            parent_specs = [space.spec(p) for p in pot.parents]
+            tables[name] = [
+                {
+                    "value": spec.domain[vi],
+                    "given": {p.name: p.domain[c] for p, c in zip(parent_specs, combo)},
+                    "ratio": float(pot.table[(vi,) + combo]),
+                }
+                for vi in range(spec.size)
+                if vi != spec.reference_index
+                for combo in itertools.product(*(range(p.size) for p in parent_specs))
+            ]
+        doc[key] = tables
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def oracle_ratio_table(network: Network, layer: str) -> np.ndarray:
     """Joint ratio table by direct scalar multiplication over every state."""
     space = network.space

@@ -345,6 +345,32 @@ def test_invalid_json_document(tmp_path):
     assert "invalid JSON" in err
 
 
+UNREADABLE = {
+    # Bytes that are not UTF-8 (a UTF-16 byte order mark), and arrays nested
+    # past the recursion limit of the JSON decoder.
+    "undecodable": (b"\xff\xfe{\x00}\x00", "not UTF-8 text (invalid start byte at byte 0)"),
+    "deep": (b"[" * 200_000, "invalid JSON: nested deeper than the recursion limit"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("argv", [
+    ["validate", "{}"],
+    ["query", "{}", "--prob", "-e", "X=1"],
+    ["decide", "{}", "-d", "X"],
+    ["independence", "{}", "--layer", "prob", "-a", "X", "-b", "Y"],
+    ["import-bn", "{}", "-o", "{}.out"],
+])
+def test_unreadable_document_is_a_schema_failure(tmp_path, kind, argv):
+    data, message = UNREADABLE[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(data)
+    code, out, err = run(*(a.format(path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_unknown_event_variable(chain_path):
     code, out, err = run("query", chain_path, "--prob", "-e", "Z=1")
     assert code == 2

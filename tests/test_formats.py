@@ -772,6 +772,9 @@ BN_FAULTS = [
     (_set(["cpts", "Y", 2, "p"], 10**400), "$.cpts.Y[2].p: integer out of float range"),
     (_set(["cpts", "X", 1, "p"], 0.7),
      "$.cpts.X: rows must sum to 1 for every parent configuration (off by 0.1)"),
+    # A sum past float range fails the check with no overflow warning.
+    (lambda d: (_set(["cpts", "X", 0, "p"], 1e308)(d), _set(["cpts", "X", 1, "p"], 1e308)(d)),
+     "$.cpts.X: rows must sum to 1 for every parent configuration (off by inf)"),
     # Two faults: the CPT rows are checked one row at a time.
     (lambda d: (_set(["cpts", "Y", 0, "p"], 0)(d), _set(["cpts", "Y", 2, "q"], 1)(d)),
      "$.cpts.Y[0].p: probabilities must be strictly positive, got 0.0"),
@@ -801,3 +804,282 @@ def test_cpt_label_outside_domain(label, where):
     assert str(err.value) == "variable {!r}: assignment value '2' outside domain ('0', '1')".format(
         "Y" if where == "value" else "X"
     )
+
+
+# -- the first fault in document order, across tables and layers -------------------
+
+
+def _w_layer(doc):
+    """fault_doc with a utility layer too: X and Y have no utility neighbours."""
+    doc["w"] = {
+        "X": [{"value": "1", "given": {}, "ratio": 1.5}],
+        "Y": [{"value": v, "given": {}, "ratio": r} for v, r in (("a", 0.25), ("c", 4.0))],
+    }
+    return doc
+
+
+def _reorder(key, names):
+    def mutate(doc):
+        doc[key] = {name: doc[key][name] for name in names}
+    return mutate
+
+
+def _chain(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+    return mutate
+
+
+UNDECLARED = [{"value": "1", "given": {}, "ratio": 2.0}]
+
+EUN_FIRST_FAULTS = [
+    # A late check on q.Y (read, then refused as non-positive) before a row fault in q.X.
+    (_chain(_reorder("q", ["Y", "X"]), _set(["q", "Y", 0, "ratio"], -1.5),
+            _set(["q", "X", 0, "weight"], 1)),
+     ValidationError, "potential for 'Y'/prob: non-positive potential entry"),
+    (_chain(_set(["q", "Y", 0, "ratio"], -1.5), _set(["q", "X", 0, "weight"], 1)),
+     SchemaError, "$.q.X[0]: unknown key 'weight'"),
+    (_chain(_reorder("q", ["Y", "X"]), _set(["q", "Y", 3], _DELETE),
+            _set(["q", "X", 0, "value"], "7")),
+     ValidationError, f"potential for 'Y'/prob: {INCOMPLETE}"),
+    # A bad q table before a bad w table, and a clean q before a bad w.
+    (_chain(_w_layer, _set(["q", "Y", 1, "ratio"], _NAN), _set(["w", "X", 0, "given"], [])),
+     ValidationError, "potential for 'Y'/prob: non-finite entry"),
+    (_chain(_w_layer, lambda d: d["q"]["X"].append({"value": "0", "given": {}, "ratio": 2.0}),
+            _set(["w", "Y", 0, "ratio"], 0)),
+     ValidationError, f"potential for 'X'/prob: {NON_UNIT}"),
+    (_chain(_w_layer, _set(["w", "Y", 1, "ratio"], float("inf"))),
+     ValidationError, "potential for 'Y'/util: non-finite entry"),
+    (_chain(_w_layer, _set(["w", "X", 0, "given"], {"Y": "a"})),
+     SchemaError,
+     "$.w.X[0].given: 'Y' is not a below-index neighbour of 'X' in the util layer (expected [])"),
+    # A bad table before a table for an undeclared variable, and after one.
+    (_chain(_set(["q", "Y", 2, "ratio"], 0), _set(["q", "Z"], UNDECLARED)),
+     ValidationError, "potential for 'Y'/prob: non-positive potential entry"),
+    (_chain(_set(["q", "Z"], UNDECLARED), _reorder("q", ["Z", "X", "Y"]),
+            _set(["q", "Y", 2, "ratio"], 0)),
+     SchemaError, "$.q.Z: table for undeclared variable 'Z'"),
+    (_chain(_w_layer, _set(["q", "Y", 2, "ratio"], 0), _set(["w", "Z"], UNDECLARED)),
+     ValidationError, "potential for 'Y'/prob: non-positive potential entry"),
+]
+
+
+@pytest.mark.parametrize("mutate, kind, message", EUN_FIRST_FAULTS)
+def test_first_fault_in_document_order_wins(mutate, kind, message):
+    doc = fault_doc()
+    mutate(doc)
+    with pytest.raises(ValidationError) as err:
+        parse_network(json.dumps(doc))
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+BN_FIRST_FAULTS = [
+    # A bad second CPT after a clean first one.
+    (_set(["cpts", "Y", 2, "p"], 0),
+     "$.cpts.Y[2].p: probabilities must be strictly positive, got 0.0"),
+    (_set(["cpts", "Y", 3, "p"], 0.5),
+     "$.cpts.Y: rows must sum to 1 for every parent configuration (off by 0.3)"),
+    # Faults only the layer checks see come before a row fault in a later CPT.
+    (_chain(_set(["cpts", "X", 1, "p"], 0.7), _set(["cpts", "Y", 0, "q"], 1)),
+     "$.cpts.X: rows must sum to 1 for every parent configuration (off by 0.1)"),
+    (_chain(_set(["cpts", "X", 1], _DELETE), _set(["cpts", "Y", 0, "value"], 0)),
+     "$.cpts.X: incomplete table (missing rows for some value combination)"),
+    (_chain(_set(["cpts", "X", 0, "p"], _NAN), _set(["cpts", "Z"], [])),
+     "$.cpts.X[0].p: non-finite entry nan"),
+    # The CPTs are checked in declaration order, not in document order.
+    (_chain(_reorder("cpts", ["Y", "X"]), _set(["cpts", "Y", 1, "p"], -0.1),
+            _set(["cpts", "X", 0, "p"], 0.0)),
+     "$.cpts.X[0].p: probabilities must be strictly positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", BN_FIRST_FAULTS)
+def test_first_cpt_fault_wins(mutate, message):
+    doc = json.loads(bn_doc())
+    mutate(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_bayes_net(json.dumps(doc))
+    assert str(err.value) == message
+
+
+# -- the layer reader against the per-row route on a mutated corpus ------------------
+
+
+_LABELS = ["z", "0", "1", "a", "b", "c", "", 0, None]
+_NUMBERS = [0, 1, 2, -1.5, 0.0, -0.0, 0.5, 0.9, 2.0, 1e308, _NAN, float("inf"), 10**400, True, "1"]
+_GIVENS = [{}, [], {"X": "0"}, {"X": "9"}, {"Q": "0"}, None]
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(len(items)))]
+
+
+def _mutate(doc, layer_keys, number_key, rng):
+    """Break one spot of ``doc``: a layer, a table, a row or a row's field."""
+    key = _pick(rng, layer_keys)
+    tables = doc.setdefault(key, {})
+    if type(tables) is not dict or not tables or rng.random() < 0.1:
+        names = [v["name"] for v in doc["variables"]]
+        doc[key] = _pick(rng, [
+            [], "q",
+            {"Z": []},
+            dict(reversed(list(tables.items()))) if type(tables) is dict else {},
+            {**tables, "Z": UNDECLARED} if type(tables) is dict else {},
+            {name: [] for name in names},
+        ])
+        return
+    name = _pick(rng, list(tables))
+    rows = tables[name]
+    if type(rows) is not list or not rows or rng.random() < 0.15:
+        if type(rows) is not list or not rows:
+            rows = [{"value": "1", "given": {}, number_key: 2.0}]
+        refs = {v["name"]: v.get("reference", v["domain"][0]) for v in doc["variables"]}
+        last = rows[-1] if type(rows[-1]) is dict else {}
+        tables[name] = _pick(rng, [
+            {}, 1, [], rows[:-1], rows + rows[:1], list(reversed(rows)),
+            rows + [{**last, "value": refs.get(name, "0")}],
+        ])
+        return
+    k = int(rng.integers(len(rows)))
+    row = rows[k]
+    if type(row) is not dict or rng.random() < 0.05:
+        rows[k] = _pick(rng, ["row", 3, [], None])
+        return
+    field = _pick(rng, ["value", "given", number_key, number_key, number_key, "weight"])
+    pool = {"value": _LABELS, "given": _GIVENS, number_key: _NUMBERS}.get(field, _LABELS)
+    given = row.get("given")
+    if field == "given" and type(given) is dict and given and rng.random() < 0.5:
+        parent = _pick(rng, list(given))
+        if rng.random() < 0.3:
+            del given[parent]
+        else:
+            given[parent] = _pick(rng, _LABELS)
+    elif field in row and rng.random() < 0.15:
+        del row[field]
+    else:
+        row[field] = _pick(rng, pool)
+
+
+def mutated_corpus(seed, count):
+    """``(parse, text)`` pairs: documents with one to three faults each, built
+    from fault_doc, a random mixed-domain network and bn_doc in turn."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 3 == 0:
+            parse, doc, keys, number = parse_network, fault_doc(), ("q", "w"), "ratio"
+            if rng.random() < 0.5:
+                _w_layer(doc)
+        elif k % 3 == 1:
+            net = helpers.random_network(
+                rng, n_vars=int(rng.integers(2, 5)), domain_sizes=(2, 3, 4),
+                arc_prob=0.5, random_references=True,
+            )
+            doc = json.loads(serialize_network(net))
+            parse, keys, number = parse_network, ("q", "w"), "ratio"
+        else:
+            parse, doc, keys, number = parse_bayes_net, json.loads(bn_doc()), ("cpts",), "p"
+        for _ in range(int(rng.integers(1, 4))):
+            _mutate(doc, keys, number, rng)
+        yield parse, json.dumps(doc)
+
+
+def parse_outcome(parse, text):
+    """``(error class, message)``, or ``("ok", table bytes)`` for a valid document."""
+    try:
+        parsed = parse(text)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    if isinstance(parsed, BayesNet):
+        return "ok", [(name, t.shape, t.tobytes()) for name, t in parsed.cpts.items()]
+    return "ok", [
+        (layer, name, pot.parents, pot.table.tobytes())
+        for layer in (PROB, UTIL)
+        for name in parsed.ordering
+        for pot in [parsed.potential(layer, name)]
+    ]
+
+
+def test_layer_reader_matches_per_row_route_on_mutated_corpus(monkeypatch):
+    corpus = list(mutated_corpus(11, 450))
+    fast = [parse_outcome(parse, text) for parse, text in corpus]
+    # Refused by the layer reader, every document goes to the per-row checks.
+    monkeypatch.setattr(formats, "_read_layer", lambda *args: None)
+    slow = [parse_outcome(parse, text) for parse, text in corpus]
+    for (_, text), got, want in zip(corpus, fast, slow):
+        assert got == want, text
+    kinds = {outcome[0] for outcome in fast}
+    assert {"ok", SchemaError, ValidationError} <= kinds
+
+
+# -- the templated writer against the plain json.dumps writer ------------------------
+
+
+WRITER_LABELS = ['"q"', "back\\slash", "café", "日本", "tab\there", "nl\nx", "\x01", "</", "a"]
+WRITER_RATIOS = [5e-324, 1e-300, 1.7e308, 0.1 + 0.2]
+
+
+def writer_network(rng, identity_layer=None):
+    """Mixed domains, random references and awkward labels and names; each
+    table mixes uniform ratios with extreme ones.  ``identity_layer`` is
+    left as identity tables."""
+    n = int(rng.integers(1, 5))
+    specs = []
+    for i in range(n):
+        size = int(rng.integers(2, 5))
+        labels = [f"{_pick(rng, WRITER_LABELS)}{j}" for j in range(size)]
+        specs.append(VariableSpec(f'V"{i}\\é', tuple(labels), _pick(rng, labels)))
+    names = [s.name for s in specs]
+    graph = EUNGraph.of(
+        prob_arcs=helpers.random_layer_arcs(rng, names, 0.5),
+        util_arcs=helpers.random_layer_arcs(rng, names, 0.5),
+        nodes=names,
+    )
+    skeleton = build_network(specs, names, graph)
+    potentials = []
+    for layer in (PROB, UTIL):
+        if layer == identity_layer:
+            continue
+        for spec in specs:
+            parents = skeleton.below_neighbors(layer, spec.name)
+            shape = (spec.size,) + tuple(skeleton.space.spec(p).size for p in parents)
+            table = rng.uniform(0.5, 2.0, shape)
+            extreme = rng.random(shape) < 0.3
+            table[extreme] = [_pick(rng, WRITER_RATIOS) for _ in range(int(extreme.sum()))]
+            table[spec.reference_index] = 1.0
+            potentials.append(RestrictedPotential(
+                spec.name, layer, parents, table, reference_index=spec.reference_index
+            ))
+    return build_network(specs, names, graph, potentials)
+
+
+def test_writer_matches_the_json_dumps_oracle():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        net = writer_network(rng, identity_layer=(None, PROB, UTIL)[trial % 3])
+        text = serialize_network(net)
+        assert text == helpers.serialize_oracle(net)
+        back = parse_network(text)
+        for layer in (PROB, UTIL):
+            for name in net.ordering:
+                assert back.potential(layer, name).table.tobytes() == (
+                    net.potential(layer, name).table.tobytes()
+                )
+    skeleton = build_network(net.space.specs, net.ordering, EUNGraph.of(nodes=net.ordering))
+    assert serialize_network(skeleton) == helpers.serialize_oracle(skeleton)
+
+
+def test_parsed_tables_are_read_only_views():
+    doc = _w_layer(fault_doc())
+    net = parse_network(json.dumps(doc))
+    for layer in (PROB, UTIL):
+        for name in net.ordering:
+            table = net.potential(layer, name).table
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 2.0
+    assert net.potential(PROB, "Y").table.base is net.potential(PROB, "X").table.base
+    bn = parse_bayes_net(bn_doc())
+    for table in bn.cpts.values():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0.5

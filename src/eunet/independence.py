@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .inference import _cylinder_sums, _event_sums
+from .inference import _cylinder_sums, _sums_from
 from .model import (
     PROB,
     UTIL,
@@ -248,7 +248,7 @@ def eu_independent_events(
         pr, ur = network._ratio_pair(cap)
         sums = [_cylinder_sums(pr, ur, fixed, ()) for fixed in regions]
     else:
-        sums = [_event_sums(network, ev, cap) for ev in regions]
+        sums = [_sums_from(network, None, ev, cap) for ev in regions]
     (sp_g, su_g), *meet_sums = sums
     u_g = su_g / sp_g
     u_e, u_f, u_ef = ((su / sp) / u_g for sp, su in meet_sums)

@@ -12,6 +12,9 @@ ratios over E and S_u(E) for the sum of probability-times-utility ratios,
 Conditionals divide: p(E|F) = p(EF)/p(F), u(E|F) = u(EF)/u(F), and
 v(E|F) = v(EF)/v(F) = u(E|F) p(E|F).  All of it is exact enumeration over
 the cached ratio tables, with cylinder events hitting a slicing fast path.
+A cylinder question whose fixed and kept axes share a clique of both
+layers' graph sums a slice of that clique's marginal tables instead, which
+hold the joint's sums over every other variable.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .model import (
     NumericRangeError,
     SeparationError,
     ValidationError,
+    _Clique,
     resolve_state_cap,
 )
 
@@ -81,9 +85,41 @@ def _event_sums(
     over a non-empty event or a met combination, positive; a sum that
     overflowed or underflowed raises NumericRangeError instead of turning
     into an inf, a NaN or a zero in the answer.
+
+    A cylinder whose fixed and kept axes share a clique of both layers'
+    graph reads that clique's marginal tables; anything else reads the joint.
     """
+    return _sums_from(network, _clique_of(network, event, keep), event, cap, keep)
+
+
+def _clique_of(network: Network, event: Event, keep: Sequence[int] = ()) -> _Clique | None:
+    """The clique with the fewest entries that holds a cylinder's fixed axes
+    and the kept axes; None for a state set or where no clique holds them.
+
+    A pure function of the graph, the ordering and the question's axes, so a
+    question reads the same table whatever was asked or cached before.
+    """
+    if event._partial is None:
+        return None
+    mask = 0
+    for ax in itertools.chain(event._partial, keep):
+        mask |= 1 << ax
+    for clique in network._cliques():
+        if clique.mask & mask == mask:
+            return clique
+    return None
+
+
+def _sums_from(
+    network: Network, clique: _Clique | None, event: Event, cap: int, keep: Sequence[int] = ()
+) -> tuple:
+    """The sums of :func:`_event_sums`, read from the clique's marginal pair,
+    or from the joint pair when ``clique`` is None."""
     if event.space != network.space:
         raise ValidationError("event belongs to a different variable system")
+    if clique is not None:
+        tp, tu, _, _ = network._clique_tables(clique, cap)
+        return _clique_sums(tp, tu, clique.axes, event._partial, keep)
     pr, ur = network._ratio_pair(cap)
     if event._partial is not None:
         return _cylinder_sums(pr, ur, event._partial, keep)
@@ -103,6 +139,31 @@ def _event_sums(
     su = np.bincount(code, weights=puvals, minlength=size).reshape(kept_shape)
     member = np.bincount(code, minlength=size).reshape(kept_shape) > 0
     return _tables_in_range(sp, su, member)
+
+
+def _clique_sums(
+    tp: np.ndarray,
+    tu: np.ndarray,
+    axes: tuple[int, ...],
+    fixed: dict[int, int],
+    keep: Sequence[int],
+) -> tuple:
+    """The cylinder sums over the marginal pair of the clique on ``axes``.
+
+    The entries already sum p and p * u over the variables outside the
+    clique, so each sum adds up a slice of one table.
+    """
+    index: list[object] = [slice(None)] * tp.ndim
+    for ax, v in fixed.items():
+        index[axes.index(ax)] = v
+    key = tuple(index)
+    p, u = tp[key], tu[key]
+    if not keep:
+        return _in_range(float(p.sum()), float(u.sum()))
+    free = [ax for ax in axes if ax not in fixed]
+    summed = tuple(k for k, ax in enumerate(free) if ax not in keep)
+    sp, su = p.sum(axis=summed), u.sum(axis=summed)
+    return _tables_in_range(sp, su, np.ones(sp.shape, dtype=bool))
 
 
 # A pass of numpy's reductions runs fast when its innermost loop covers many
@@ -239,8 +300,10 @@ def _conditional_sums(
     ef = e & f
     if ef.is_empty:
         raise EmptyEventError(f"E and F do not intersect, conditional {measure} undefined")
+    # F's fixed axes are among those of E and F, so one table answers both.
     cap = resolve_state_cap(state_cap)
-    return _event_sums(network, ef, cap), _event_sums(network, f, cap)
+    clique = _clique_of(network, ef)
+    return _sums_from(network, clique, ef, cap), _sums_from(network, clique, f, cap)
 
 
 def marginal_p_ratio(
@@ -291,14 +354,19 @@ def event_utility(network: Network, e: Event, state_cap: int | None = None) -> M
 
     ``u_rel`` is relative to the utility of the reference state, ``u_norm``
     rescales so the sure event is worth 1, and ``v = u_norm * p`` is the
-    additive value measure.  The sure event's sums are cached on the network.
+    additive value measure.  The sure event's sums come from the table that
+    answers E: a clique's totals, or the joint's, cached on the network.
     """
     _require_nonempty(e, "event E")
     cap = resolve_state_cap(state_cap)
-    sp, su = _event_sums(network, e, cap)
-    sp_t, su_t = network._cached(
-        "sure_sums", lambda: _event_sums(network, network.true_event(), cap)
-    )
+    clique = _clique_of(network, e)
+    sp, su = _sums_from(network, clique, e, cap)
+    if clique is None:
+        sp_t, su_t = network._cached(
+            "sure_sums", lambda: _sums_from(network, None, network.true_event(), cap)
+        )
+    else:
+        sp_t, su_t = _in_range(*network._clique_tables(clique, cap)[2:])
     u_rel = su / sp
     u_norm = u_rel / (su_t / sp_t)
     p = sp / sp_t

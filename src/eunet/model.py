@@ -713,6 +713,14 @@ class ReconstructedJoint(NamedTuple):
     u: np.ndarray
 
 
+class _Clique(NamedTuple):
+    """A clique of both layers' graph: its bit mask over the axes and its
+    axes in index order."""
+
+    mask: int
+    axes: tuple[int, ...]
+
+
 class MantlePotential(NamedTuple):
     """A full-mantle ratio table: variable, conditioning names, table."""
 
@@ -743,8 +751,8 @@ class Network:
     """An immutable expected utility network.
 
     Built through :func:`build_network`.  All public reads are pure; the
-    per-layer ratio tables and the sure-event sums are computed on demand
-    and cached, so concurrent readers are safe.
+    per-layer ratio tables, the clique tables and the sure-event sums are
+    computed on demand and cached, so concurrent readers are safe.
     """
 
     def __init__(
@@ -872,6 +880,75 @@ class Network:
             "ratio_pair",
             lambda: (self.ratio_tables(PROB, state_cap), self.ratio_tables(UTIL, state_cap)),
         )
+
+    def _cliques(self) -> tuple[_Clique, ...]:
+        """The maximal cliques of both layers' graph, fewest entries first; cached.
+
+        Every factor of either layer lies in one of them, and a clique's
+        marginal tables answer every question whose axes it holds.  The
+        variables are eliminated along the reverse ordering, the last one
+        first: each one and its remaining neighbours, the below-index ones,
+        form a clique, and those neighbours are joined.  A clique is maximal
+        unless an earlier one holds it.  The family is dropped when its
+        tables together would hold at least as many entries as the joint, as
+        they do when one clique holds every variable.  Cap-free.
+        """
+
+        def build() -> tuple[_Clique, ...]:
+            shape, n = self.space.shape, len(self.space)
+            # Bit masks of each variable's below-index neighbours in either
+            # layer: the parents in its factors.
+            below = [0] * n
+            for layer in LAYERS:
+                for (v, *parents), _ in self._factors(layer):
+                    for ax in parents:
+                        below[v] |= 1 << ax
+            masks: list[int] = []
+            for v in range(n - 1, -1, -1):
+                rest = below[v]
+                mask = rest | 1 << v
+                if not any(mask & m == mask for m in masks):
+                    masks.append(mask)
+                while rest:
+                    u = rest.bit_length() - 1
+                    rest ^= 1 << u
+                    below[u] |= rest
+            sized = []
+            for mask in masks:
+                axes = tuple(ax for ax in range(n) if mask >> ax & 1)
+                sized.append((math.prod(shape[ax] for ax in axes), _Clique(mask, axes)))
+            if sum(entries for entries, _ in sized) >= math.prod(shape):
+                return ()
+            sized.sort(key=operator.itemgetter(0))
+            return tuple(clique for _, clique in sized)
+
+        return self._cached("cliques", build)
+
+    def _clique_tables(
+        self, clique: _Clique, state_cap: int
+    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The clique's marginal pair and its totals, cached.
+
+        ``tp`` sums the probability ratios, and ``tu`` the products of both
+        layers' ratios, over every variable outside the clique; their totals
+        are S_p and S_u of the sure event.  Built from the joint pair on
+        first use.  The cap is checked against the joint on every call,
+        cached or not.
+        """
+        _require_cap(self.state_count, state_cap, "enumeration over")
+
+        def build() -> tuple[np.ndarray, np.ndarray, float, float]:
+            pr, ur = self._ratio_pair(state_cap)
+            dims, axes = list(range(pr.ndim)), list(clique.axes)
+            # An overflow is left as inf for the readers to report.
+            with np.errstate(over="ignore", invalid="ignore"):
+                tp = np.einsum(pr, dims, axes)
+                tu = np.einsum(pr, dims, ur, dims, axes)
+                totals = float(tp.sum()), float(tu.sum())
+            tp.flags.writeable = tu.flags.writeable = False
+            return tp, tu, *totals
+
+        return self._cached(f"clique/{clique.mask}", build)
 
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
         """The :func:`validate_imap` report, cached at the default tolerance;

@@ -275,14 +275,14 @@ def oracle_event_sums(network: Network, member, tables=None) -> tuple[float, flo
     return sp, su
 
 
-def oracle_kept_sums(network: Network, fixed, keep) -> tuple[np.ndarray, np.ndarray]:
+def oracle_kept_sums(network: Network, fixed, keep, tables=None) -> tuple[np.ndarray, np.ndarray]:
     """Tables over the ``keep`` axes of the two ratio sums over a cylinder.
 
     ``fixed`` maps axes to value indexes; each table entry sums the states of
-    the cylinder that take that combination on the kept axes.
+    the cylinder that take that combination on the kept axes.  ``tables`` is
+    as for :func:`oracle_event_sums`.
     """
-    pr = oracle_ratio_table(network, PROB)
-    ur = oracle_ratio_table(network, UTIL)
+    pr, ur = tables or (oracle_ratio_table(network, PROB), oracle_ratio_table(network, UTIL))
     shape = tuple(network.space.shape[ax] for ax in keep)
     sp, su = np.zeros(shape), np.zeros(shape)
     for values in itertools.product(*(range(s.size) for s in network.space.specs)):

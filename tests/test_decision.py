@@ -491,17 +491,21 @@ def test_tie_tolerance_is_strict_enough():
 # -- one-pass decision tables ---------------------------------------------------
 
 
-def oracle_decision(net, dvars, member):
-    """Tie set and best EU from brute-force sums, one oracle query per candidate."""
+def oracle_decision(net, dvars, member, tables=None):
+    """Tie set and best EU from brute-force sums, one oracle query per candidate.
+
+    ``tables`` is as for ``helpers.oracle_event_sums``.
+    """
     space = net.space
     axes = [space.index(n) for n in dvars]
-    sp_e, su_e = helpers.oracle_event_sums(net, member)
+    tables = tables or (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+    sp_e, su_e = helpers.oracle_event_sums(net, member, tables)
     scored = []
     for combo in itertools.product(*(range(space.shape[a]) for a in axes)):
         def meets(values, combo=combo):
             return member(values) and all(values[a] == v for a, v in zip(axes, combo))
 
-        sp, su = helpers.oracle_event_sums(net, meets)
+        sp, su = helpers.oracle_event_sums(net, meets, tables)
         if sp > 0.0:
             scored.append((combo, (su / sp) / (su_e / sp_e)))
     best = max(eu for _, eu in scored)
@@ -676,3 +680,89 @@ def test_tie_sets_match_the_oracle_on_every_layout(layout):
     got = optimal_decision(DecisionProblem(net, dvars, net.cylinder(evidence)))
     assert got.argmax == want_ties
     assert got.eu == pytest.approx(want_eu, rel=1e-12)
+
+
+# -- decisions on clique tables ----------------------------------------------------
+
+
+def test_clique_routed_decisions_match_the_oracle_on_random_networks():
+    from eunet.inference import _clique_of
+
+    rng = np.random.default_rng(41)
+    routed = spanning = 0
+    for _ in range(200):
+        net = helpers.random_network(
+            rng,
+            n_vars=int(rng.integers(4, 7)),
+            domain_sizes=(2, 3),
+            arc_prob=float(rng.uniform(0.15, 0.5)),
+            random_references=True,
+        )
+        family = net._cliques()
+        # decisions and evidence inside a random clique, or on random axes
+        if family and rng.random() < 0.75:
+            axes = [int(a) for a in rng.permutation(family[int(rng.integers(len(family)))].axes)]
+        else:
+            axes = [int(a) for a in rng.permutation(len(net.space))]
+        n_dec = int(rng.integers(1, min(3, len(axes)) + 1))
+        dvars = tuple(net.space.names[a] for a in sorted(axes[:n_dec]))
+        fixed = {a: int(rng.integers(net.space.shape[a])) for a in axes[n_dec:n_dec + 2]}
+        evidence = Event(net.space, partial=fixed)
+        problem = DecisionProblem(net, dvars, evidence)
+        d_axes = [net.space.index(n) for n in dvars]
+        if _clique_of(net, evidence, d_axes) is None:
+            spanning += 1
+        else:
+            routed += 1
+        member = helpers.cylinder_member(net, evidence.fixed_variables())
+        want_ties, want_eu = oracle_decision(net, dvars, member)
+        got = optimal_decision(problem)
+        assert got.argmax == want_ties
+        assert got.eu == pytest.approx(want_eu, rel=1e-12)
+    assert routed >= 100 and spanning >= 30
+
+
+def auction_enumerated_ties(resolution, epsilon, opponent):
+    """Best bids for each value index by enumeration over the auction's
+    factors (``auction_joint_factors``) and its win utilities."""
+    g = resolution + 1
+    factors = auction_joint_factors(resolution, epsilon, opponent)
+    (_, opp), (_, alloc) = factors[3], factors[4]
+    # u(v, a): winning at price m is worth (1 + v) / (1 + m); losing is worth 1
+    util = np.ones((g, 2 * g))
+    for v, m in itertools.product(range(g), repeat=2):
+        util[v, g + m] = (1.0 + v / resolution) / (1.0 + m / resolution)
+    # The uniform V, B and S factors cancel from every conditional, and S
+    # and C enter only through the opponent's table: p(b, a) sums
+    # opp[s, c] alloc[b, c, a] over s and c.
+    opp_c = [sum(float(opp[s, c]) for s in range(g)) for c in range(g)]
+    p_ba = [
+        [sum(opp_c[c] * float(alloc[b, c, a]) for c in range(g)) for a in range(2 * g)]
+        for b in range(g)
+    ]
+    out = []
+    for v in range(g):
+        sp = [sum(row) for row in p_ba]
+        su = [sum(p * float(util[v, a]) for a, p in enumerate(row)) for row in p_ba]
+        eu = [(su[b] / sp[b]) / (sum(su) / sum(sp)) for b in range(g)]
+        best = max(eu)
+        out.append(tuple(b for b in range(g) if eu[b] >= best * (1.0 - TIE_TOLERANCE)))
+    return out
+
+
+@pytest.mark.parametrize("resolution", range(4, 13))
+def test_auction_tie_sets_match_enumeration(resolution):
+    from eunet.inference import _clique_of
+
+    g = resolution + 1
+    rng = np.random.default_rng(200 + resolution)
+    opponent = rng.uniform(0.2, 1.0, (g, g))
+    opponent /= opponent.sum(axis=1, keepdims=True)
+    for epsilon in (1e-6, 1e-9):
+        model = build_vickrey_auction(resolution, epsilon, opponent)
+        problem = model.decision_problem(0.0)
+        assert _clique_of(model.network, problem.evidence, [1]) is not None
+        want = auction_enumerated_ties(resolution, epsilon, opponent)
+        for v, label in enumerate(model.grid):
+            got = auction_best_response(model, label)
+            assert got == tuple(model.grid[b] for b in want[v]), (epsilon, label)

@@ -1,6 +1,8 @@
 """Event measures: marginals, conditionals, the value measure, Bayes forms,
 and the separation-enabled local shortcut."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from eunet import (
     PROB,
     UTIL,
     STATE_CAP_ENV,
+    DecisionProblem,
     EmptyEventError,
     Event,
     Network,
@@ -26,12 +29,13 @@ from eunet import (
     local_conditional_eu,
     marginal_p_ratio,
     marginal_u_ratio,
+    optimal_decision,
     reconstruct_joint,
     utility_bayes,
     validate_imap,
     value,
 )
-from eunet.inference import _event_sums
+from eunet.inference import _clique_of, _event_sums, _sums_from
 from test_model import adversarial_net
 
 
@@ -144,17 +148,46 @@ def test_empty_event_rejected(hw1):
         event_utility(hw1, empty)
 
 
-def test_cap_holds_on_cached_reads(chain_net):
-    e = chain_net.cylinder({"X1": "1"})
-    event_utility(chain_net, e)  # caches both ratio tables and the sure-event sums
-    below = chain_net.state_count - 1
-    with pytest.raises(StateCapError):
-        event_utility(chain_net, e, state_cap=below)
-    with pytest.raises(StateCapError):
-        conditional_event_utility(chain_net, e, chain_net.true_event(), state_cap=below)
-    for layer in (PROB, UTIL):
+def clique_chain_net():
+    """X1 - X2 - X3 - X4 in both layers with domains of 2, 3, 2 and 3 values:
+    three pair cliques of 6 entries each against 36 states."""
+    names = ("X1", "X2", "X3", "X4")
+    return helpers.chain_net(3, dict(zip(names, (2, 3, 2, 3))), names)
+
+
+def test_cap_holds_on_cached_reads(chain_net, monkeypatch):
+    # chain_net's cliques hold 8 entries, as many as its joint, so it reads
+    # the joint; clique_chain_net reads cached clique tables.
+    routed = clique_chain_net()
+    for net in (chain_net, routed):
+        e = net.cylinder({"X1": "1"})
+        f = net.cylinder({"X2": "1"})
+        problem = DecisionProblem(net, ("X2",), e)
+        # caches both ratio tables, the clique tables and the sure-event sums
+        event_utility(net, e)
+        conditional_event_utility(net, e, f)
+        optimal_decision(problem)
+        assert (_clique_of(net, e & f) is not None) == (net is routed)
+        below = net.state_count - 1
         with pytest.raises(StateCapError):
-            chain_net.ratio_tables(layer, below)
+            event_utility(net, e, state_cap=below)
+        with pytest.raises(StateCapError):
+            conditional_event_utility(net, e, net.true_event(), state_cap=below)
+        with pytest.raises(StateCapError):
+            conditional_probability(net, e, f, state_cap=below)
+        with pytest.raises(StateCapError):
+            optimal_decision(problem, state_cap=below)
+        for layer in (PROB, UTIL):
+            with pytest.raises(StateCapError):
+                net.ratio_tables(layer, below)
+        with monkeypatch.context() as m:
+            m.setenv(STATE_CAP_ENV, str(below))
+            with pytest.raises(StateCapError):
+                event_utility(net, e)
+            with pytest.raises(StateCapError):
+                value(net, e, f)
+            with pytest.raises(StateCapError):
+                optimal_decision(problem)
 
 
 # -- conditionals ------------------------------------------------------------------
@@ -419,15 +452,17 @@ def test_cylinder_sums_match_the_oracle_on_every_layout(layout):
     fixed, keep = SUM_LAYOUTS[layout]
     event = Event(net.space, partial=fixed)
     want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep)
-    got = _event_sums(net, event, 10**6, keep=keep)
-    if not keep:
-        assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
-        return
-    sp, su, member = got
-    assert sp.shape == su.shape == member.shape == want_sp.shape
-    assert member.all()
-    np.testing.assert_allclose(sp, want_sp, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(su, want_su, rtol=1e-12, atol=0.0)
+    # The route of _event_sums, and the joint slice every layout can take.
+    for clique in (_clique_of(net, event, keep), None):
+        got = _sums_from(net, clique, event, 10**6, keep)
+        if not keep:
+            assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
+            continue
+        sp, su, member = got
+        assert sp.shape == su.shape == member.shape == want_sp.shape
+        assert member.all()
+        np.testing.assert_allclose(sp, want_sp, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(su, want_su, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("fixed", [{0: 1}, {7: 0}])
@@ -435,14 +470,18 @@ def test_event_sum_makes_no_slice_sized_temporary(fixed):
     net = helpers.random_network(np.random.default_rng(5), n_vars=16, arc_prob=0.15)
     table = net.ratio_tables(PROB)
     event = Event(net.space, partial=fixed)
-    _event_sums(net, event, 10**6)  # both tables built and cached
-    tracemalloc.start()
-    try:
-        _event_sums(net, event, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < table.nbytes / 4
+    # Both questions fit a clique: read its tables, then slice the joint.
+    clique = _clique_of(net, event)
+    assert clique is not None
+    for route in (clique, None):
+        _sums_from(net, route, event, 10**6)  # the tables built and cached
+        tracemalloc.start()
+        try:
+            _sums_from(net, route, event, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes / 4
 
 
 # -- cylinder met with a state set ------------------------------------------------
@@ -493,3 +532,200 @@ def test_imap_readers_raise_on_an_overflowing_table():
     for read in readers:
         with pytest.raises(NumericRangeError, match="window of 'A' holds an inf or 0 entry"):
             read(net)
+
+
+# -- clique tables ----------------------------------------------------------------
+
+
+def random_clique_nets(seed, count):
+    """``count`` random networks of 4 to 6 variables with mixed domains and
+    random references; some have a clique family, some only the joint."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng, helpers.random_network(
+            rng,
+            n_vars=int(rng.integers(4, 7)),
+            domain_sizes=(2, 3),
+            arc_prob=float(rng.uniform(0.15, 0.6)),
+            random_references=True,
+        )
+
+
+def test_clique_family_is_the_clique_set_of_a_chordal_cover():
+    import networkx as nx
+
+    seen_empty = seen_full = 0
+    for _, net in random_clique_nets(11, 120):
+        family = net._cliques()
+        if not family:
+            seen_empty += 1
+            continue
+        seen_full += 1
+        cover = nx.Graph()
+        cover.add_nodes_from(range(len(net.space)))
+        for clique in family:
+            assert clique.axes == tuple(sorted(clique.axes))
+            assert clique.mask == sum(1 << ax for ax in clique.axes)
+            cover.add_edges_from(itertools.combinations(clique.axes, 2))
+        # every arc of either layer lies in a clique, the cover is chordal,
+        # and the family is exactly its set of maximal cliques
+        index = net.space.index
+        for x, y in (*net.graph.prob_arcs, *net.graph.util_arcs):
+            assert cover.has_edge(index(x), index(y))
+        assert nx.is_chordal(cover)
+        assert {frozenset(c) for c in nx.find_cliques(cover)} == {
+            frozenset(c.axes) for c in family
+        }
+        entries = [math.prod(net.space.shape[ax] for ax in c.axes) for c in family]
+        assert entries == sorted(entries)
+        assert sum(entries) < net.state_count
+    assert seen_empty and seen_full
+
+
+def test_networks_without_a_clique_family_read_the_joint(rng):
+    # a complete graph, whose only clique is the whole space
+    dense = helpers.random_network(rng, n_vars=5, domain_sizes=(2, 3), arc_prob=1.0)
+    # a chain whose pair cliques hold as many entries as the joint
+    chain = helpers.binary_chain_net()
+    for net in (dense, chain):
+        assert net._cliques() == ()
+        e = net.cylinder({net.space.names[0]: "1"})
+        assert _clique_of(net, e) is None
+        sp, su = helpers.oracle_event_sums(net, helpers.cylinder_member(net, e.fixed_variables()))
+        assert _event_sums(net, e, 10**6) == pytest.approx((sp, su), rel=1e-12)
+
+
+def test_clique_route_matches_the_oracle_on_random_networks():
+    """Event sums, kept tables and measures, on 200 random networks, for
+    questions that fit a clique and questions that span cliques."""
+    fitted = spanning = 0
+    for rng, net in random_clique_nets(12, 200):
+        n = len(net.space)
+        shape = net.space.shape
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        sure = helpers.oracle_event_sums(net, lambda v: True, tables)
+        family = net._cliques()
+        questions = []
+        if family:
+            # a question inside a random clique: some axes fixed, some kept
+            axes = list(family[int(rng.integers(len(family)))].axes)
+            rng.shuffle(axes)
+            k = int(rng.integers(0, len(axes) + 1))
+            questions.append((axes[:k], sorted(axes[k:][: int(rng.integers(0, 3))])))
+        # a question on random axes, which may span cliques
+        axes = [int(a) for a in rng.permutation(n)]
+        questions.append((axes[:2], sorted(axes[2:3])))
+        for fixed_axes, keep in questions:
+            fixed = {ax: int(rng.integers(shape[ax])) for ax in fixed_axes}
+            event = Event(net.space, partial=fixed)
+            routed = _clique_of(net, event, keep) is not None
+            fitted += routed
+            spanning += not routed
+            want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
+            got = _event_sums(net, event, 10**6, keep=keep)
+            if keep:
+                assert got[2].all()
+            sp, su = got[:2]
+            np.testing.assert_allclose(sp, want_sp, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(su, want_su, rtol=1e-12, atol=0.0)
+            # the measures of the event, and of it given its first fixed axis
+            sp, su = float(want_sp.sum()), float(want_su.sum())
+            got = event_utility(net, event)
+            assert got.p == pytest.approx(sp / sure[0], rel=1e-12)
+            assert got.u_rel == pytest.approx(su / sp, rel=1e-12)
+            assert got.v == pytest.approx(su / sure[1], rel=1e-12)
+            if fixed:
+                first = dict(list(fixed.items())[:1])
+                f_sp, f_su = helpers.oracle_event_sums(
+                    net, lambda v: all(v[a] == x for a, x in first.items()), tables
+                )
+                f = Event(net.space, partial=first)
+                assert conditional_probability(net, event, f) == pytest.approx(
+                    sp / f_sp, rel=1e-12
+                )
+                assert conditional_event_utility(net, event, f) == pytest.approx(
+                    (su / sp) / (f_su / f_sp), rel=1e-12
+                )
+    assert fitted >= 150 and spanning >= 50
+
+
+def test_one_question_gives_bit_identical_answers_whatever_was_cached():
+    from eunet import parse_network, serialize_network
+
+    names = [f"X{i}" for i in range(1, 10)]
+    sizes = dict(zip(names, (2, 3, 2, 2, 3, 2, 2, 3, 2)))
+    doc = serialize_network(helpers.chain_net(31, sizes, names))
+    fresh = parse_network(doc)
+
+    def ask(net):
+        e, f = net.cylinder({"X4": "1"}), net.cylinder({"X5": "2"})
+        spans = net.cylinder({"X1": "1", "X9": "0"})
+        return (
+            event_utility(net, e),
+            event_utility(net, spans),
+            conditional_event_utility(net, e, f),
+            conditional_probability(net, e, f),
+            value(net, e, f),
+            value(net, spans, f),
+            optimal_decision(DecisionProblem(net, ("X6",), f)),
+            optimal_decision(DecisionProblem(net, ("X2", "X8"), f)),
+        )
+
+    want = ask(fresh)
+    assert _clique_of(fresh, fresh.cylinder({"X4": "1", "X5": "2"})) is not None
+    assert ask(fresh) == want  # a repeat call
+    warmed = parse_network(doc)
+    warmed.ratio_tables(PROB)
+    warmed.ratio_tables(UTIL)
+    assert ask(warmed) == want  # after ratio_tables warm-up
+    # after other questions built other clique tables and the sure sums
+    busy = parse_network(doc)
+    for name in reversed(names):
+        event_utility(busy, busy.cylinder({name: "1"}))
+    assert ask(busy) == want
+    assert ask(parse_network(doc)) == want  # a second parse of the document
+
+
+def test_overflowing_networks_raise_on_the_clique_route():
+    net = helpers.extreme_ratio_net()
+    a = net.cylinder({"A": "1"})
+    assert _clique_of(net, a) is not None
+    with pytest.raises(NumericRangeError, match="float range"):
+        event_utility(net, a)
+    with pytest.raises(NumericRangeError, match="float range"):
+        conditional_event_utility(net, a, net.cylinder({"A": "1"}))
+    with pytest.raises(NumericRangeError):
+        optimal_decision(DecisionProblem(net, ("B",), a))
+    # overflow_window_net overflows in a window, not in the joint; its one
+    # clique holds every variable, so it reads the joint and answers
+    net = helpers.overflow_window_net()
+    assert net._cliques() == ()
+    assert event_utility(net, net.true_event()).p == 1.0
+    with pytest.raises(NumericRangeError, match="inf or 0 entry"):
+        validate_imap(net)
+
+
+def test_state_sets_and_eu_independent_events_read_the_joint(monkeypatch):
+    from eunet import eu_independent_events
+
+    net = clique_chain_net()
+    states = Event.from_assignments(
+        net.space,
+        [{"X1": "1", "X2": "0", "X3": "1", "X4": "2"}, {"X1": "0", "X2": "2", "X3": "1", "X4": "0"}],
+    )
+    e, f, g = (net.cylinder({n: "1"}) for n in ("X1", "X2", "X3"))
+    assert _clique_of(net, e) is not None
+
+    def refuse(*args):
+        raise AssertionError("a clique table was read")
+
+    monkeypatch.setattr(Network, "_clique_tables", refuse)
+    sp, su = helpers.oracle_event_sums(net, lambda v: tuple(v) in states.states())
+    sp_t, su_t = helpers.oracle_event_sums(net, lambda v: True)
+    assert event_utility(net, states).v == pytest.approx(su / su_t, rel=1e-12)
+    assert value(net, states, net.true_event()) == pytest.approx(su / su_t, rel=1e-12)
+    optimal_decision(DecisionProblem(net, ("X2",), states | e))
+    eu_independent_events(net, e, f, g)
+    eu_independent_events(net, e, states | f, g)
+    with pytest.raises(AssertionError, match="clique table"):
+        event_utility(net, e)

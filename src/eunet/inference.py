@@ -14,7 +14,8 @@ v(E|F) = v(EF)/v(F) = u(E|F) p(E|F).  All of it is exact enumeration over
 the cached ratio tables, with cylinder events hitting a slicing fast path.
 A cylinder question whose fixed and kept axes share a clique of both
 layers' graph sums a slice of that clique's marginal tables instead, which
-hold the joint's sums over every other variable.
+hold the joint's sums over every other variable.  The separator shortcut
+(local_conditional_eu) reads two windows off the factors, never the joint.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .model import (
     SeparationError,
     ValidationError,
     _Clique,
+    _ratio_window,
+    _require_cap,
     resolve_state_cap,
 )
 
@@ -441,17 +444,19 @@ def local_conditional_eu(
     where w and q are the two layers' ratio tables over the B block given
     the A block (everything else pinned at reference, which the separation
     makes irrelevant), and p(b|a) is q(b|a) renormalised over the B block.
-    The enumeration runs over the B block only; the cached mantle check
-    (``imap_report``) reads windows off the factors, not the joint.
+    Both tables, and the cached mantle check (``imap_report``), are windows
+    read off the factors under the state cap, not the joint; a window or an
+    answer that leaves float range raises NumericRangeError.
     """
-    b_idx = network.space.partial_indexes(b)
-    a_idx = network.space.partial_indexes(a)
+    space = network.space
+    b_idx = space.partial_indexes(b)
+    a_idx = space.partial_indexes(a)
     if set(b_idx) & set(a_idx):
         raise ValidationError("the b and a assignments must not share variables")
     if not b_idx:
         raise ValidationError("the b assignment must be non-empty")
 
-    names = network.space.names
+    names = space.names
     b_vars = {names[i] for i in b_idx}
     a_vars = {names[i] for i in a_idx}
     rest = set(names) - b_vars - a_vars
@@ -464,38 +469,19 @@ def local_conditional_eu(
                     f"the conditioning variables do not separate the target block "
                     f"from the rest in the {layer} layer"
                 )
-    report = network.imap_report(state_cap=state_cap)
-    if not report.ok:
+    b_axes = sorted(b_idx)
+    _require_cap(math.prod(space.shape[ax] for ax in b_axes), state_cap, "a window over")
+    if not network.imap_report(state_cap=state_cap).ok:
         raise SeparationError(
             "network fails the mantle-consistency check, the local shortcut is undefined on it"
         )
 
-    # Chain products restricted to the A and B blocks.  Variables outside the
-    # two blocks sit at their reference values, where their own factors are
-    # exactly 1, so they never need touching.
-    local = sorted(set(b_idx) | set(a_idx))
-    log_pots = {layer: network._log_potentials(layer) for layer in (PROB, UTIL)}
-    refs = network.space.reference_indexes
-
-    def block_ratio(layer: str, values: dict[int, int]) -> float:
-        total = 0.0
-        for i in local:
-            axes, logt = log_pots[layer][i]
-            total += float(logt[tuple(values.get(ax, refs[ax]) for ax in axes)])
-        return math.exp(total)
-
-    b_axes = sorted(b_idx)
-    target = tuple(b_idx[ax] for ax in b_axes)
-    w_by_combo: dict[tuple[int, ...], float] = {}
-    q_by_combo: dict[tuple[int, ...], float] = {}
-    for combo in itertools.product(*(range(network.space.shape[ax]) for ax in b_axes)):
-        values = dict(a_idx)
-        values.update(zip(b_axes, combo))
-        w_by_combo[combo] = block_ratio(UTIL, values)
-        q_by_combo[combo] = block_ratio(PROB, values)
-
-    q_total = sum(q_by_combo.values())
-    denom = sum(
-        w_by_combo[c] * q_by_combo[c] / q_total for c in w_by_combo
-    )
-    return w_by_combo[target] / denom
+    # Both windows move the B block, with A at its values and the rest at reference.
+    base = [a_idx.get(ax, ref) for ax, ref in enumerate(space.reference_indexes)]
+    factors = network._factors
+    w, q = (_ratio_window(factors(layer), space, b_axes, b_axes, base) for layer in (UTIL, PROB))
+    with np.errstate(all="ignore"):  # reported just below
+        out = float(w[tuple(b_idx[ax] for ax in b_axes)] / np.vdot(w, q / q.sum()))
+    if not 0.0 < out < math.inf:
+        raise NumericRangeError(f"u(b | a) = {out!r} leaves float range on this network")
+    return out

@@ -1067,14 +1067,20 @@ def joint_ratio(network: Network, layer: str, x: Assignment | Mapping[str, str])
     the ordering: each factor reads the variable's value, its below-index
     neighbours at their values in ``x``, and leaves every above-index
     neighbour implicitly at its reference value.  The product is accumulated
-    in log space, left to right.
+    in log space, left to right; a ratio that over- or underflows raises
+    NumericRangeError.
     """
     _check_layer(layer)
     values = _as_values(network, x)
     total = 0.0
     for axes, logt in network._log_potentials(layer):
         total += float(logt[tuple(values[a] for a in axes)])
-    return math.exp(total)
+    with np.errstate(over="ignore"):  # reported just below
+        out = float(np.exp(total))
+    if not 0.0 < out < math.inf:
+        state = {s.name: s.domain[v] for s, v in zip(network.space.specs, values)}
+        raise NumericRangeError(f"the {layer} joint ratio at {state} leaves float range")
+    return out
 
 
 def _require_in_range(table: np.ndarray, what: str) -> None:
@@ -1119,23 +1125,30 @@ def ratio_spread(
 
 
 def _ratio_window(
-    factors: Sequence[tuple[tuple[int, ...], np.ndarray]], space: Space, i: int, kept: list[int]
+    factors: Sequence[tuple[tuple[int, ...], np.ndarray]], space: Space,
+    moved: list[int], kept: list[int], base: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Variable i's ratio over the ``kept`` axes (i first), read off its factors:
-    the product over the ``(axes, positive table)`` factors that mention i of
-    f(kept axes, rest at reference) / f(the same, x_i at reference).  The
-    other factors cancel from the ratio.  Checked for float range."""
+    """The ratio over the ``kept`` axes, whose leading axes are ``moved``, read
+    off the ``(axes, positive table)`` factors: the product over the factors
+    that mention a moved axis of f(kept axes, the rest at ``base``) / f(the
+    same, the moved axes at reference).  ``base`` holds a value index per
+    axis, the reference state by default.  The other factors cancel from the
+    ratio.  Checked for float range."""
     refs = space.reference_indexes
+    base = refs if base is None else base
     ratio = np.ones(tuple(space.shape[a] for a in kept))
-    for axes, table in (f for f in factors if i in f[0]):
-        sub = table[tuple(slice(None) if a in kept else refs[a] for a in axes)]
+    moved_set = set(moved)
+    for axes, table in (f for f in factors if not moved_set.isdisjoint(f[0])):
+        sub = table[tuple(slice(None) if a in kept else base[a] for a in axes)]
         here = [a for a in axes if a in kept]
         # In ``kept`` order, with length-1 axes for the kept axes the factor lacks.
         sub = sub.transpose(sorted(range(len(here)), key=lambda k: kept.index(here[k])))
         sub = sub.reshape([space.shape[a] if a in here else 1 for a in kept])
+        at_ref = tuple(refs[a] if a in here else 0 for a in moved)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            ratio *= sub / sub[refs[i]]
-    _require_in_range(ratio, f"the ratio window of {space.names[i]!r}")
+            ratio *= sub / sub[at_ref]
+    names = ", ".join(repr(space.names[a]) for a in moved)
+    _require_in_range(ratio, f"the ratio window of {names}")
     return ratio
 
 
@@ -1178,7 +1191,7 @@ def full_mantle_potential(
     kept, free = _mantle_window(network, layer, i)
     _require_cap(math.prod(network.space.shape[a] for a in kept), state_cap, "a window over")
     refs = network.space.reference_indexes
-    ratio = _ratio_window(network._factors(layer), network.space, i, kept)
+    ratio = _ratio_window(network._factors(layer), network.space, [i], kept)
     deviation = float(ratio_spread(ratio, {0: refs[i]}, free)[1].max()) if free else 0.0
     if strict and deviation > tolerance:
         raise ValidationError(
@@ -1214,7 +1227,7 @@ def validate_imap(
     space = network.space
     violations = []
     for layer, i, kept, free in windows:
-        ratio = _ratio_window(network._factors(layer), space, i, kept)
+        ratio = _ratio_window(network._factors(layer), space, [i], kept)
         rel = ratio_spread(ratio, {0: space.reference_indexes[i]}, free)[1]
         deviation = float(rel.max())
         if deviation > tolerance:
@@ -1239,7 +1252,7 @@ def _factor_potentials(
     out = []
     for i, name in enumerate(space.names):
         parents = graph.below_neighbors(layer, name, space.names)
-        ratio = _ratio_window(factors, space, i, [i] + [space.index(p) for p in parents])
+        ratio = _ratio_window(factors, space, [i], [i] + [space.index(p) for p in parents])
         ref = space.reference_indexes[i]
         out.append(RestrictedPotential(name, layer, parents, ratio, reference_index=ref))
     return out

@@ -352,6 +352,92 @@ def test_local_shortcut_answers_above_the_cap():
     assert local_conditional_eu(net, {"X10": "1"}, a) == pytest.approx(want, rel=1e-12)
 
 
+def _oracle_conditional_eu(net, b, a, tables):
+    """u(b | a) from the oracle's cylinder sums over the full tables."""
+    sp_ab, su_ab = helpers.oracle_event_sums(net, helpers.cylinder_member(net, b | a), tables)
+    sp_a, su_a = helpers.oracle_event_sums(net, helpers.cylinder_member(net, a), tables)
+    return (su_ab / sp_ab) / (su_a / sp_a)
+
+
+def test_local_shortcut_agrees_on_random_separated_blocks():
+    # B is a block of one to three variables and A its mantle in both
+    # layers, sometimes with one more variable: A separates B from the rest.
+    rng = np.random.default_rng(2026_10)
+    configs = 0
+    while configs < 240:
+        net = helpers.random_network(
+            rng, n_vars=6, domain_sizes=(2, 3), arc_prob=0.3, random_references=True
+        )
+        names = net.ordering
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        for _ in range(6):
+            size = int(rng.integers(1, 4))
+            b_vars = [str(v) for v in rng.choice(names, size=size, replace=False)]
+            mantles = (net.mantle(layer, v) for layer in (PROB, UTIL) for v in b_vars)
+            a_vars = set().union(*mantles) - set(b_vars)
+            rest = sorted(set(names) - a_vars - set(b_vars))
+            if rest and rng.random() < 0.3:
+                a_vars.add(str(rng.choice(rest)))
+            b = {v: str(rng.choice(net.space.spec(v).domain)) for v in b_vars}
+            a = {v: str(rng.choice(net.space.spec(v).domain)) for v in sorted(a_vars)}
+            got = local_conditional_eu(net, b, a)
+            general = conditional_event_utility(net, net.cylinder(b), net.cylinder(a))
+            assert got == pytest.approx(general, rel=1e-12)
+            assert got == pytest.approx(_oracle_conditional_eu(net, b, a, tables), rel=1e-12)
+            configs += 1
+
+
+def test_local_shortcut_in_float_range_on_extreme_ratios():
+    net = helpers.extreme_ratio_net()
+    # The window over (A, B) holds 1e400, so no finite answer is read.
+    with pytest.raises(NumericRangeError, match="'A', 'B' holds an inf"):
+        local_conditional_eu(net, {"A": "1", "B": "1"}, {})
+    assert local_conditional_eu(net, {"C": "1"}, {"A": "1", "B": "1"}) == 1.0
+    # No variable has a utility, so every answer read is exactly 1.
+    names = net.ordering
+    for k in range(1, 4):
+        for b_vars in itertools.combinations(names, k):
+            others = [n for n in names if n not in b_vars]
+            for a_vars in itertools.chain.from_iterable(
+                itertools.combinations(others, j) for j in range(len(others) + 1)
+            ):
+                for values in itertools.product("01", repeat=k + len(a_vars)):
+                    b = dict(zip(b_vars, values))
+                    a = dict(zip(a_vars, values[k:]))
+                    try:
+                        got = local_conditional_eu(net, b, a)
+                    except NumericRangeError:
+                        continue
+                    assert got == 1.0
+
+
+def test_local_shortcut_in_float_range_where_the_joint_overflows():
+    # w(X=1) = 3e300 and w(Y=1) = 1e300: the joint utility ratio at
+    # X=1, Y=1 overflows, yet u(X=0 | Y=1) = 1 / (1 + 3e300 * 1e-300) = 1/4.
+    net = helpers.net_of(
+        {"X": ("0", "1"), "Y": ("0", "1")},
+        q={"X": {("1",): 1e-300}},
+        w={"X": {("1",): 3e300}, "Y": {("1",): 1e300}},
+    )
+    assert local_conditional_eu(net, {"X": "0"}, {"Y": "1"}) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_local_shortcut_block_respects_the_state_cap():
+    # Four free binary variables: no audit window at all, an 8-state B block.
+    net = helpers.net_of(
+        {n: ("0", "1") for n in ("X1", "X2", "X3", "X4")},
+        q={n: {("1",): 2.0} for n in ("X1", "X2", "X3")},
+        w={"X1": {("1",): 3.0}},
+    )
+    assert net.imap_report(state_cap=4).ok
+    b = {"X1": "1", "X2": "0", "X3": "1"}
+    with pytest.raises(StateCapError):
+        local_conditional_eu(net, b, {"X4": "0"}, state_cap=4)
+    want = conditional_event_utility(net, net.cylinder(b), net.cylinder({"X4": "0"}))
+    got = local_conditional_eu(net, b, {"X4": "0"}, state_cap=8)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_local_shortcut_refuses_unseparated_blocks():
     net = double_chain_net()
     with pytest.raises(SeparationError, match="does not separate|do not separate"):

@@ -314,6 +314,19 @@ def test_joint_ratio_agrees_with_full_table(rng):
         assert joint_ratio(net, PROB, x) == pytest.approx(table[values], rel=1e-12)
 
 
+def test_joint_ratio_out_of_float_range_raises_numeric_range_error():
+    net = helpers.extreme_ratio_net()
+    # 1e200 * 1e200 = 1e400 overflows; 1e200 * 1e-300 does not.
+    with pytest.raises(NumericRangeError, match="float range"):
+        joint_ratio(net, PROB, {"A": "1", "B": "1", "C": "0"})
+    assert joint_ratio(net, PROB, {"A": "1", "B": "0", "C": "1"}) == pytest.approx(1e-100)
+    tiny = helpers.net_of(
+        {"A": ("0", "1"), "B": ("0", "1")}, q={"A": {("1",): 1e-300}, "B": {("1",): 1e-300}}
+    )
+    with pytest.raises(NumericRangeError, match="float range"):
+        joint_ratio(tiny, PROB, {"A": "1", "B": "1"})
+
+
 def test_round_trip_through_derived_potentials(rng):
     net = helpers.random_network(rng, n_vars=4, domain_sizes=(2, 3))
     for layer in (PROB, UTIL):

@@ -14,8 +14,10 @@ v(E|F) = v(EF)/v(F) = u(E|F) p(E|F).  All of it is exact enumeration over
 the cached ratio tables, with cylinder events hitting a slicing fast path.
 A cylinder question whose fixed and kept axes share a clique of both
 layers' graph sums a slice of that clique's marginal tables instead, which
-hold the joint's sums over every other variable.  The separator shortcut
-(local_conditional_eu) reads two windows off the factors, never the joint.
+hold the joint's sums over every other variable and are summed from the
+factors by bucket elimination, so such a question never builds the joint.
+The separator shortcut (local_conditional_eu) reads two windows off the
+factors, never the joint.
 """
 
 from __future__ import annotations

@@ -721,6 +721,58 @@ class _Clique(NamedTuple):
     axes: tuple[int, ...]
 
 
+class _Bucket(NamedTuple):
+    """One step of bucket elimination: the bit masks of the axes its
+    operands span and of the variables it sums out, and its operands,
+    indexes into the terms followed by the earlier buckets' results."""
+
+    scope: int
+    summed: int
+    operands: tuple[int, ...]
+
+
+def _eliminate(
+    tables: Sequence[np.ndarray], buckets: Sequence[_Bucket], shape: Sequence[int], log: bool
+) -> np.ndarray:
+    """Run ``buckets`` over the term tables of :meth:`Network._terms`: the
+    sums of their product, both halves, over the variables the last bucket
+    keeps, in the terms' layout; with ``log``, the tables hold logs, and so
+    does the result.
+
+    A bucket multiplies its operands and sums out its summed axes; in log
+    space it adds them and takes the log of their exp summed, each sum
+    against the largest entry it adds up, so no exp over- or underflows
+    where the result is in range.  A variable that no bucket sums out and
+    the last bucket does not keep counts its domain size.
+    """
+    combine = np.add if log else np.multiply
+    values = list(tables)
+    *steps, root = buckets
+    done = root.scope
+    for _, summed, operands in steps:
+        done |= summed
+        total = values[operands[0]]
+        for i in operands[1:]:
+            total = combine(total, values[i])
+        axes = []
+        while summed:
+            low = summed & -summed
+            axes.append(low.bit_length())  # the axis's position after the halves' axis
+            summed ^= low
+        if log:
+            top = np.maximum.reduce(total, tuple(axes), keepdims=True)
+            total = np.log(np.add.reduce(np.exp(total - top), tuple(axes), keepdims=True)) + top
+        else:
+            total = np.add.reduce(total, tuple(axes), keepdims=True)
+        values.append(total)
+    count = math.prod(n for ax, n in enumerate(shape) if not done >> ax & 1)
+    kept = [n if root.scope >> ax & 1 else 1 for ax, n in enumerate(shape)]
+    out = np.full((2, *kept), math.log(count) if log else float(count))
+    for i in root.operands:
+        combine(out, values[i], out=out)
+    return out
+
+
 class MantlePotential(NamedTuple):
     """A full-mantle ratio table: variable, conditioning names, table."""
 
@@ -752,7 +804,9 @@ class Network:
 
     Built through :func:`build_network`.  All public reads are pure; the
     per-layer ratio tables, the clique tables and the sure-event sums are
-    computed on demand and cached, so concurrent readers are safe.
+    computed on demand and cached, so concurrent readers are safe.  A
+    clique table is summed from the factors, never from the joint tables,
+    which only questions that span cliques build.
     """
 
     def __init__(
@@ -924,6 +978,106 @@ class Network:
 
         return self._cached("cliques", build)
 
+    def _terms(self) -> tuple[list[int], list[np.ndarray]]:
+        """Both layers' ratio tables as elimination terms, identity tables
+        left out: each term's axes as a bit mask, and its table; cached.
+        Cap-free.
+
+        A term's table has an axis for the p half and the p * u half, then
+        one axis per variable of the space in index order, of length 1 for
+        a variable it lacks.  A probability table counts in both halves (its
+        first axis has length 1), a utility table only in the p * u half:
+        its p half is a table of ones.
+        """
+
+        def build() -> tuple[list[int], list[np.ndarray]]:
+            shape, masks, tables = self.space.shape, [], []
+            for layer in LAYERS:
+                for axes, ratios in self._factors(layer):
+                    # A table whose last entry is not 1 is no identity table.
+                    if ratios.item(-1) == 1.0 and ratios.max() == 1.0 == ratios.min():
+                        continue
+                    mask, full = 0, [1] * len(shape)
+                    for ax in axes:
+                        mask |= 1 << ax
+                        full[ax] = shape[ax]
+                    # The variable's axis comes first and is its highest one.
+                    table = ratios.transpose((*range(1, ratios.ndim), 0)).reshape(1, *full)
+                    if layer == UTIL:
+                        table, util = np.empty((2, *full)), table
+                        table[0] = 1.0
+                        table[1:] = util
+                    masks.append(mask)
+                    tables.append(table)
+            return masks, tables
+
+        return self._cached("terms", build)
+
+    def _clique_tree(self) -> tuple[tuple[int, ...], ...]:
+        """Each clique's neighbours in a clique tree of :meth:`_cliques`, by
+        position; cached.  Cap-free.
+
+        A spanning tree of the cliques with the most shared variables over
+        its links (Prim's, from the first clique, the lowest position on a
+        tie).  For the maximal cliques of a chordal graph that makes the
+        cliques that hold a variable a subtree.
+        """
+
+        def build() -> tuple[tuple[int, ...], ...]:
+            family = self._cliques()
+            links: list[list[int]] = [[] for _ in family]
+            # Each clique outside the tree: its most shared variables with a
+            # clique inside, and that clique.
+            best = {k: (-1, 0) for k in range(1, len(family))}
+            last = 0
+            while best:
+                for k, (shared, _) in best.items():
+                    here = (family[k].mask & family[last].mask).bit_count()
+                    if here > shared:
+                        best[k] = (here, last)
+                last = max(best, key=lambda k: (best[k][0], -k))
+                via = best.pop(last)[1]
+                links[last].append(via)
+                links[via].append(last)
+            return tuple(tuple(link) for link in links)
+
+        return self._cached("clique_tree", build)
+
+    def _schedule(self, clique: _Clique) -> list[_Bucket]:
+        """The buckets that sum every variable outside ``clique`` out of
+        :meth:`_terms`, then the bucket that keeps the clique.
+
+        The clique tree is rooted at ``clique`` and walked leaves first:
+        each other clique sums out the variables it does not share with its
+        parent, taking every term and earlier result that mentions them, all
+        of which lie inside it.  A pure function of the network, whatever
+        is cached.  Cap-free.
+        """
+        family, tree = self._cliques(), self._clique_tree()
+        root = family.index(clique)
+        parent = {root: root}
+        visits = [root]
+        for k in visits:
+            for j in tree[k]:
+                if j not in parent:
+                    parent[j] = k
+                    visits.append(j)
+        masks = self._terms()[0]
+        live = dict(enumerate(masks))
+        buckets: list[_Bucket] = []
+        for k in reversed(visits[1:]):
+            private = family[k].mask & ~family[parent[k]].mask
+            operands = [i for i, mask in live.items() if mask & private]
+            if not operands:
+                continue
+            scope = 0
+            for i in operands:
+                scope |= live.pop(i)
+            live[len(masks) + len(buckets)] = scope & ~private
+            buckets.append(_Bucket(scope, scope & private, tuple(operands)))
+        buckets.append(_Bucket(clique.mask, 0, tuple(live)))
+        return buckets
+
     def _clique_tables(
         self, clique: _Clique, state_cap: int
     ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -931,22 +1085,30 @@ class Network:
 
         ``tp`` sums the probability ratios, and ``tu`` the products of both
         layers' ratios, over every variable outside the clique; their totals
-        are S_p and S_u of the sure event.  Built from the joint pair on
-        first use.  The cap is checked against the joint on every call,
-        cached or not.
+        are S_p and S_u of the sure event.  Built on first use from the
+        factors by bucket elimination along :meth:`_schedule`, so no table
+        made holds more than a clique of the cover, times the two halves,
+        and the joint is never built.  Where a product or a sum over- or
+        underflows, the same buckets run again in log space.  The cap is
+        checked against the joint on every call, cached or not.
         """
         _require_cap(self.state_count, state_cap, "enumeration over")
 
         def build() -> tuple[np.ndarray, np.ndarray, float, float]:
-            pr, ur = self._ratio_pair(state_cap)
-            dims, axes = list(range(pr.ndim)), list(clique.axes)
-            # An overflow is left as inf for the readers to report.
-            with np.errstate(over="ignore", invalid="ignore"):
-                tp = np.einsum(pr, dims, axes)
-                tu = np.einsum(pr, dims, ur, dims, axes)
-                totals = float(tp.sum()), float(tu.sum())
-            tp.flags.writeable = tu.flags.writeable = False
-            return tp, tu, *totals
+            tables, buckets, shape = self._terms()[1], self._schedule(clique), self.space.shape
+            try:
+                with np.errstate(over="raise", under="raise"):
+                    pair = _eliminate(tables, buckets, shape, log=False)
+            except FloatingPointError:
+                logs = _eliminate([np.log(t) for t in tables], buckets, shape, log=True)
+                # An overflow is left as inf for the readers to report.
+                with np.errstate(over="ignore"):
+                    pair = np.exp(logs, out=logs)
+            pair = pair.reshape(2, *(shape[ax] for ax in clique.axes))
+            with np.errstate(over="ignore"):
+                totals = float(pair[0].sum()), float(pair[1].sum())
+            pair.flags.writeable = False
+            return pair[0], pair[1], *totals
 
         return self._cached(f"clique/{clique.mask}", build)
 

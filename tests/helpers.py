@@ -333,13 +333,17 @@ def random_network(
     same_graphs=False,
     random_references=False,
     fill_in=True,
+    identity=0.0,
+    inert=0,
 ):
     """A random network that passes the mantle-consistency check by construction.
 
     With ``random_references`` each variable's reference label is drawn from
     its domain instead of being the first one.  With ``fill_in=False`` the
     arcs are left as drawn, so the tables may depend on non-neighbours and
-    the network may fail the check.
+    the network may fail the check.  Each table is the identity with chance
+    ``identity``, and ``inert`` variables I1, I2, ... with no arcs and
+    identity tables sit at random places in the ordering.
     """
     names = [f"X{i}" for i in range(1, n_vars + 1)]
     specs = []
@@ -349,12 +353,21 @@ def random_network(
         specs.append(VariableSpec(name, domain, reference))
     prob_arcs = random_layer_arcs(rng, names, arc_prob, fill_in)
     util_arcs = prob_arcs if same_graphs else random_layer_arcs(rng, names, arc_prob, fill_in)
-    graph = EUNGraph.of(prob_arcs=prob_arcs, util_arcs=util_arcs, nodes=names)
-    skeleton = build_network(specs, names, graph)
+    # Inert variables keep the X variables' relative order, so the fill-in holds.
+    ordering = list(names)
+    for k in range(1, inert + 1):
+        domain = tuple(str(v) for v in range(int(rng.choice(domain_sizes))))
+        reference = str(rng.integers(len(domain))) if random_references else None
+        specs.append(VariableSpec(f"I{k}", domain, reference))
+        ordering.insert(int(rng.integers(len(ordering) + 1)), f"I{k}")
+    graph = EUNGraph.of(prob_arcs=prob_arcs, util_arcs=util_arcs, nodes=ordering)
+    skeleton = build_network(specs, ordering, graph)
     by_name = {s.name: s for s in specs}
     potentials = []
     for layer in (PROB, UTIL):
-        for spec in specs:
+        for spec in specs[:n_vars]:
+            if identity and rng.random() < identity:
+                continue
             parents = skeleton.below_neighbors(layer, spec.name)
             shape = (spec.size,) + tuple(by_name[p].size for p in parents)
             table = rng.uniform(low, high, shape)
@@ -365,7 +378,7 @@ def random_network(
                     reference_index=spec.reference_index,
                 )
             )
-    return build_network(specs, names, graph, potentials)
+    return build_network(specs, ordering, graph, potentials)
 
 
 def random_network_from_arcs(rng, names, prob_arcs, util_arcs, low=0.5, high=2.0):

@@ -1,8 +1,10 @@
 """Event measures: marginals, conditionals, the value measure, Bayes forms,
 and the separation-enabled local shortcut."""
 
+import io
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -815,3 +817,319 @@ def test_state_sets_and_eu_independent_events_read_the_joint(monkeypatch):
     eu_independent_events(net, e, states | f, g)
     with pytest.raises(AssertionError, match="clique table"):
         event_utility(net, e)
+
+
+def no_joint_nets(seed, count):
+    """``count`` random networks of 3 to 5 variables with domains of 2 to 4
+    values, random references, identity tables and up to one inert variable."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng, helpers.random_network(
+            rng,
+            n_vars=int(rng.integers(3, 6)),
+            domain_sizes=(2, 3, 4),
+            arc_prob=float(rng.uniform(0.15, 0.6)),
+            random_references=True,
+            identity=0.3,
+            inert=int(rng.integers(0, 2)),
+        )
+
+
+def refuse_the_joint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a joint ratio table was built")
+
+    monkeypatch.setattr(Network, "ratio_tables", refuse)
+    monkeypatch.setattr(Network, "_ratio_pair", refuse)
+
+
+def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
+    """Every measure, and the query and decide commands, on questions inside
+    a clique of 200 random networks, with the joint tables refused."""
+    from eunet import serialize_network
+    from eunet.cli import run_command
+    from test_decision import oracle_decision
+
+    refuse_the_joint(monkeypatch)
+    routed = commands = 0
+    for rng, net in no_joint_nets(14, 200):
+        family = net._cliques()
+        if not family:
+            continue
+        space, names = net.space, net.space.names
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        sp_t, su_t = helpers.oracle_event_sums(net, lambda v: True, tables)
+        # E fixes some axes of a random clique; F fixes some of E's axes at
+        # E's values and maybe another axis of the clique; the decisions are
+        # up to two of the clique's axes that E leaves free.
+        axes = [int(a) for a in rng.permutation(family[int(rng.integers(len(family)))].axes)]
+        k = int(rng.integers(1, len(axes) + 1))
+        fixed = {ax: int(rng.integers(space.shape[ax])) for ax in axes[:k]}
+        given = {ax: fixed.get(ax, int(rng.integers(space.shape[ax])))
+                 for ax in axes[: int(rng.integers(0, k + 1))] + axes[k:k + 1]}
+        d_axes = sorted(axes[k:][:2])
+        e, f = Event(space, partial=fixed), Event(space, partial=given)
+        assert _clique_of(net, e & f) is not None
+        routed += 1
+
+        def sums(partial):
+            return helpers.oracle_event_sums(
+                net, lambda v: all(v[a] == x for a, x in partial.items()), tables
+            )
+
+        sp, su = sums(fixed)
+        got = event_utility(net, e)
+        assert got.p == pytest.approx(sp / sp_t, rel=1e-12)
+        assert got.u_rel == pytest.approx(su / sp, rel=1e-12)
+        assert got.u_norm == pytest.approx((su / sp) / (su_t / sp_t), rel=1e-12)
+        assert value(net, e) == pytest.approx(su / su_t, rel=1e-12)
+        labels = {names[a]: space.specs[a].domain[x] for a, x in fixed.items()}
+        assert marginal_p_ratio(net, labels) == pytest.approx(sp, rel=1e-12)
+        sp_ef, su_ef = sums(fixed | given)
+        sp_f, su_f = sums(given)
+        assert conditional_probability(net, e, f) == pytest.approx(sp_ef / sp_f, rel=1e-12)
+        assert conditional_event_utility(net, e, f) == pytest.approx(
+            (su_ef / sp_ef) / (su_f / sp_f), rel=1e-12
+        )
+        assert value(net, e, f) == pytest.approx(su_ef / su_f, rel=1e-12)
+        if d_axes:
+            dvars = tuple(names[a] for a in d_axes)
+            assert _clique_of(net, e, d_axes) is not None
+            want_ties, want_eu = oracle_decision(
+                net, dvars, helpers.cylinder_member(net, labels), tables
+            )
+            got = optimal_decision(DecisionProblem(net, dvars, e))
+            assert got.argmax == want_ties
+            assert got.eu == pytest.approx(want_eu, rel=1e-12)
+            if commands < 20:
+                # the same questions through the commands, on a fresh parse
+                commands += 1
+                path = tmp_path / f"net{commands}.json"
+                path.write_text(serialize_network(net))
+                term = ",".join(f"{n}={v}" for n, v in labels.items())
+                for argv in (
+                    ["query", str(path), "--eu", "-e", term],
+                    ["decide", str(path), "-d", ",".join(dvars), "-e", term],
+                ):
+                    out, err = io.StringIO(), io.StringIO()
+                    assert run_command(argv, stdout=out, stderr=err) == 0, err.getvalue()
+                    assert not err.getvalue()
+    assert routed >= 150 and commands == 20
+
+
+def range_nets():
+    """Two networks whose joint ratio tables are finite while a product of
+    two of their factors overflows.
+
+    Both have arcs A - B and A - C and q_A(1) = 1e-300.  In the first,
+    q_B(1 | A=1) = q_C(1 | A=1) = 1e200: q_B q_C = 1e400 where
+    q_A q_B q_C = 1e100.  In the second, q_C(1 | A=1) = w_C(1 | A=1) =
+    1e300, so the p * u half of C's tables holds 1e600 where q_A brings
+    p * u back to 1e300 wherever B = 0; the linear pass trips on it and the
+    log-space pass answers.  D and E are free, so the cliques hold fewer
+    entries than the joint.
+    """
+    domains = {n: ("0", "1") for n in "ABCDE"}
+    arcs = [("A", "B"), ("A", "C")]
+    first = helpers.net_of(
+        domains, prob_arcs=arcs,
+        q={
+            "A": {("1",): 1e-300},
+            "B": {("1", "0"): 1.5, ("1", "1"): 1e200},
+            "C": {("1", "0"): 0.5, ("1", "1"): 1e200},
+            "D": {("1",): 2.0},
+        },
+        w={"A": {("1",): 3.0}, "E": {("1",): 0.25}},
+    )
+    second = helpers.net_of(
+        domains, prob_arcs=arcs, util_arcs=[("A", "C")],
+        q={
+            "A": {("1",): 1e-300},
+            "B": {("1", "0"): 1.5, ("1", "1"): 1e100},
+            "C": {("1", "0"): 0.5, ("1", "1"): 1e300},
+            "D": {("1",): 2.0},
+        },
+        w={"C": {("1", "0"): 2.0, ("1", "1"): 1e300}, "E": {("1",): 0.25}},
+    )
+    return first, second
+
+
+def exact_state_sums(net):
+    """Each state's probability ratio and p * u ratio as exact fractions."""
+    from fractions import Fraction
+
+    space = net.space
+    out = {}
+    for values in itertools.product(*(range(n) for n in space.shape)):
+        p = u = Fraction(1)
+        for layer in (PROB, UTIL):
+            for name in space.names:
+                pot = net.potential(layer, name)
+                axes = (space.index(name), *(space.index(x) for x in pot.parents))
+                ratio = Fraction(float(pot.table[tuple(values[a] for a in axes)]))
+                if layer == PROB:
+                    p *= ratio
+                else:
+                    u *= ratio
+        out[values] = (p, p * u)
+    return out
+
+
+def test_clique_route_answers_where_the_joint_answers(monkeypatch):
+    """On networks whose factors' products leave float range, every question
+    inside a clique that the joint answers gets an answer on the clique
+    route, and every answer it gives is within 1e-12 of exact arithmetic."""
+    from eunet import model
+
+    ran = []
+
+    def spy(tables, buckets, shape, log):
+        ran.append(log)
+        return eliminate(tables, buckets, shape, log)
+
+    eliminate = model._eliminate
+    monkeypatch.setattr(model, "_eliminate", spy)
+    for net in range_nets():
+        space = net.space
+        exact = exact_state_sums(net)
+
+        def sums(partial):
+            members = [s for v, s in exact.items() if all(v[a] == x for a, x in partial.items())]
+            return sum(p for p, _ in members), sum(pu for _, pu in members)
+
+        def joint_answers(*events):
+            try:
+                for ev in events:
+                    _sums_from(net, None, ev, 10**6)
+            except NumericRangeError:
+                return False
+            return True
+
+        def check(ask, want, *events):
+            try:
+                got = ask()
+            except NumericRangeError:
+                assert not joint_answers(*events)
+                return 0
+            assert got == pytest.approx(float(want), rel=1e-12)
+            return 1
+
+        sp_t, su_t = sums({})
+        sure = net.true_event()
+        answered = 0
+        family = net._cliques()
+        assert family
+        for clique in family:
+            for k in (1, 2):
+                for axes in itertools.combinations(clique.axes, k):
+                    for vals in itertools.product(*(range(space.shape[a]) for a in axes)):
+                        fixed = dict(zip(axes, vals))
+                        given = dict(list(fixed.items())[-1:])
+                        e, f = Event(space, partial=fixed), Event(space, partial=given)
+                        assert _clique_of(net, e) is not None
+                        sp, su = sums(fixed)
+                        sp_f, su_f = sums(given)
+                        labels = {
+                            space.names[a]: space.specs[a].domain[x] for a, x in fixed.items()
+                        }
+                        answered += check(lambda: marginal_p_ratio(net, labels), sp, e)
+                        answered += check(lambda: event_utility(net, e).p, sp / sp_t, e, sure)
+                        answered += check(lambda: event_utility(net, e).u_norm,
+                                          (su / sp) / (su_t / sp_t), e, sure)
+                        answered += check(lambda: value(net, e), su / su_t, e, sure)
+                        answered += check(lambda: conditional_probability(net, e, f),
+                                          sp / sp_f, e, f)
+                        answered += check(lambda: conditional_event_utility(net, e, f),
+                                          (su / sp) / (su_f / sp_f), e, f)
+                        answered += check(lambda: value(net, e, f), su / su_f, e, f)
+        assert answered >= 30
+    # the second network's products overflow in the linear pass, which the
+    # log-space pass then answers
+    assert True in ran and False in ran
+
+
+def bench_nets():
+    """Networks of 16 and 19 variables in the style of the benchmark's
+    generator: every variable's below-neighbours are a clique, up to 8 or
+    10 of them, anchored at the variable just before it."""
+    import importlib.util
+    from pathlib import Path
+
+    from eunet import parse_network
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen)
+    rng = np.random.default_rng(5)
+    return [
+        parse_network(gen.network_doc(gen.random_net(rng, n, max_parents=p, fill=1.0, window=1)))
+        for n, p in ((16, 8), (16, 8), (19, 10), (19, 10))
+    ]
+
+
+def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
+    """The clique tree has the running intersection property, and each
+    clique's schedule uses every term and result once, sums out each
+    variable outside the clique that a term mentions once, and adds up no
+    bucket beyond one clique of the family."""
+    nets = [net for _, net in no_joint_nets(15, 150)] + bench_nets()
+    checked = 0
+    for net in nets:
+        family, tree = net._cliques(), net._clique_tree()
+        if not family:
+            continue
+        assert sum(map(len, tree)) == 2 * (len(family) - 1)
+        for ax in range(len(net.space)):
+            holding = {k for k, c in enumerate(family) if c.mask >> ax & 1}
+            reached, frontier = set(), [min(holding)]
+            while frontier:
+                k = frontier.pop()
+                reached.add(k)
+                frontier += [j for j in tree[k] if j in holding and j not in reached]
+            assert reached == holding
+        masks = net._terms()[0]
+        mentioned = 0
+        for mask in masks:
+            mentioned |= mask
+        for clique in family:
+            *steps, root = net._schedule(clique)
+            assert root == (clique.mask, 0, root.operands)
+            used, summed = [], 0
+            for bucket in steps:
+                assert any(bucket.scope & c.mask == bucket.scope for c in family)
+                assert bucket.summed and bucket.summed & ~bucket.scope == 0
+                assert not summed & bucket.summed
+                summed |= bucket.summed
+                used += bucket.operands
+            used += root.operands
+            assert sorted(used) == list(range(len(masks) + len(steps)))
+            assert summed == mentioned & ~clique.mask
+            checked += 1
+    assert checked >= 300
+
+
+def test_clique_tables_match_the_joint_on_benchmark_style_networks():
+    for net in bench_nets()[:3]:
+        pr, ur = net.ratio_tables(PROB), net.ratio_tables(UTIL)
+        dims = list(range(pr.ndim))
+        for clique in net._cliques():
+            tp, tu, sp, su = net._clique_tables(clique, 10**6)
+            np.testing.assert_allclose(tp, np.einsum(pr, dims, list(clique.axes)), rtol=1e-12)
+            np.testing.assert_allclose(tu, np.einsum(pr, dims, ur, dims, list(clique.axes)),
+                                       rtol=1e-12)
+            assert (sp, su) == (pytest.approx(pr.sum(), rel=1e-12),
+                                pytest.approx(np.vdot(pr, ur), rel=1e-12))
+
+
+def test_log_space_buckets_match_the_linear_ones():
+    from eunet.model import _eliminate
+
+    for _, net in no_joint_nets(16, 150):
+        tables = net._terms()[1]
+        logs = [np.log(t) for t in tables]
+        for clique in net._cliques():
+            buckets = net._schedule(clique)
+            linear = _eliminate(tables, buckets, net.space.shape, log=False)
+            logged = _eliminate(logs, buckets, net.space.shape, log=True)
+            np.testing.assert_allclose(np.exp(logged), linear, rtol=1e-12)

@@ -31,7 +31,6 @@ from .independence import eu_independent_vars, separates
 from .inference import (
     conditional_event_utility,
     conditional_probability,
-    event_utility,
     value,
 )
 from .model import (
@@ -183,17 +182,14 @@ def _cmd_validate(args: argparse.Namespace, out: IO[str]) -> int:
 def _cmd_query(args: argparse.Namespace, out: IO[str]) -> int:
     network = _load_network(args.network)
     e = _event(network, args.event)
-    g = _event(network, args.given) if args.given else None
+    # Given nothing, the measures are conditional on the sure event: u(E |
+    # True) is u_norm(E), in float range wherever it is, even where u_rel(E)
+    # is not.
+    g = _event(network, args.given or None)
     if args.prob:
-        if g is None:
-            result = event_utility(network, e).p
-        else:
-            result = conditional_probability(network, e, g)
+        result = conditional_probability(network, e, g)
     elif args.eu:
-        if g is None:
-            result = event_utility(network, e).u_norm
-        else:
-            result = conditional_event_utility(network, e, g)
+        result = conditional_event_utility(network, e, g)
     else:
         result = value(network, e, g)
     print(_fmt(result), file=out)

@@ -14,13 +14,14 @@ the network stays strictly positive.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .inference import _event_sums
+from .inference import _event_sums, _quotient
 from .model import (
     PROB,
     UTIL,
@@ -98,10 +99,10 @@ class OptimalDecision(NamedTuple):
 def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> OptimalDecision:
     """Exhaustively rank decision assignments by conditional expected utility.
 
-    One reduction of the evidence's slice of the ratio tables onto the
+    One reduction of the evidence's slice of a clique pair onto the
     decision axes yields S_p(d and E) and S_u(d and E) for every assignment
     d at once, and their totals give S_p(E) and S_u(E); each assignment the
-    evidence meets then scores u(d | E) = (S_u(dE) / S_p(dE)) / (S_u(E) / S_p(E)).
+    evidence meets then scores u(d | E) = (S_u(dE) / S_u(E)) (S_p(E) / S_p(dE)).
     Assignments within relative ``TIE_TOLERANCE`` of the maximum are all
     reported, in lexicographic order of value indexes over the decision
     variables (themselves in ordering index order).
@@ -113,11 +114,15 @@ def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> 
     )
     if not member.any():
         raise EmptyEventError("no decision assignment is compatible with the evidence")
-    base = float(su.sum()) / float(sp.sum())
+    sp_e, su_e = float(sp.sum()), float(su.sum())
     eu = np.full(sp.shape, -np.inf)
-    np.divide(su, sp, out=eu, where=member)
-    eu /= base
-    best = float(eu.max())
+    with np.errstate(all="ignore"):  # a ratio out of range on its own is redone below
+        np.multiply(su / su_e, sp_e / sp, out=eu, where=member)
+        best = float(eu.max())
+    if not 0.0 < best < math.inf:
+        for combo in zip(*np.nonzero(member)):
+            eu[combo] = _quotient(float(su[combo]), su_e, sp_e, float(sp[combo]))
+        best = float(eu.max())
     winners = tuple(
         {
             net.space.names[a]: net.space.specs[a].domain[v]

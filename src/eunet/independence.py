@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .inference import _cylinder_sums, _sums_from
+from .inference import _clique_holding, _clique_of, _cylinder_sums, _quotient, _sums_from
 from .model import (
     PROB,
     UTIL,
@@ -242,15 +242,17 @@ def eu_independent_events(
                 f"empty conditioning intersection ({name} meets G nowhere), "
                 "conditional utility undefined"
             )
-    # one pass over G serves all three conditionals
+    # The meet of all three holds every region's axes, so its clique pair
+    # answers all four sums.
     cap = resolve_state_cap()
     if cylinders:
-        pr, ur = network._ratio_pair(cap)
-        sums = [_cylinder_sums(pr, ur, fixed, ()) for fixed in regions]
+        clique = _clique_holding(network, regions[-1])
+        pair = network._clique_tables(clique, cap)[0]
+        sums = [_cylinder_sums(pair, clique.axes, fixed, ()) for fixed in regions]
     else:
-        sums = [_sums_from(network, None, ev, cap) for ev in regions]
+        clique = _clique_of(network, regions[-1])
+        sums = [_sums_from(network, clique, ev, cap) for ev in regions]
     (sp_g, su_g), *meet_sums = sums
-    u_g = su_g / sp_g
-    u_e, u_f, u_ef = ((su / sp) / u_g for sp, su in meet_sums)
+    u_e, u_f, u_ef = (_quotient(su, su_g, sp_g, sp) for sp, su in meet_sums)
     rhs = u_e * u_f
     return abs(u_ef - rhs) <= tolerance * abs(rhs)

@@ -1,30 +1,34 @@
 """Event-level probability and expected utility on a network.
 
-An event's probability, expected utility, and value are all sums over the
-reconstructed joint tables.  Writing S_p(E) for the sum of probability
-ratios over E and S_u(E) for the sum of probability-times-utility ratios,
+An event's probability, expected utility, and value are all ratios of sums
+over the network's (p, p * u) pair.  Writing S_p(E) for the sum of
+probability ratios over E and S_u(E) for the sum of probability-times-utility
+ratios,
 
     p(E)      = S_p(E) / S_p(True)
     u_rel(E)  = S_u(E) / S_p(E)        (relative to u at the reference state)
-    u_norm(E) = u_rel(E) / u_rel(True) (the sure event is worth exactly 1)
-    v(E)      = u_norm(E) p(E) = S_u(E) / S_u(True)
+    v(E)      = S_u(E) / S_u(True)
+    u_norm(E) = v(E) / p(E) = u(E | True)   (the sure event is worth 1)
 
-Conditionals divide: p(E|F) = p(EF)/p(F), u(E|F) = u(EF)/u(F), and
-v(E|F) = v(EF)/v(F) = u(E|F) p(E|F).  All of it is exact enumeration over
-the cached ratio tables, with cylinder events hitting a slicing fast path.
-A cylinder question whose fixed and kept axes share a clique of both
-layers' graph sums a slice of that clique's marginal tables instead, which
-hold the joint's sums over every other variable and are summed from the
-factors by bucket elimination, so such a question never builds the joint.
-The separator shortcut (local_conditional_eu) reads two windows off the
-factors, never the joint.
+Conditionals divide: p(E|F) = p(EF)/p(F), v(E|F) = v(EF)/v(F) and
+u(E|F) = (S_u(EF)/S_u(F)) (S_p(F)/S_p(EF)).  Each measure is taken as a
+ratio of like sums or a product of two, so it overflows only where its
+exact value does, even where a quotient of unlike sums such as u_rel would.
+
+Every sum reads one clique's stacked (p, p * u) pair, which holds the
+joint's sums over every variable outside the clique and is summed from the
+factors by bucket elimination: the smallest clique of both layers' graph
+that holds a cylinder question's fixed and kept axes, or else the clique of
+every axis, whose pair is the joint's and which state sets index by flat
+state.  The separator shortcut (local_conditional_eu) reads two windows off
+the factors.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,85 +94,60 @@ def _event_sums(
     over a non-empty event or a met combination, positive; a sum that
     overflowed or underflowed raises NumericRangeError instead of turning
     into an inf, a NaN or a zero in the answer.
-
-    A cylinder whose fixed and kept axes share a clique of both layers'
-    graph reads that clique's marginal tables; anything else reads the joint.
     """
     return _sums_from(network, _clique_of(network, event, keep), event, cap, keep)
 
 
-def _clique_of(network: Network, event: Event, keep: Sequence[int] = ()) -> _Clique | None:
-    """The clique with the fewest entries that holds a cylinder's fixed axes
-    and the kept axes; None for a state set or where no clique holds them.
-
-    A pure function of the graph, the ordering and the question's axes, so a
-    question reads the same table whatever was asked or cached before.
-    """
+def _clique_of(network: Network, event: Event, keep: Sequence[int] = ()) -> _Clique:
+    """The clique whose pair answers the event with ``keep`` kept: the one
+    :func:`_clique_holding` finds for a cylinder's fixed and kept axes, and
+    the clique of every axis for a state set."""
     if event._partial is None:
-        return None
+        return _clique_holding(network, range(len(network.space)))
+    return _clique_holding(network, itertools.chain(event._partial, keep))
+
+
+def _clique_holding(network: Network, axes: Iterable[int]) -> _Clique:
+    """The clique with the fewest entries that holds ``axes``, or else the
+    clique of every axis, whose pair is the joint's.
+
+    A pure function of the graph, the ordering and the axes, so a question
+    reads the same table whatever was asked or cached before.
+    """
     mask = 0
-    for ax in itertools.chain(event._partial, keep):
+    for ax in axes:
         mask |= 1 << ax
     for clique in network._cliques():
         if clique.mask & mask == mask:
             return clique
-    return None
+    n = len(network.space)
+    return _Clique((1 << n) - 1, tuple(range(n)))
 
 
 def _sums_from(
-    network: Network, clique: _Clique | None, event: Event, cap: int, keep: Sequence[int] = ()
+    network: Network, clique: _Clique, event: Event, cap: int, keep: Sequence[int] = ()
 ) -> tuple:
-    """The sums of :func:`_event_sums`, read from the clique's marginal pair,
-    or from the joint pair when ``clique`` is None."""
+    """The sums of :func:`_event_sums`, read from the clique's pair.  A
+    state set's clique holds every axis, so its flat indexes index the pair."""
     if event.space != network.space:
         raise ValidationError("event belongs to a different variable system")
-    if clique is not None:
-        tp, tu, _, _ = network._clique_tables(clique, cap)
-        return _clique_sums(tp, tu, clique.axes, event._partial, keep)
-    pr, ur = network._ratio_pair(cap)
+    pair = network._clique_tables(clique, cap)[0]
     if event._partial is not None:
-        return _cylinder_sums(pr, ur, event._partial, keep)
+        return _cylinder_sums(pair, clique.axes, event._partial, keep)
     flat = event.flat_indexes()
     if flat.size == 0 and not keep:
         return 0.0, 0.0
-    pvals = pr.reshape(-1)[flat]
-    puvals = pvals * ur.reshape(-1)[flat]
+    vals = pair.reshape(2, -1)[:, flat]
     if not keep:
-        return _in_range(float(pvals.sum()), float(puvals.sum()))
+        return _in_range(*vals.sum(axis=1).tolist())
     shape = network.space.shape
     kept_shape = tuple(shape[ax] for ax in keep)
     coords = np.unravel_index(flat, shape)
     code = np.ravel_multi_index(tuple(coords[ax] for ax in keep), kept_shape)
     size = math.prod(kept_shape)
-    sp = np.bincount(code, weights=pvals, minlength=size).reshape(kept_shape)
-    su = np.bincount(code, weights=puvals, minlength=size).reshape(kept_shape)
+    sums = np.stack([np.bincount(code, weights=half, minlength=size) for half in vals])
     member = np.bincount(code, minlength=size).reshape(kept_shape) > 0
-    return _tables_in_range(sp, su, member)
-
-
-def _clique_sums(
-    tp: np.ndarray,
-    tu: np.ndarray,
-    axes: tuple[int, ...],
-    fixed: dict[int, int],
-    keep: Sequence[int],
-) -> tuple:
-    """The cylinder sums over the marginal pair of the clique on ``axes``.
-
-    The entries already sum p and p * u over the variables outside the
-    clique, so each sum adds up a slice of one table.
-    """
-    index: list[object] = [slice(None)] * tp.ndim
-    for ax, v in fixed.items():
-        index[axes.index(ax)] = v
-    key = tuple(index)
-    p, u = tp[key], tu[key]
-    if not keep:
-        return _in_range(float(p.sum()), float(u.sum()))
-    free = [ax for ax in axes if ax not in fixed]
-    summed = tuple(k for k, ax in enumerate(free) if ax not in keep)
-    sp, su = p.sum(axis=summed), u.sum(axis=summed)
-    return _tables_in_range(sp, su, np.ones(sp.shape, dtype=bool))
+    return _tables_in_range(sums.reshape(2, *kept_shape), member)
 
 
 # A pass of numpy's reductions runs fast when its innermost loop covers many
@@ -182,91 +161,77 @@ _FIXED, _KEPT, _SUMMED = range(3)
 
 
 def _cylinder_sums(
-    pr: np.ndarray, ur: np.ndarray, fixed: dict[int, int], keep: Sequence[int]
+    pair: np.ndarray, axes: Sequence[int], fixed: dict[int, int], keep: Sequence[int]
 ) -> tuple:
-    """The cylinder branch of :func:`_event_sums`, over the two ratio tables.
+    """The cylinder branch of :func:`_event_sums`, over a clique's stacked
+    pair on ``axes``; ``fixed`` and ``keep`` name axes of the clique.
 
-    With no kept axes S_p is one sum over the slice and S_u one contraction
-    of the two slices, so p * u never exists as a slice-sized temporary: a
-    dot product of the flattened slices when they are shorter than a long
-    run (a copy of at most that many entries, with no einsum dispatch), else
-    an einsum.
+    Each step sums both halves of the slice at once.  With no kept axes
+    that is one sum over every axis of the slice but the halves' axis.
 
     With kept axes the reduction order follows the slice's layout.  Each run
     of adjacent axes with one role (fixed, kept, summed out) is one axis of a
-    reshape of the contiguous table.  When every free axis is kept, or the
+    reshape of the contiguous pair.  When every free axis is kept, or the
     innermost run is summed out and is long or the only summed-out run (the
-    auction's layout), one pass over the slice (a multi-axis sum and an
-    einsum) has nothing to gain from going run by run.  Otherwise the
-    summed-out runs go one at a time, outermost first, so each step adds
-    whole contiguous blocks where one multi-axis pass would step around the
-    short innermost axis entry by entry.  A summed-out run in front of a
-    short contiguous tail is split in two, its inner part just long enough
-    that the tail and it make a long block.
+    auction's layout), one multi-axis sum over the slice has nothing to gain
+    from going run by run.  Otherwise the summed-out runs go one at a time,
+    outermost first, so each step adds whole contiguous blocks where one
+    multi-axis pass would step around the short innermost axis entry by
+    entry.  A summed-out run in front of a short contiguous tail is split in
+    two, its inner part just long enough that the tail and it make a long
+    block.
     """
-    n = pr.ndim
-    key = tuple([fixed.get(ax, slice(None)) for ax in range(n)])
-    psub, usub = pr[key], ur[key]
-    dims = list(range(psub.ndim))
+    n = len(axes)
+    shape = pair.shape[1:]
+    index: list[object] = [slice(None)] * (n + 1)
+    for ax, v in fixed.items():
+        index[axes.index(ax) + 1] = v
+    sub = pair[tuple(index)]
     if not keep:
-        if psub.size < _LONG_RUN:
-            return _in_range(float(psub.sum()), float(np.vdot(psub, usub)))
-        return _in_range(float(psub.sum()), float(np.einsum(psub, dims, usub, dims, [])))
+        return _in_range(*sub.sum(axis=tuple(range(1, sub.ndim))).tolist())
 
     keep_set = set(keep)
-    role = [_FIXED if ax in fixed else _KEPT if ax in keep_set else _SUMMED for ax in range(n)]
-    runs = [(r, list(axes)) for r, axes in itertools.groupby(range(n), key=role.__getitem__)]
-    summed = [axes for r, axes in runs if r == _SUMMED]
+    role = [_FIXED if ax in fixed else _KEPT if ax in keep_set else _SUMMED for ax in axes]
+    runs = [(r, list(ks)) for r, ks in itertools.groupby(range(n), key=role.__getitem__)]
+    summed = [ks for r, ks in runs if r == _SUMMED]
     inner_role, inner_axes = next(run for run in reversed(runs) if run[0] != _FIXED)
     if not summed or (
         inner_role == _SUMMED
-        and (len(summed) == 1 or math.prod(pr.shape[ax] for ax in inner_axes) >= _LONG_RUN)
+        and (len(summed) == 1 or math.prod(shape[k] for k in inner_axes) >= _LONG_RUN)
     ):
-        free = [ax for ax in range(n) if ax not in fixed]
-        kept = [k for k, ax in enumerate(free) if ax in keep_set]
-        sp = psub.sum(axis=tuple(k for k in dims if k not in kept))
-        su = np.einsum(psub, dims, usub, dims, kept)
-        return _tables_in_range(sp, su, np.ones(sp.shape, dtype=bool))
+        free = [k for k in range(n) if role[k] != _FIXED]
+        out = sub.sum(axis=tuple(d + 1 for d, k in enumerate(free) if role[k] == _SUMMED))
+        return _tables_in_range(out)
 
     tail = 1
     for i in range(len(runs) - 1, -1, -1):
-        r, axes = runs[i]
+        r, ks = runs[i]
         if r == _FIXED:
             break
         if r == _SUMMED and tail < _LONG_RUN:
             inner = tail
-            for cut in range(len(axes) - 1, 0, -1):
-                inner *= pr.shape[axes[cut]]
+            for cut in range(len(ks) - 1, 0, -1):
+                inner *= shape[ks[cut]]
                 if inner >= _LONG_RUN:
-                    runs[i:i + 1] = [(r, axes[:cut]), (r, axes[cut:])]
+                    runs[i:i + 1] = [(r, ks[:cut]), (r, ks[cut:])]
                     break
-        tail *= math.prod(pr.shape[ax] for ax in axes)
+        tail *= math.prod(shape[k] for k in ks)
 
-    sizes = [math.prod(pr.shape[ax] for ax in axes) for _, axes in runs]
+    sizes = [math.prod(shape[k] for k in ks) for _, ks in runs]
     merged_key = tuple(
-        int(np.ravel_multi_index([fixed[ax] for ax in axes], [pr.shape[ax] for ax in axes]))
+        int(np.ravel_multi_index([fixed[axes[k]] for k in ks], [shape[k] for k in ks]))
         if r == _FIXED
         else slice(None)
-        for r, axes in runs
+        for r, ks in runs
     )
-    p = pr.reshape(sizes)[merged_key]
-    u = ur.reshape(sizes)[merged_key]
-    roles = [r for r, _ in runs if r != _FIXED]
-    dims = list(range(len(roles)))
-    first = roles.index(_SUMMED)
-    pu = np.einsum(p, dims, u, dims, dims[:first] + dims[first + 1:])
-    p = p.sum(axis=first)
-    axis = first
-    for r in roles[first + 1:]:
+    out = pair.reshape(2, *sizes)[(slice(None), *merged_key)]
+    axis = 1
+    for r, _ in runs:
         if r == _SUMMED:
-            p = p.sum(axis=axis)
-            pu = pu.sum(axis=axis)
-        else:
+            out = out.sum(axis=axis)
+        elif r == _KEPT:
             axis += 1
-    kept_shape = tuple(pr.shape[ax] for ax in keep)
-    return _tables_in_range(
-        p.reshape(kept_shape), pu.reshape(kept_shape), np.ones(kept_shape, dtype=bool)
-    )
+    return _tables_in_range(out.reshape(2, *(shape[axes.index(ax)] for ax in keep)))
 
 
 def _in_range(sp: float, su: float) -> tuple[float, float]:
@@ -279,17 +244,38 @@ def _in_range(sp: float, su: float) -> tuple[float, float]:
     return sp, su
 
 
-def _tables_in_range(sp: np.ndarray, su: np.ndarray, member: np.ndarray) -> tuple:
-    """Pass on kept-axes tables with finite totals and positive met entries.
+def _tables_in_range(sums: np.ndarray, member: np.ndarray | None = None) -> tuple:
+    """Pass on a stacked pair of kept-axes tables, with finite totals and
+    positive met entries, as (S_p table, S_u table, met combinations); with
+    no ``member``, every combination is met.
 
     The entries are non-negative, so finite totals make every entry finite.
     """
-    _in_range(float(sp.sum()), float(su.sum()))
-    if not (np.all(sp[member] > 0.0) and np.all(su[member] > 0.0)):
+    _in_range(*sums.reshape(2, -1).sum(axis=1).tolist())
+    met = sums if member is None else sums[:, member]
+    if not met.min() > 0.0:
         raise NumericRangeError(
             "an event sum underflows to 0: the joint ratios underflow on this network"
         )
-    return sp, su, member
+    if member is None:
+        member = np.ones(sums.shape[1:], dtype=bool)
+    return sums[0], sums[1], member
+
+
+def _quotient(a: float, b: float, c: float = 1.0, d: float = 1.0) -> float:
+    """(a / b) (c / d) for positive sums, b and d the sums a and c are
+    compared with.  A product below float range rounds to 0 or a subnormal,
+    as any float arithmetic does; one above raises NumericRangeError."""
+    out = (a / b) * (c / d)
+    if not 0.0 < out < math.inf:
+        # A ratio left float range on its own: take the product on the
+        # mantissas and the exponents apart.
+        (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
+        try:
+            out = math.ldexp((ma / mb) * (mc / md), ea - eb + ec - ed)
+        except OverflowError:
+            raise NumericRangeError("a measure overflows float range on this network") from None
+    return out
 
 
 def _require_nonempty(event: Event, role: str) -> None:
@@ -333,7 +319,7 @@ def marginal_u_ratio(
     of the free variables.
     """
     sp, su = _event_sums(network, network.cylinder(partial), resolve_state_cap(state_cap))
-    return su / sp
+    return _quotient(su, sp)
 
 
 def conditional_probability(
@@ -351,7 +337,19 @@ def conditional_probability(
     if allow_empty and not f.is_empty and (e & f).is_empty:
         return 0.0
     (sp_ef, _), (sp_f, _) = _conditional_sums(network, e, f, "probability", state_cap)
-    return sp_ef / sp_f
+    return _quotient(sp_ef, sp_f)
+
+
+def _sure_and_event_sums(
+    network: Network, e: Event, state_cap: int | None
+) -> tuple[float, float, float, float]:
+    """S_p and S_u over E, then over the sure event: the totals of the
+    clique pair that answers E, cached with it."""
+    _require_nonempty(e, "event E")
+    cap = resolve_state_cap(state_cap)
+    clique = _clique_of(network, e)
+    sp, su = _sums_from(network, clique, e, cap)
+    return sp, su, *_in_range(*network._clique_tables(clique, cap)[1:])
 
 
 def event_utility(network: Network, e: Event, state_cap: int | None = None) -> MeasureTriple:
@@ -359,31 +357,26 @@ def event_utility(network: Network, e: Event, state_cap: int | None = None) -> M
 
     ``u_rel`` is relative to the utility of the reference state, ``u_norm``
     rescales so the sure event is worth 1, and ``v = u_norm * p`` is the
-    additive value measure.  The sure event's sums come from the table that
-    answers E: a clique's totals, or the joint's, cached on the network.
+    additive value measure.  The sure event's sums are the totals of the
+    clique pair that answers E.  Where one of the four overflows,
+    NumericRangeError is raised; u_norm alone is u(E | True) of
+    :func:`conditional_event_utility`, bit for bit.
     """
-    _require_nonempty(e, "event E")
-    cap = resolve_state_cap(state_cap)
-    clique = _clique_of(network, e)
-    sp, su = _sums_from(network, clique, e, cap)
-    if clique is None:
-        sp_t, su_t = network._cached(
-            "sure_sums", lambda: _sums_from(network, None, network.true_event(), cap)
-        )
-    else:
-        sp_t, su_t = _in_range(*network._clique_tables(clique, cap)[2:])
-    u_rel = su / sp
-    u_norm = u_rel / (su_t / sp_t)
-    p = sp / sp_t
-    return MeasureTriple(p=p, u_rel=u_rel, u_norm=u_norm, v=su / su_t)
+    sp, su, sp_t, su_t = _sure_and_event_sums(network, e, state_cap)
+    return MeasureTriple(
+        p=_quotient(sp, sp_t),
+        u_rel=_quotient(su, sp),
+        u_norm=_quotient(su, su_t, sp_t, sp),
+        v=_quotient(su, su_t),
+    )
 
 
 def conditional_event_utility(
     network: Network, e: Event, f: Event, state_cap: int | None = None
 ) -> float:
-    """u(E | F) = u(E and F) / u(F), in the normalisation-free ratio form."""
+    """u(E | F) = u(E and F) / u(F), as (S_u(EF) / S_u(F)) (S_p(F) / S_p(EF))."""
     (sp_ef, su_ef), (sp_f, su_f) = _conditional_sums(network, e, f, "utility", state_cap)
-    return (su_ef / sp_ef) / (su_f / sp_f)
+    return _quotient(su_ef, su_f, sp_f, sp_ef)
 
 
 def value(
@@ -391,16 +384,21 @@ def value(
 ) -> float:
     """v(E) or, given ``f``, the conditional value v(E | F) = v(EF) / v(F)."""
     if f is None:
-        return event_utility(network, e, state_cap).v
-    (_, su_ef), (_, su_f) = _conditional_sums(network, e, f, "value", state_cap)
-    return su_ef / su_f
+        _, su_ef, _, su_f = _sure_and_event_sums(network, e, state_cap)
+    else:
+        (_, su_ef), (_, su_f) = _conditional_sums(network, e, f, "value", state_cap)
+    return _quotient(su_ef, su_f)
 
 
 def utility_bayes(network: Network, f: Event, e: Event, state_cap: int | None = None) -> float:
     """u(F | E) from the reversed conditionals, the utility analogue of Bayes.
 
     Combines u(E|F), u(E|not F), the priors u(F), u(not F), and the posterior
-    probabilities of F and not F given E.  The result is checked against the
+    probabilities of F and not F given E, as
+
+        u(F|E) = 1 / (p(F|E) + (u(E|not F) / u(E|F)) (u(not F) / u(F)) p(not F|E)),
+
+    each utility compared with its like.  The result is checked against the
     direct conditional within a tight relative tolerance.
     """
     cap = resolve_state_cap(state_cap)
@@ -409,17 +407,15 @@ def utility_bayes(network: Network, f: Event, e: Event, state_cap: int | None = 
         if ev.is_empty:
             raise EmptyEventError(f"{name} is empty, the utility Bayes rule is undefined")
 
+    sure = network.true_event()
     u_e_given_f = conditional_event_utility(network, e, f, cap)
     u_e_given_nf = conditional_event_utility(network, e, not_f, cap)
-    u_f = event_utility(network, f, cap).u_norm
-    u_nf = event_utility(network, not_f, cap).u_norm
+    u_f = conditional_event_utility(network, f, sure, cap)
+    u_nf = conditional_event_utility(network, not_f, sure, cap)
     p_f_given_e = conditional_probability(network, f, e, state_cap=cap)
     p_nf_given_e = conditional_probability(network, not_f, e, state_cap=cap)
 
-    numerator = u_e_given_f * u_f
-    denominator = numerator * p_f_given_e + u_e_given_nf * u_nf * p_nf_given_e
-    out = numerator / denominator
-
+    out = 1.0 / (p_f_given_e + _quotient(u_e_given_nf, u_e_given_f, u_nf, u_f) * p_nf_given_e)
     direct = conditional_event_utility(network, f, e, cap)
     if abs(out - direct) > _AGREEMENT_TOL * abs(direct):
         raise EunError(

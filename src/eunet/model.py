@@ -767,9 +767,22 @@ def _eliminate(
         values.append(total)
     count = math.prod(n for ax, n in enumerate(shape) if not done >> ax & 1)
     kept = [n if root.scope >> ax & 1 else 1 for ax, n in enumerate(shape)]
-    out = np.full((2, *kept), math.log(count) if log else float(count))
+    # The root fills the p half, copies it, and only then multiplies in the
+    # utility tables, whose p half is ones, so each half takes each table once.
+    out = np.empty((2, *kept))
+    p, pu = out
+    p.fill(math.log(count) if log else float(count))
+    terms = [values[i] for i in root.operands if i < len(tables)]
+    for t in terms:
+        if len(t) == 1:
+            combine(p, t[0], out=p)
+    pu[...] = p
     for i in root.operands:
-        combine(out, values[i], out=out)
+        if i >= len(tables):
+            combine(out, values[i], out=out)
+    for t in terms:
+        if len(t) == 2:
+            combine(pu, t[1], out=pu)
     return out
 
 
@@ -803,10 +816,12 @@ class Network:
     """An immutable expected utility network.
 
     Built through :func:`build_network`.  All public reads are pure; the
-    per-layer ratio tables, the clique tables and the sure-event sums are
-    computed on demand and cached, so concurrent readers are safe.  A
-    clique table is summed from the factors, never from the joint tables,
-    which only questions that span cliques build.
+    factor terms and each clique's (p, p * u) pair are computed on demand
+    and cached, so concurrent readers are safe.  Every event sum reads one
+    clique pair, summed from the factors: the pair of the smallest clique
+    that holds the question's axes, or of the clique of every axis, whose
+    pair is the joint's.  The per-layer ratio tables are a reference
+    reader that no query reads, built on each call.
     """
 
     def __init__(
@@ -884,56 +899,35 @@ class Network:
             for n in self.space.names
         ])
 
-    def _log_potentials(self, layer: str) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """Per-variable (axes, log table) pairs, cached.  Cap-free."""
-
-        def build() -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-            out = tuple((axes, np.log(table)) for axes, table in self._factors(layer))
-            for _, logt in out:
-                logt.flags.writeable = False
-            return out
-
-        return self._cached(f"logpots/{layer}", build)
-
     def ratio_tables(self, layer: str, state_cap: int | None = None) -> np.ndarray:
-        """The full joint ratio table (value 1 at the reference state), cached.
+        """The full joint ratio table of one layer (value 1 at the reference
+        state), built on each call: a reference reader, which no query reads.
 
         Sums the broadcast per-variable log tables left to right along the
         ordering, the same summation order as the scalar path in
         :func:`joint_ratio` (the two can still differ by an ulp at the final
-        exponentiation).  The cap is checked on every call, cached or not.
+        exponentiation).  The cap is checked first.
         """
         _check_layer(layer)
         _require_cap(self.state_count, state_cap, "enumeration over")
-
-        def build() -> np.ndarray:
-            n = len(self.space)
-            # Identity tables add 0 everywhere and are skipped; the first term
-            # is added to 0.0, not to a table of zeros.
-            terms = [(axes, logt) for axes, logt in self._log_potentials(layer) if logt.any()]
-            total = np.empty(self.space.shape) if terms else np.zeros(self.space.shape)
-            for k, (axes, logt) in enumerate(terms):
-                order = sorted(range(len(axes)), key=lambda a: axes[a])
-                view = logt.transpose(order)
-                idx: list[object] = [None] * n
-                for v in sorted(axes):
-                    idx[v] = slice(None)
-                np.add(total if k else 0.0, view[tuple(idx)], out=total)
-            # An overflow is left as inf for the readers to report.
-            with np.errstate(over="ignore"):
-                np.exp(total, out=total)
-            total.flags.writeable = False
-            return total
-
-        return self._cached(f"ratio/{layer}", build)
-
-    def _ratio_pair(self, state_cap: int) -> tuple[np.ndarray, np.ndarray]:
-        """Both layers' ratio tables, with one cap check and one cache read."""
-        _require_cap(self.state_count, state_cap, "enumeration over")
-        return self._cached(
-            "ratio_pair",
-            lambda: (self.ratio_tables(PROB, state_cap), self.ratio_tables(UTIL, state_cap)),
-        )
+        n = len(self.space)
+        # Identity tables add 0 everywhere and are skipped; the first term
+        # is added to 0.0, not to a table of zeros.
+        logs = [(axes, np.log(table)) for axes, table in self._factors(layer)]
+        terms = [(axes, logt) for axes, logt in logs if logt.any()]
+        total = np.empty(self.space.shape) if terms else np.zeros(self.space.shape)
+        for k, (axes, logt) in enumerate(terms):
+            order = sorted(range(len(axes)), key=lambda a: axes[a])
+            view = logt.transpose(order)
+            idx: list[object] = [None] * n
+            for v in sorted(axes):
+                idx[v] = slice(None)
+            np.add(total if k else 0.0, view[tuple(idx)], out=total)
+        # An overflow is left as inf for the readers to report.
+        with np.errstate(over="ignore"):
+            np.exp(total, out=total)
+        total.flags.writeable = False
+        return total
 
     def _cliques(self) -> tuple[_Clique, ...]:
         """The maximal cliques of both layers' graph, fewest entries first; cached.
@@ -1051,8 +1045,12 @@ class Network:
         each other clique sums out the variables it does not share with its
         parent, taking every term and earlier result that mentions them, all
         of which lie inside it.  A pure function of the network, whatever
-        is cached.  Cap-free.
+        is cached.  The clique of every axis is one bucket over every term.
+        Cap-free.
         """
+        masks = self._terms()[0]
+        if clique.mask == (1 << len(self.space)) - 1:
+            return [_Bucket(clique.mask, 0, tuple(range(len(masks))))]
         family, tree = self._cliques(), self._clique_tree()
         root = family.index(clique)
         parent = {root: root}
@@ -1062,7 +1060,6 @@ class Network:
                 if j not in parent:
                     parent[j] = k
                     visits.append(j)
-        masks = self._terms()[0]
         live = dict(enumerate(masks))
         buckets: list[_Bucket] = []
         for k in reversed(visits[1:]):
@@ -1080,21 +1077,23 @@ class Network:
 
     def _clique_tables(
         self, clique: _Clique, state_cap: int
-    ) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """The clique's marginal pair and its totals, cached.
+    ) -> tuple[np.ndarray, float, float]:
+        """The clique's stacked marginal pair and its totals, cached.
 
-        ``tp`` sums the probability ratios, and ``tu`` the products of both
-        layers' ratios, over every variable outside the clique; their totals
-        are S_p and S_u of the sure event.  Built on first use from the
-        factors by bucket elimination along :meth:`_schedule`, so no table
-        made holds more than a clique of the cover, times the two halves,
-        and the joint is never built.  Where a product or a sum over- or
-        underflows, the same buckets run again in log space.  The cap is
-        checked against the joint on every call, cached or not.
+        The pair's first axis holds two halves over the clique's axes: the
+        sums of the probability ratios, and of the products of both layers'
+        ratios, over every variable outside the clique.  Their totals are
+        S_p and S_u of the sure event.  The pair of the clique of every axis
+        is the joint's (p, p * u) pair.  Built on first use from the factors
+        by bucket elimination along :meth:`_schedule`, so no table made
+        holds more than the clique, or a clique of the cover, times the two
+        halves.  Where a product or a sum over- or underflows, the same
+        buckets run again in log space.  The cap is checked against the
+        joint on every call, cached or not.
         """
         _require_cap(self.state_count, state_cap, "enumeration over")
 
-        def build() -> tuple[np.ndarray, np.ndarray, float, float]:
+        def build() -> tuple[np.ndarray, float, float]:
             tables, buckets, shape = self._terms()[1], self._schedule(clique), self.space.shape
             try:
                 with np.errstate(over="raise", under="raise"):
@@ -1106,9 +1105,10 @@ class Network:
                     pair = np.exp(logs, out=logs)
             pair = pair.reshape(2, *(shape[ax] for ax in clique.axes))
             with np.errstate(over="ignore"):
-                totals = float(pair[0].sum()), float(pair[1].sum())
+                # the reduction of a read of the whole pair, bit for bit
+                totals = pair.sum(axis=tuple(range(1, pair.ndim))).tolist()
             pair.flags.writeable = False
-            return pair[0], pair[1], *totals
+            return pair, *totals
 
         return self._cached(f"clique/{clique.mask}", build)
 
@@ -1235,8 +1235,8 @@ def joint_ratio(network: Network, layer: str, x: Assignment | Mapping[str, str])
     _check_layer(layer)
     values = _as_values(network, x)
     total = 0.0
-    for axes, logt in network._log_potentials(layer):
-        total += float(logt[tuple(values[a] for a in axes)])
+    for axes, table in network._factors(layer):
+        total += math.log(table[tuple(values[a] for a in axes)])
     with np.errstate(over="ignore"):  # reported just below
         out = float(np.exp(total))
     if not 0.0 < out < math.inf:

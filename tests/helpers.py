@@ -22,6 +22,7 @@ from eunet import (
     VariableSpec,
     build_network,
 )
+from eunet.inference import _clique_holding, _clique_of
 
 
 def net_of(domains, ordering=None, prob_arcs=(), util_arcs=(), q=None, w=None):
@@ -118,6 +119,23 @@ def extreme_ratio_net():
     return net_of(
         {"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")},
         q={"A": {("1",): 1e200}, "B": {("1",): 1e200}, "C": {("1",): 1e-300}},
+    )
+
+
+def quotient_range_net():
+    """A, B and C binary, arc A - B in both layers, q_A(1) = 1e-200 and
+    w_A(1) = w_B(1 | A=1) = 1e200, every other ratio 1.
+
+    Every sum over a clique or a cylinder is in float range, and so are
+    u(B=1 | A=1) = 2 and u_norm(A=1) = 1e200, yet a quotient of unlike sums
+    is not: u_rel(A=1) = S_u(A=1) / S_p(A=1) is about 5e399.
+    """
+    return net_of(
+        {"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")},
+        prob_arcs=[("A", "B")],
+        util_arcs=[("A", "B")],
+        q={"A": {("1",): 1e-200}},
+        w={"A": {("1",): 1e200}, "B": {("1", "0"): 1.0, ("1", "1"): 1e200}},
     )
 
 
@@ -291,6 +309,16 @@ def oracle_kept_sums(network: Network, fixed, keep, tables=None) -> tuple[np.nda
             sp[combo] += float(pr[values])
             su[combo] += float(pr[values]) * float(ur[values])
     return sp, su
+
+
+def whole_clique(network: Network):
+    """The clique of every axis, whose pair is the joint's."""
+    return _clique_holding(network, range(len(network.space)))
+
+
+def routed(network: Network, event, keep=()) -> bool:
+    """Whether a question reads a clique smaller than the clique of every axis."""
+    return _clique_of(network, event, keep) != whole_clique(network)
 
 
 def cylinder_member(network: Network, partial):

@@ -190,6 +190,25 @@ def test_decide_reports_all_ties(tmp_path):
     assert out == "argmax: A=0\nargmax: A=1\neu: 1.000000000000\n"
 
 
+def test_quotients_of_unlike_sums_do_not_reach_the_commands(tmp_path):
+    # u_rel(A=1) is about 5e399 on this network, while every answer asked is
+    # in float range.
+    path = tmp_path / "range.json"
+    path.write_text(serialize_network(helpers.quotient_range_net()))
+    for argv, argmax, want in (
+        (("decide", "-d", "B", "-e", "A=1"), ["argmax: B=1"], 2.0),
+        (("query", "--eu", "-e", "B=1", "-g", "A=1"), [], 2.0),
+        (("query", "--eu", "-e", "A=1"), [], 1e200),
+        (("decide", "-d", "A", "-e", "C=0"), ["argmax: A=1"], 1e200),
+    ):
+        code, out, err = run(argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        *lines, last = out.splitlines()
+        assert lines == argmax
+        number = last.removeprefix("eu: ") if argmax else last
+        assert float(number) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_decide_rejects_evidence_on_decision_variable(hw1_path):
     code, out, err = run("decide", hw1_path, "-d", "H", "-e", "H=1")
     assert code == 2

@@ -686,8 +686,6 @@ def test_tie_sets_match_the_oracle_on_every_layout(layout):
 
 
 def test_clique_routed_decisions_match_the_oracle_on_random_networks():
-    from eunet.inference import _clique_of
-
     rng = np.random.default_rng(41)
     routed = spanning = 0
     for _ in range(200):
@@ -710,7 +708,7 @@ def test_clique_routed_decisions_match_the_oracle_on_random_networks():
         evidence = Event(net.space, partial=fixed)
         problem = DecisionProblem(net, dvars, evidence)
         d_axes = [net.space.index(n) for n in dvars]
-        if _clique_of(net, evidence, d_axes) is None:
+        if not helpers.routed(net, evidence, d_axes):
             spanning += 1
         else:
             routed += 1
@@ -752,8 +750,6 @@ def auction_enumerated_ties(resolution, epsilon, opponent):
 
 @pytest.mark.parametrize("resolution", range(4, 13))
 def test_auction_tie_sets_match_enumeration(resolution):
-    from eunet.inference import _clique_of
-
     g = resolution + 1
     rng = np.random.default_rng(200 + resolution)
     opponent = rng.uniform(0.2, 1.0, (g, g))
@@ -761,7 +757,7 @@ def test_auction_tie_sets_match_enumeration(resolution):
     for epsilon in (1e-6, 1e-9):
         model = build_vickrey_auction(resolution, epsilon, opponent)
         problem = model.decision_problem(0.0)
-        assert _clique_of(model.network, problem.evidence, [1]) is not None
+        assert helpers.routed(model.network, problem.evidence, [1])
         want = auction_enumerated_ties(resolution, epsilon, opponent)
         for v, label in enumerate(model.grid):
             got = auction_best_response(model, label)

@@ -315,8 +315,8 @@ def test_cylinder_route_matches_the_oracle(monkeypatch):
     recorded = []
     real = independence._cylinder_sums
 
-    def recording(pr, ur, fixed, keep):
-        out = real(pr, ur, fixed, keep)
+    def recording(pair, axes, fixed, keep):
+        out = real(pair, axes, fixed, keep)
         recorded.append((dict(fixed), out))
         return out
 

@@ -159,17 +159,17 @@ def clique_chain_net():
 
 def test_cap_holds_on_cached_reads(chain_net, monkeypatch):
     # chain_net's cliques hold 8 entries, as many as its joint, so it reads
-    # the joint; clique_chain_net reads cached clique tables.
+    # the whole clique's pair; clique_chain_net reads smaller clique pairs.
     routed = clique_chain_net()
     for net in (chain_net, routed):
         e = net.cylinder({"X1": "1"})
         f = net.cylinder({"X2": "1"})
         problem = DecisionProblem(net, ("X2",), e)
-        # caches both ratio tables, the clique tables and the sure-event sums
+        # caches the clique pairs these questions read, with their totals
         event_utility(net, e)
         conditional_event_utility(net, e, f)
         optimal_decision(problem)
-        assert (_clique_of(net, e & f) is not None) == (net is routed)
+        assert helpers.routed(net, e & f) == (net is routed)
         below = net.state_count - 1
         with pytest.raises(StateCapError):
             event_utility(net, e, state_cap=below)
@@ -540,8 +540,8 @@ def test_cylinder_sums_match_the_oracle_on_every_layout(layout):
     fixed, keep = SUM_LAYOUTS[layout]
     event = Event(net.space, partial=fixed)
     want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep)
-    # The route of _event_sums, and the joint slice every layout can take.
-    for clique in (_clique_of(net, event, keep), None):
+    # The route of _event_sums, and the whole clique every layout can take.
+    for clique in (_clique_of(net, event, keep), helpers.whole_clique(net)):
         got = _sums_from(net, clique, event, 10**6, keep)
         if not keep:
             assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
@@ -558,10 +558,9 @@ def test_event_sum_makes_no_slice_sized_temporary(fixed):
     net = helpers.random_network(np.random.default_rng(5), n_vars=16, arc_prob=0.15)
     table = net.ratio_tables(PROB)
     event = Event(net.space, partial=fixed)
-    # Both questions fit a clique: read its tables, then slice the joint.
-    clique = _clique_of(net, event)
-    assert clique is not None
-    for route in (clique, None):
+    # Both questions fit a clique: read its pair, then the whole clique's.
+    assert helpers.routed(net, event)
+    for route in (_clique_of(net, event), helpers.whole_clique(net)):
         _sums_from(net, route, event, 10**6)  # the tables built and cached
         tracemalloc.start()
         try:
@@ -678,7 +677,7 @@ def test_networks_without_a_clique_family_read_the_joint(rng):
     for net in (dense, chain):
         assert net._cliques() == ()
         e = net.cylinder({net.space.names[0]: "1"})
-        assert _clique_of(net, e) is None
+        assert not helpers.routed(net, e)
         sp, su = helpers.oracle_event_sums(net, helpers.cylinder_member(net, e.fixed_variables()))
         assert _event_sums(net, e, 10**6) == pytest.approx((sp, su), rel=1e-12)
 
@@ -706,7 +705,7 @@ def test_clique_route_matches_the_oracle_on_random_networks():
         for fixed_axes, keep in questions:
             fixed = {ax: int(rng.integers(shape[ax])) for ax in fixed_axes}
             event = Event(net.space, partial=fixed)
-            routed = _clique_of(net, event, keep) is not None
+            routed = helpers.routed(net, event, keep)
             fitted += routed
             spanning += not routed
             want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
@@ -760,13 +759,17 @@ def test_one_question_gives_bit_identical_answers_whatever_was_cached():
         )
 
     want = ask(fresh)
-    assert _clique_of(fresh, fresh.cylinder({"X4": "1", "X5": "2"})) is not None
+    assert helpers.routed(fresh, fresh.cylinder({"X4": "1", "X5": "2"}))
     assert ask(fresh) == want  # a repeat call
     warmed = parse_network(doc)
     warmed.ratio_tables(PROB)
     warmed.ratio_tables(UTIL)
     assert ask(warmed) == want  # after ratio_tables warm-up
-    # after other questions built other clique tables and the sure sums
+    rebuilt = parse_network(doc)
+    reconstruct_joint(rebuilt)
+    assert not helpers.routed(rebuilt, rebuilt.cylinder({"X1": "1", "X9": "0"}))
+    assert ask(rebuilt) == want  # after the reference joint, for spanning questions too
+    # after other questions built other clique pairs
     busy = parse_network(doc)
     for name in reversed(names):
         event_utility(busy, busy.cylinder({name: "1"}))
@@ -777,7 +780,7 @@ def test_one_question_gives_bit_identical_answers_whatever_was_cached():
 def test_overflowing_networks_raise_on_the_clique_route():
     net = helpers.extreme_ratio_net()
     a = net.cylinder({"A": "1"})
-    assert _clique_of(net, a) is not None
+    assert helpers.routed(net, a)
     with pytest.raises(NumericRangeError, match="float range"):
         event_utility(net, a)
     with pytest.raises(NumericRangeError, match="float range"):
@@ -785,7 +788,7 @@ def test_overflowing_networks_raise_on_the_clique_route():
     with pytest.raises(NumericRangeError):
         optimal_decision(DecisionProblem(net, ("B",), a))
     # overflow_window_net overflows in a window, not in the joint; its one
-    # clique holds every variable, so it reads the joint and answers
+    # clique holds every variable, so it reads the whole clique and answers
     net = helpers.overflow_window_net()
     assert net._cliques() == ()
     assert event_utility(net, net.true_event()).p == 1.0
@@ -802,10 +805,14 @@ def test_state_sets_and_eu_independent_events_read_the_joint(monkeypatch):
         [{"X1": "1", "X2": "0", "X3": "1", "X4": "2"}, {"X1": "0", "X2": "2", "X3": "1", "X4": "0"}],
     )
     e, f, g = (net.cylinder({n: "1"}) for n in ("X1", "X2", "X3"))
-    assert _clique_of(net, e) is not None
+    assert helpers.routed(net, e)
 
-    def refuse(*args):
-        raise AssertionError("a clique table was read")
+    read = Network._clique_tables
+
+    def refuse(self, clique, cap):
+        if clique != helpers.whole_clique(self):
+            raise AssertionError("a clique table was read")
+        return read(self, clique, cap)
 
     monkeypatch.setattr(Network, "_clique_tables", refuse)
     sp, su = helpers.oracle_event_sums(net, lambda v: tuple(v) in states.states())
@@ -839,8 +846,15 @@ def refuse_the_joint(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a joint ratio table was built")
 
+    read = Network._clique_tables
+
+    def refuse_the_whole_clique(self, clique, cap):
+        if clique == helpers.whole_clique(self):
+            refuse()
+        return read(self, clique, cap)
+
     monkeypatch.setattr(Network, "ratio_tables", refuse)
-    monkeypatch.setattr(Network, "_ratio_pair", refuse)
+    monkeypatch.setattr(Network, "_clique_tables", refuse_the_whole_clique)
 
 
 def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
@@ -869,7 +883,7 @@ def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
                  for ax in axes[: int(rng.integers(0, k + 1))] + axes[k:k + 1]}
         d_axes = sorted(axes[k:][:2])
         e, f = Event(space, partial=fixed), Event(space, partial=given)
-        assert _clique_of(net, e & f) is not None
+        assert helpers.routed(net, e & f)
         routed += 1
 
         def sums(partial):
@@ -894,7 +908,7 @@ def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
         assert value(net, e, f) == pytest.approx(su_ef / su_f, rel=1e-12)
         if d_axes:
             dvars = tuple(names[a] for a in d_axes)
-            assert _clique_of(net, e, d_axes) is not None
+            assert helpers.routed(net, e, d_axes)
             want_ties, want_eu = oracle_decision(
                 net, dvars, helpers.cylinder_member(net, labels), tables
             )
@@ -1000,7 +1014,7 @@ def test_clique_route_answers_where_the_joint_answers(monkeypatch):
         def joint_answers(*events):
             try:
                 for ev in events:
-                    _sums_from(net, None, ev, 10**6)
+                    _sums_from(net, helpers.whole_clique(net), ev, 10**6)
             except NumericRangeError:
                 return False
             return True
@@ -1026,7 +1040,7 @@ def test_clique_route_answers_where_the_joint_answers(monkeypatch):
                         fixed = dict(zip(axes, vals))
                         given = dict(list(fixed.items())[-1:])
                         e, f = Event(space, partial=fixed), Event(space, partial=given)
-                        assert _clique_of(net, e) is not None
+                        assert helpers.routed(net, e)
                         sp, su = sums(fixed)
                         sp_f, su_f = sums(given)
                         labels = {
@@ -1114,7 +1128,7 @@ def test_clique_tables_match_the_joint_on_benchmark_style_networks():
         pr, ur = net.ratio_tables(PROB), net.ratio_tables(UTIL)
         dims = list(range(pr.ndim))
         for clique in net._cliques():
-            tp, tu, sp, su = net._clique_tables(clique, 10**6)
+            (tp, tu), sp, su = net._clique_tables(clique, 10**6)
             np.testing.assert_allclose(tp, np.einsum(pr, dims, list(clique.axes)), rtol=1e-12)
             np.testing.assert_allclose(tu, np.einsum(pr, dims, ur, dims, list(clique.axes)),
                                        rtol=1e-12)
@@ -1133,3 +1147,170 @@ def test_log_space_buckets_match_the_linear_ones():
             linear = _eliminate(tables, buckets, net.space.shape, log=False)
             logged = _eliminate(logs, buckets, net.space.shape, log=True)
             np.testing.assert_allclose(np.exp(logged), linear, rtol=1e-12)
+
+
+# -- one table form: the whole clique and quotients in range ----------------------
+
+
+def test_whole_clique_route_matches_the_oracle_on_random_networks():
+    """Spanning cylinders, state sets with and without kept axes, and
+    decisions read the pair of the clique of every axis, within 1e-12 of
+    the oracle."""
+    from test_decision import oracle_decision
+
+    spanning = decisions = 0
+    for rng, net in random_clique_nets(17, 120):
+        space, n = net.space, len(net.space)
+        whole = helpers.whole_clique(net)
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        # a cylinder on random axes, read on the whole clique, keeping up to two axes
+        axes = [int(a) for a in rng.permutation(n)]
+        fixed = {ax: int(rng.integers(space.shape[ax])) for ax in axes[:2]}
+        keep = sorted(axes[2:2 + int(rng.integers(0, 3))])
+        event = Event(space, partial=fixed)
+        spanning += not helpers.routed(net, event, keep)
+        want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
+        got = _sums_from(net, whole, event, 10**6, keep)
+        np.testing.assert_allclose(got[0], want_sp, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[1], want_su, rtol=1e-12, atol=0.0)
+        # a state set of random states, with no kept axes and with some
+        states = {tuple(int(rng.integers(k)) for k in space.shape) for _ in range(5)}
+        member = states.__contains__
+        ev = Event(space, states=frozenset(states))
+        assert _clique_of(net, ev) == whole
+        u_norm = conditional_event_utility(net, ev, net.true_event())
+        assert event_utility(net, ev).u_norm == u_norm  # bit for bit
+        assert _event_sums(net, ev, 10**6) == pytest.approx(
+            helpers.oracle_event_sums(net, lambda v: tuple(v) in states, tables), rel=1e-12
+        )
+        keep = sorted(axes[:int(rng.integers(1, 3))])
+        sp, su, met = _event_sums(net, ev, 10**6, keep=keep)
+        for combo in itertools.product(*(range(space.shape[ax]) for ax in keep)):
+            want = helpers.oracle_event_sums(
+                net,
+                lambda v, c=combo: tuple(v) in states and all(v[a] == x for a, x in zip(keep, c)),
+                tables,
+            )
+            assert met[combo] == (want[0] > 0.0)
+            assert (sp[combo], su[combo]) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # decisions on the whole clique: evidence a state set, and a spanning cylinder
+        dvars = tuple(space.names[a] for a in sorted(axes[2:3]))
+        cylinder = Event(space, partial={axes[0]: 0, axes[1]: 0})
+        for evidence, test in (
+            (ev, member),
+            (cylinder, lambda v: v[axes[0]] == 0 and v[axes[1]] == 0),
+        ):
+            if dvars[0] in evidence.fixed_variables():
+                continue
+            if not helpers.routed(net, evidence, [axes[2]]):
+                decisions += 1
+                want_ties, want_eu = oracle_decision(net, dvars, lambda v: test(tuple(v)), tables)
+                got = optimal_decision(DecisionProblem(net, dvars, evidence))
+                assert got.argmax == want_ties
+                assert got.eu == pytest.approx(want_eu, rel=1e-12)
+    assert spanning >= 30 and decisions >= 100
+
+
+def test_a_cold_whole_pair_build_makes_at_most_one_factor_sized_temporary():
+    for net in [*bench_nets()[:2], clique_chain_net(), mixed_domain_net()]:
+        whole = helpers.whole_clique(net)
+        terms = net._terms()[1]
+        tracemalloc.start()
+        try:
+            pair = net._clique_tables(whole, 10**6)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.shape == (2, *net.space.shape)
+        # a ufunc loop may buffer up to getbufsize() entries of an operand
+        buffers = 2 * np.getbufsize() * 8
+        assert peak <= pair.nbytes + max(*(t.nbytes for t in terms), buffers) + 4096
+
+
+def exact_measure_oracle(net):
+    """Exact S_p and S_u of a cylinder, from :func:`exact_state_sums`."""
+    exact = exact_state_sums(net)
+
+    def sums(partial):
+        members = [s for v, s in exact.items() if all(v[a] == x for a, x in partial.items())]
+        return sum(p for p, _ in members), sum(pu for _, pu in members)
+
+    return sums
+
+
+def test_quotients_stay_in_float_range_on_both_routes():
+    """Each measure is a product of ratios of like sums, so it is answered
+    wherever its exact value is in float range, on a clique and on the
+    whole clique, and only u_rel(A=1), about 5e399, raises."""
+    from fractions import Fraction
+
+    from eunet import eu_independent_events
+
+    net = helpers.quotient_range_net()
+    sums = exact_measure_oracle(net)
+    a1, b1, c0 = (net.cylinder({n: v}) for n, v in (("A", "1"), ("B", "1"), ("C", "0")))
+    assert helpers.routed(net, a1 & b1) and not helpers.routed(net, a1 & c0)
+    sure = net.true_event()
+
+    def u(e, f):
+        (sp_ef, su_ef), (sp_f, su_f) = sums({**f, **e}), sums(f)
+        return (su_ef / su_f) * (sp_f / sp_ef)
+
+    def close(got, want):
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    A, B, C = 0, 1, 2
+    # the clique {A, B}
+    close(conditional_event_utility(net, b1, a1), u({B: 1}, {A: 1}))
+    close(conditional_event_utility(net, b1, a1), 2.0)
+    close(conditional_event_utility(net, a1, sure), u({A: 1}, {}))
+    close(conditional_event_utility(net, a1, sure), 1e200)
+    close(value(net, a1), sums({A: 1})[1] / sums({})[1])
+    close(conditional_probability(net, a1, sure), sums({A: 1})[0] / sums({})[0])
+    with pytest.raises(NumericRangeError, match="float range"):
+        event_utility(net, a1)
+    with pytest.raises(NumericRangeError, match="float range"):
+        marginal_u_ratio(net, {"A": "1"})
+    got = optimal_decision(DecisionProblem(net, ("B",), a1))
+    assert got.argmax == ({"B": "1"},)
+    close(got.eu, u({B: 1}, {A: 1}))
+    # the whole clique
+    close(conditional_event_utility(net, a1, c0), u({A: 1}, {C: 0}))
+    close(conditional_event_utility(net, b1, a1 & c0), u({B: 1}, {A: 1, C: 0}))
+    got = optimal_decision(DecisionProblem(net, ("A",), c0))
+    assert got.argmax == ({"A": "1"},)
+    close(got.eu, u({A: 1}, {C: 0}))
+    close(got.eu, 1e200)
+    states = Event.from_assignments(
+        net.space, [{"A": "1", "B": "1", "C": "0"}, {"A": "1", "B": "0", "C": "1"}]
+    )
+    want = (sums({A: 1, B: 1, C: 0})[1] + sums({A: 1, B: 0, C: 1})[1]) / sums({})[1]
+    close(value(net, states), want)
+    # u(A=1, B=1 | C=0) against u(A=1 | C=0) u(B=1 | C=0), both sides finite
+    lhs, rhs = u({A: 1, B: 1}, {C: 0}), u({A: 1}, {C: 0}) * u({B: 1}, {C: 0})
+    assert eu_independent_events(net, a1, b1, c0) == (abs(lhs - rhs) <= Fraction(1e-9) * rhs)
+
+    # Ratios of like sums that leave float range on their own: with
+    # q_A(1) = 1e200 and q_D1(1 | A=1) = q_D2(1 | A=1, D1) = 1e-200,
+    # p(D1=1, D2=1 | A=1) is about 1e-400, yet u(D1=1, D2=1 | A=1) is 1.
+    # {A, D1, D2} is a clique; C is free, so asking C spans cliques.
+    net = helpers.net_of(
+        {n: ("0", "1") for n in ("A", "D1", "D2", "C")},
+        prob_arcs=[("A", "D1"), ("A", "D2"), ("D1", "D2")],
+        q={
+            "A": {("1",): 1e200},
+            "D1": {("1", "0"): 1.0, ("1", "1"): 1e-200},
+            "D2": {("1", a, d): 1e-200 if a == "1" else 1.0 for a in "01" for d in "01"},
+        },
+    )
+    sums = exact_measure_oracle(net)
+    a1 = net.cylinder({"A": "1"})
+    for target in ({"D1": "1", "D2": "1"}, {"D1": "1", "D2": "1", "C": "0"}):
+        e = net.cylinder(target)
+        fixed = {net.space.index(n): int(v) for n, v in target.items()}
+        close(conditional_event_utility(net, e, a1), u(fixed, {0: 1}))
+    assert helpers.routed(net, net.cylinder({"D1": "1", "D2": "1"}) & a1)
+    for evidence in (a1, net.cylinder({"A": "1", "C": "0"})):
+        got = optimal_decision(DecisionProblem(net, ("D1", "D2"), evidence))
+        assert len(got.argmax) == 4
+        close(got.eu, 1.0)

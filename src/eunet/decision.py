@@ -99,10 +99,11 @@ class OptimalDecision(NamedTuple):
 def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> OptimalDecision:
     """Exhaustively rank decision assignments by conditional expected utility.
 
-    One reduction of the evidence's slice of a clique pair onto the
-    decision axes yields S_p(d and E) and S_u(d and E) for every assignment
-    d at once, and their totals give S_p(E) and S_u(E); each assignment the
-    evidence meets then scores u(d | E) = (S_u(dE) / S_u(E)) (S_p(E) / S_p(dE)).
+    One read of a table over the decision axes (for cylinder evidence, a
+    slice of the scope table of the evidence's and the decisions' axes)
+    yields S_p(d and E) and S_u(d and E) for every assignment d at once,
+    and their totals give S_p(E) and S_u(E); each assignment the evidence
+    meets then scores u(d | E) = (S_u(dE) / S_u(E)) (S_p(E) / S_p(dE)).
     Assignments within relative ``TIE_TOLERANCE`` of the maximum are all
     reported, in lexicographic order of value indexes over the decision
     variables (themselves in ordering index order).

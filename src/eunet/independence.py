@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .inference import _clique_holding, _clique_of, _cylinder_sums, _quotient, _sums_from
+from .inference import _clique_of, _cylinder_sums, _mask, _quotient, _sums_from
 from .model import (
     PROB,
     UTIL,
@@ -242,16 +242,14 @@ def eu_independent_events(
                 f"empty conditioning intersection ({name} meets G nowhere), "
                 "conditional utility undefined"
             )
-    # The meet of all three holds every region's axes, so its clique pair
+    # The meet of all three holds every region's axes, so its scope table
     # answers all four sums.
-    cap = resolve_state_cap()
     if cylinders:
-        clique = _clique_holding(network, regions[-1])
-        pair = network._clique_tables(clique, cap)[0]
-        sums = [_cylinder_sums(pair, clique.axes, fixed, ()) for fixed in regions]
+        table = network._scope_table(_mask(regions[-1]), resolve_state_cap())
+        sums = [_cylinder_sums(table, fixed, ()) for fixed in regions]
     else:
-        clique = _clique_of(network, regions[-1])
-        sums = [_sums_from(network, clique, ev, cap) for ev in regions]
+        table = network._scope_table(_clique_of(network, regions[-1]), resolve_state_cap())
+        sums = [_sums_from(table, ev) for ev in regions]
     (sp_g, su_g), *meet_sums = sums
     u_e, u_f, u_ef = (_quotient(su, su_g, sp_g, sp) for sp, su in meet_sums)
     rhs = u_e * u_f

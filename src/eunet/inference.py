@@ -15,18 +15,21 @@ u(E|F) = (S_u(EF)/S_u(F)) (S_p(F)/S_p(EF)).  Each measure is taken as a
 ratio of like sums or a product of two, so it overflows only where its
 exact value does, even where a quotient of unlike sums such as u_rel would.
 
-Every sum reads one clique's stacked (p, p * u) pair, which holds the
-joint's sums over every variable outside the clique and is summed from the
-factors by bucket elimination: the smallest clique of both layers' graph
-that holds a cylinder question's fixed and kept axes, or else the clique of
-every axis, whose pair is the joint's and which state sets index by flat
-state.  The separator shortcut (local_conditional_eu) reads two windows off
-the factors.
+Every sum of a cylinder question reads the question's scope table: the
+stacked (p, p * u) pair over exactly its fixed and kept axes, which holds
+the joint's sums over every other variable.  The network caches it under
+the scope's bit mask, summed once from the pair of the smallest clique of
+both layers' graph that holds the scope, or else from the clique of every
+axis, whose pair is the joint's; the clique pairs are summed from the
+factors by bucket elimination.  A read indexes the fixed axes and sums
+nothing more, save where one table answers several sums (the F of a
+conditional, the four meets of eu_independent_events).  State sets read
+the pair of the clique of every axis by flat state.  The separator shortcut
+(local_conditional_eu) reads two windows off the factors.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -43,9 +46,11 @@ from .model import (
     NumericRangeError,
     SeparationError,
     ValidationError,
-    _Clique,
     _ratio_window,
+    _reduced,
     _require_cap,
+    _Table,
+    _totals,
     resolve_state_cap,
 )
 
@@ -95,52 +100,41 @@ def _event_sums(
     overflowed or underflowed raises NumericRangeError instead of turning
     into an inf, a NaN or a zero in the answer.
     """
-    return _sums_from(network, _clique_of(network, event, keep), event, cap, keep)
+    table = network._scope_table(_clique_of(network, event, keep), cap)
+    return _sums_from(table, event, keep)
 
 
-def _clique_of(network: Network, event: Event, keep: Sequence[int] = ()) -> _Clique:
-    """The clique whose pair answers the event with ``keep`` kept: the one
-    :func:`_clique_holding` finds for a cylinder's fixed and kept axes, and
-    the clique of every axis for a state set."""
+def _clique_of(network: Network, event: Event, keep: Sequence[int] = ()) -> int:
+    """The scope of a question, the bit mask of the axes its table spans:
+    a cylinder's fixed and kept axes, and every axis for a state set."""
+    if event.space != network.space:
+        raise ValidationError("event belongs to a different variable system")
     if event._partial is None:
-        return _clique_holding(network, range(len(network.space)))
-    return _clique_holding(network, itertools.chain(event._partial, keep))
+        return (1 << len(network.space)) - 1
+    return _mask(event._partial) | _mask(keep)
 
 
-def _clique_holding(network: Network, axes: Iterable[int]) -> _Clique:
-    """The clique with the fewest entries that holds ``axes``, or else the
-    clique of every axis, whose pair is the joint's.
-
-    A pure function of the graph, the ordering and the axes, so a question
-    reads the same table whatever was asked or cached before.
-    """
+def _mask(axes: Iterable[int]) -> int:
+    """The bit mask of ``axes``."""
     mask = 0
     for ax in axes:
         mask |= 1 << ax
-    for clique in network._cliques():
-        if clique.mask & mask == mask:
-            return clique
-    n = len(network.space)
-    return _Clique((1 << n) - 1, tuple(range(n)))
+    return mask
 
 
-def _sums_from(
-    network: Network, clique: _Clique, event: Event, cap: int, keep: Sequence[int] = ()
-) -> tuple:
-    """The sums of :func:`_event_sums`, read from the clique's pair.  A
-    state set's clique holds every axis, so its flat indexes index the pair."""
-    if event.space != network.space:
-        raise ValidationError("event belongs to a different variable system")
-    pair = network._clique_tables(clique, cap)[0]
+def _sums_from(table: _Table, event: Event, keep: Sequence[int] = ()) -> tuple:
+    """The sums of :func:`_event_sums`, read from a scope table that holds
+    the event's axes and ``keep``.  A state set's table spans every axis,
+    so its flat indexes index the pair."""
     if event._partial is not None:
-        return _cylinder_sums(pair, clique.axes, event._partial, keep)
+        return _cylinder_sums(table, event._partial, keep)
     flat = event.flat_indexes()
     if flat.size == 0 and not keep:
         return 0.0, 0.0
-    vals = pair.reshape(2, -1)[:, flat]
+    vals = table.pair.reshape(2, -1)[:, flat]
     if not keep:
         return _in_range(*vals.sum(axis=1).tolist())
-    shape = network.space.shape
+    shape = event.space.shape
     kept_shape = tuple(shape[ax] for ax in keep)
     coords = np.unravel_index(flat, shape)
     code = np.ravel_multi_index(tuple(coords[ax] for ax in keep), kept_shape)
@@ -150,88 +144,28 @@ def _sums_from(
     return _tables_in_range(sums.reshape(2, *kept_shape), member)
 
 
-# A pass of numpy's reductions runs fast when its innermost loop covers many
-# contiguous entries, and element by element around a short innermost axis.
-# A run of at least this many contiguous entries is long.  Where one pass and
-# the run-by-run order of _cylinder_sums cross depends on the whole layout:
-# on a 19-variable binary network it fell between 32 and 128 entries case by
-# case, and over 40 random decisions there both bounds took the same time.
-_LONG_RUN = 32
-_FIXED, _KEPT, _SUMMED = range(3)
+_ALL = slice(None)
 
 
-def _cylinder_sums(
-    pair: np.ndarray, axes: Sequence[int], fixed: dict[int, int], keep: Sequence[int]
-) -> tuple:
-    """The cylinder branch of :func:`_event_sums`, over a clique's stacked
-    pair on ``axes``; ``fixed`` and ``keep`` name axes of the clique.
+def _cylinder_sums(table: _Table, fixed: dict[int, int], keep: Sequence[int]) -> tuple:
+    """The cylinder branch of :func:`_event_sums`, over a scope table whose
+    axes hold ``fixed`` and ``keep``.
 
-    Each step sums both halves of the slice at once.  With no kept axes
-    that is one sum over every axis of the slice but the halves' axis.
-
-    With kept axes the reduction order follows the slice's layout.  Each run
-    of adjacent axes with one role (fixed, kept, summed out) is one axis of a
-    reshape of the contiguous pair.  When every free axis is kept, or the
-    innermost run is summed out and is long or the only summed-out run (the
-    auction's layout), one multi-axis sum over the slice has nothing to gain
-    from going run by run.  Otherwise the summed-out runs go one at a time,
-    outermost first, so each step adds whole contiguous blocks where one
-    multi-axis pass would step around the short innermost axis entry by
-    entry.  A summed-out run in front of a short contiguous tail is split in
-    two, its inner part just long enough that the tail and it make a long
-    block.
+    The fixed axes index the pair.  Where the table spans exactly the fixed
+    and kept axes, as it does for the question it was built for, that is
+    the whole read.  Otherwise the slice's other axes are summed out: F of
+    a conditional reads the table of E and F, and sums the axes only E
+    fixes.
     """
-    n = len(axes)
-    shape = pair.shape[1:]
-    index: list[object] = [slice(None)] * (n + 1)
-    for ax, v in fixed.items():
-        index[axes.index(ax) + 1] = v
-    sub = pair[tuple(index)]
+    sub = table.pair[(_ALL, *[fixed.get(ax, _ALL) for ax in table.axes])]
     if not keep:
-        return _in_range(*sub.sum(axis=tuple(range(1, sub.ndim))).tolist())
-
+        return _in_range(*(sub.tolist() if sub.ndim == 1 else _totals(sub)))
+    if sub.ndim == 1 + len(keep):
+        return _tables_in_range(sub)
     keep_set = set(keep)
-    role = [_FIXED if ax in fixed else _KEPT if ax in keep_set else _SUMMED for ax in axes]
-    runs = [(r, list(ks)) for r, ks in itertools.groupby(range(n), key=role.__getitem__)]
-    summed = [ks for r, ks in runs if r == _SUMMED]
-    inner_role, inner_axes = next(run for run in reversed(runs) if run[0] != _FIXED)
-    if not summed or (
-        inner_role == _SUMMED
-        and (len(summed) == 1 or math.prod(shape[k] for k in inner_axes) >= _LONG_RUN)
-    ):
-        free = [k for k in range(n) if role[k] != _FIXED]
-        out = sub.sum(axis=tuple(d + 1 for d, k in enumerate(free) if role[k] == _SUMMED))
-        return _tables_in_range(out)
-
-    tail = 1
-    for i in range(len(runs) - 1, -1, -1):
-        r, ks = runs[i]
-        if r == _FIXED:
-            break
-        if r == _SUMMED and tail < _LONG_RUN:
-            inner = tail
-            for cut in range(len(ks) - 1, 0, -1):
-                inner *= shape[ks[cut]]
-                if inner >= _LONG_RUN:
-                    runs[i:i + 1] = [(r, ks[:cut]), (r, ks[cut:])]
-                    break
-        tail *= math.prod(shape[k] for k in ks)
-
-    sizes = [math.prod(shape[k] for k in ks) for _, ks in runs]
-    merged_key = tuple(
-        int(np.ravel_multi_index([fixed[axes[k]] for k in ks], [shape[k] for k in ks]))
-        if r == _FIXED
-        else slice(None)
-        for r, ks in runs
+    return _tables_in_range(
+        _reduced(sub, [ax in keep_set for ax in table.axes if ax not in fixed])
     )
-    out = pair.reshape(2, *sizes)[(slice(None), *merged_key)]
-    axis = 1
-    for r, _ in runs:
-        if r == _SUMMED:
-            out = out.sum(axis=axis)
-        elif r == _KEPT:
-            axis += 1
-    return _tables_in_range(out.reshape(2, *(shape[axes.index(ax)] for ax in keep)))
 
 
 def _in_range(sp: float, su: float) -> tuple[float, float]:
@@ -292,9 +226,8 @@ def _conditional_sums(
     if ef.is_empty:
         raise EmptyEventError(f"E and F do not intersect, conditional {measure} undefined")
     # F's fixed axes are among those of E and F, so one table answers both.
-    cap = resolve_state_cap(state_cap)
-    clique = _clique_of(network, ef)
-    return _sums_from(network, clique, ef, cap), _sums_from(network, clique, f, cap)
+    table = network._scope_table(_clique_of(network, ef), resolve_state_cap(state_cap))
+    return _sums_from(table, ef), _sums_from(table, f)
 
 
 def marginal_p_ratio(
@@ -344,12 +277,10 @@ def _sure_and_event_sums(
     network: Network, e: Event, state_cap: int | None
 ) -> tuple[float, float, float, float]:
     """S_p and S_u over E, then over the sure event: the totals of the
-    clique pair that answers E, cached with it."""
+    scope table that answers E, cached with it."""
     _require_nonempty(e, "event E")
-    cap = resolve_state_cap(state_cap)
-    clique = _clique_of(network, e)
-    sp, su = _sums_from(network, clique, e, cap)
-    return sp, su, *_in_range(*network._clique_tables(clique, cap)[1:])
+    table = network._scope_table(_clique_of(network, e), resolve_state_cap(state_cap))
+    return *_sums_from(table, e), *_in_range(table.sp, table.su)
 
 
 def event_utility(network: Network, e: Event, state_cap: int | None = None) -> MeasureTriple:

@@ -786,6 +786,64 @@ def _eliminate(
     return out
 
 
+class _Table(NamedTuple):
+    """A stacked (p, p * u) pair over ``axes``, in index order, and its
+    totals: S_p and S_u of the sure event."""
+
+    pair: np.ndarray
+    sp: float
+    su: float
+    axes: tuple[int, ...]
+
+
+def _totals(pair: np.ndarray) -> list[float]:
+    """Each half of a stacked pair summed over every other axis, the same
+    reduction as a read of the sure event on the pair."""
+    return pair.sum(axis=tuple(range(1, pair.ndim))).tolist()
+
+
+# A pass of numpy's reductions runs fast when its innermost loop covers many
+# contiguous entries, and element by element around a short innermost axis.
+# A run of at least this many contiguous entries is long.  Where one pass and
+# a split pass cross depends on the whole layout: on a 19-variable binary
+# network it fell between 32 and 128 entries case by case, and over 40
+# random decisions there both bounds took the same time.  A longer tail runs
+# faster from a large pair (0.3 against 0.4-0.7 ms from an 8 MiB pair, at
+# 1,024 entries) but holds a larger temporary.
+_LONG_RUN = 32
+
+
+def _reduced(pair: np.ndarray, kept: Sequence[bool]) -> np.ndarray:
+    """A stacked pair summed over each axis after the halves' axis whose
+    flag in ``kept`` is false, some flag false; the order of the sums
+    follows the pair's row-major layout.
+
+    Where the innermost axes are summed out and make a long contiguous run,
+    or are the only summed-out ones (the auction's layout), one multi-axis
+    sum steps through long runs already.  Otherwise the innermost axes that
+    make the shortest long block, whatever their roles, are the tail: one
+    sum takes the summed-out axes in front of it, with the tail's block as
+    its inner loop, and a second sums the tail's own.  No temporary holds
+    more than the kept axes in front of the tail times the tail.
+    """
+    shape = pair.shape[1:]
+    n = len(shape)
+    inner = n
+    while inner and not kept[inner - 1]:
+        inner -= 1
+    if inner < n and (math.prod(shape[inner:]) >= _LONG_RUN or all(kept[:inner])):
+        return pair.sum(axis=tuple(ax + 1 for ax in range(n) if not kept[ax]))
+    tail, block = n, 1
+    while tail and block < _LONG_RUN:
+        tail -= 1
+        block *= shape[tail]
+    front = tuple(ax + 1 for ax in range(tail) if not kept[ax])
+    out = pair.sum(axis=front) if front else pair
+    first = 1 + sum(kept[:tail])  # the tail's first axis in ``out``
+    back = tuple(first + i for i in range(n - tail) if not kept[tail + i])
+    return out.sum(axis=back) if back else out
+
+
 class MantlePotential(NamedTuple):
     """A full-mantle ratio table: variable, conditioning names, table."""
 
@@ -812,16 +870,22 @@ class ImapReport:
         return not self.violations
 
 
+# Per axis count, the transpose that moves a table's first axis last.
+_FIRST_AXIS_LAST = [(*range(1, k), 0) for k in range(64)]
+
+
 class Network:
     """An immutable expected utility network.
 
     Built through :func:`build_network`.  All public reads are pure; the
-    factor terms and each clique's (p, p * u) pair are computed on demand
-    and cached, so concurrent readers are safe.  Every event sum reads one
-    clique pair, summed from the factors: the pair of the smallest clique
-    that holds the question's axes, or of the clique of every axis, whose
-    pair is the joint's.  The per-layer ratio tables are a reference
-    reader that no query reads, built on each call.
+    factor terms, each clique's (p, p * u) pair and each scope table are
+    computed on demand and cached, so concurrent readers are safe.  Every
+    cylinder question reads the table of its scope, the axes it fixes and
+    keeps, summed once from the pair of the smallest clique that holds
+    them, or of the clique of every axis, whose pair is the joint's; the
+    scope tables kept hold at most the state cap's entries together.
+    State sets read the joint's pair.  The per-layer ratio tables are a
+    reference reader that no query reads, built on each call.
     """
 
     def __init__(
@@ -835,6 +899,10 @@ class Network:
         self._potentials = {layer: dict(potentials[layer]) for layer in LAYERS}
         self._lock = threading.Lock()
         self._cache: dict[str, object] = {}
+        # the scope tables, by scope mask, and the entries of those not
+        # shared with a clique
+        self._scopes: dict[int, _Table] = {}
+        self._scope_entries = 0
 
     # -- structure reads ---------------------------------------------------
 
@@ -893,10 +961,10 @@ class Network:
 
     def _factors(self, layer: str) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """Per-variable (axes, ratio table) pairs, cached: the variable, then its parents."""
-        index, pots = self.space.index, self._potentials[layer]
+        index, pots = self.space._index.__getitem__, self._potentials[layer]
         return self._cached(f"factors/{layer}", lambda: [
-            ((index(n),) + tuple(index(p) for p in pots[n].parents), pots[n].table)
-            for n in self.space.names
+            ((i, *map(index, pot.parents)), pot.table)
+            for i, pot in enumerate(map(pots.__getitem__, self.space.names))
         ])
 
     def ratio_tables(self, layer: str, state_cap: int | None = None) -> np.ndarray:
@@ -981,28 +1049,39 @@ class Network:
         one axis per variable of the space in index order, of length 1 for
         a variable it lacks.  A probability table counts in both halves (its
         first axis has length 1), a utility table only in the p * u half:
-        its p half is a table of ones.
+        its p half is a table of ones.  The utility terms are views of one
+        buffer, filled by one copy, whose p half is one row of ones.
         """
 
         def build() -> tuple[list[int], list[np.ndarray]]:
             shape, masks, tables = self.space.shape, [], []
+            util: list[tuple[list[int], np.ndarray]] = []
+            ones = [1] * len(shape)
             for layer in LAYERS:
                 for axes, ratios in self._factors(layer):
                     # A table whose last entry is not 1 is no identity table.
                     if ratios.item(-1) == 1.0 and ratios.max() == 1.0 == ratios.min():
                         continue
-                    mask, full = 0, [1] * len(shape)
+                    mask, full = 0, ones.copy()
                     for ax in axes:
                         mask |= 1 << ax
                         full[ax] = shape[ax]
-                    # The variable's axis comes first and is its highest one.
-                    table = ratios.transpose((*range(1, ratios.ndim), 0)).reshape(1, *full)
-                    if layer == UTIL:
-                        table, util = np.empty((2, *full)), table
-                        table[0] = 1.0
-                        table[1:] = util
                     masks.append(mask)
-                    tables.append(table)
+                    # The variable's axis comes first and is its highest one.
+                    ratios = ratios.transpose(_FIRST_AXIS_LAST[ratios.ndim])
+                    if layer == UTIL:
+                        util.append((full, ratios))
+                    else:
+                        tables.append(ratios.reshape(1, *full))
+            if util:
+                buffer = np.empty((2, sum(view.size for _, view in util)))
+                buffer[0] = 1.0
+                np.concatenate([view for _, view in util], axis=None, out=buffer[1])
+                start = 0
+                for full, view in util:
+                    stop = start + view.size
+                    tables.append(buffer[:, start:stop].reshape(2, *full))
+                    start = stop
             return masks, tables
 
         return self._cached("terms", build)
@@ -1075,9 +1154,54 @@ class Network:
         buckets.append(_Bucket(clique.mask, 0, tuple(live)))
         return buckets
 
-    def _clique_tables(
-        self, clique: _Clique, state_cap: int
-    ) -> tuple[np.ndarray, float, float]:
+    def _clique_holding(self, scope: int) -> _Clique:
+        """The clique with the fewest entries whose mask holds the ``scope``
+        mask, or else the clique of every axis, whose pair is the joint's.
+
+        A pure function of the graph, the ordering and the scope, so a
+        question reads the same table whatever was asked or cached before.
+        """
+        for clique in self._cliques():
+            if clique.mask & scope == scope:
+                return clique
+        n = len(self.space)
+        return _Clique((1 << n) - 1, tuple(range(n)))
+
+    def _scope_table(self, scope: int, state_cap: int) -> _Table:
+        """The stacked pair over exactly the axes of the ``scope`` mask, and
+        its totals, cached under the mask.
+
+        Summed by :func:`_reduced` from the pair of
+        :meth:`_clique_holding`, so a pure function of the network and the
+        mask; where the scope is that clique, the clique's own entry.  The
+        totals are :func:`_totals` of the scope's pair.  The scope tables of
+        a network keep at most ``state_cap`` entries together: one built
+        past that bound is returned and not kept.  The cap is checked
+        against the joint on every call, cached or not.
+        """
+        _require_cap(self.state_count, state_cap, "enumeration over")
+        table = self._scopes.get(scope)
+        if table is not None:
+            return table
+        clique = self._clique_holding(scope)
+        table = self._clique_tables(clique, state_cap)
+        size = 0
+        if clique.mask != scope:
+            with np.errstate(over="ignore"):  # left as inf for the readers to report
+                pair = _reduced(table.pair, [scope >> ax & 1 for ax in clique.axes])
+                totals = _totals(pair)
+            pair.flags.writeable = False
+            axes = tuple(ax for ax in clique.axes if scope >> ax & 1)
+            table, size = _Table(pair, *totals, axes), pair.size
+        with self._lock:
+            if scope in self._scopes:
+                return self._scopes[scope]
+            if self._scope_entries + size <= state_cap:
+                self._scopes[scope] = table
+                self._scope_entries += size
+        return table
+
+    def _clique_tables(self, clique: _Clique, state_cap: int) -> _Table:
         """The clique's stacked marginal pair and its totals, cached.
 
         The pair's first axis holds two halves over the clique's axes: the
@@ -1104,11 +1228,9 @@ class Network:
                 with np.errstate(over="ignore"):
                     pair = np.exp(logs, out=logs)
             pair = pair.reshape(2, *(shape[ax] for ax in clique.axes))
-            with np.errstate(over="ignore"):
-                # the reduction of a read of the whole pair, bit for bit
-                totals = pair.sum(axis=tuple(range(1, pair.ndim))).tolist()
             pair.flags.writeable = False
-            return pair, *totals
+            with np.errstate(over="ignore"):
+                return _Table(pair, *_totals(pair), clique.axes)
 
         return self._cached(f"clique/{clique.mask}", build)
 

@@ -22,7 +22,7 @@ from eunet import (
     VariableSpec,
     build_network,
 )
-from eunet.inference import _clique_holding, _clique_of
+from eunet.inference import _clique_of
 
 
 def net_of(domains, ordering=None, prob_arcs=(), util_arcs=(), q=None, w=None):
@@ -311,14 +311,20 @@ def oracle_kept_sums(network: Network, fixed, keep, tables=None) -> tuple[np.nda
     return sp, su
 
 
+def whole_scope(network: Network) -> int:
+    """The scope mask of every axis."""
+    return (1 << len(network.space)) - 1
+
+
 def whole_clique(network: Network):
     """The clique of every axis, whose pair is the joint's."""
-    return _clique_holding(network, range(len(network.space)))
+    return network._clique_holding(whole_scope(network))
 
 
 def routed(network: Network, event, keep=()) -> bool:
-    """Whether a question reads a clique smaller than the clique of every axis."""
-    return _clique_of(network, event, keep) != whole_clique(network)
+    """Whether a question reads a scope summed from a clique smaller than
+    the clique of every axis."""
+    return network._clique_holding(_clique_of(network, event, keep)) != whole_clique(network)
 
 
 def cylinder_member(network: Network, partial):

@@ -315,8 +315,8 @@ def test_cylinder_route_matches_the_oracle(monkeypatch):
     recorded = []
     real = independence._cylinder_sums
 
-    def recording(pair, axes, fixed, keep):
-        out = real(pair, axes, fixed, keep)
+    def recording(table, fixed, keep):
+        out = real(table, fixed, keep)
         recorded.append((dict(fixed), out))
         return out
 

@@ -540,9 +540,9 @@ def test_cylinder_sums_match_the_oracle_on_every_layout(layout):
     fixed, keep = SUM_LAYOUTS[layout]
     event = Event(net.space, partial=fixed)
     want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep)
-    # The route of _event_sums, and the whole clique every layout can take.
-    for clique in (_clique_of(net, event, keep), helpers.whole_clique(net)):
-        got = _sums_from(net, clique, event, 10**6, keep)
+    # The route of _event_sums, and the whole scope every layout can take.
+    for scope in (_clique_of(net, event, keep), helpers.whole_scope(net)):
+        got = _sums_from(net._scope_table(scope, 10**6), event, keep)
         if not keep:
             assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
             continue
@@ -560,11 +560,11 @@ def test_event_sum_makes_no_slice_sized_temporary(fixed):
     event = Event(net.space, partial=fixed)
     # Both questions fit a clique: read its pair, then the whole clique's.
     assert helpers.routed(net, event)
-    for route in (_clique_of(net, event), helpers.whole_clique(net)):
-        _sums_from(net, route, event, 10**6)  # the tables built and cached
+    for scope in (_clique_of(net, event), helpers.whole_scope(net)):
+        _sums_from(net._scope_table(scope, 10**6), event)  # the tables built and cached
         tracemalloc.start()
         try:
-            _sums_from(net, route, event, 10**6)
+            _sums_from(net._scope_table(scope, 10**6), event)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1014,7 +1014,7 @@ def test_clique_route_answers_where_the_joint_answers(monkeypatch):
         def joint_answers(*events):
             try:
                 for ev in events:
-                    _sums_from(net, helpers.whole_clique(net), ev, 10**6)
+                    _sums_from(net._scope_table(helpers.whole_scope(net), 10**6), ev)
             except NumericRangeError:
                 return False
             return True
@@ -1128,7 +1128,8 @@ def test_clique_tables_match_the_joint_on_benchmark_style_networks():
         pr, ur = net.ratio_tables(PROB), net.ratio_tables(UTIL)
         dims = list(range(pr.ndim))
         for clique in net._cliques():
-            (tp, tu), sp, su = net._clique_tables(clique, 10**6)
+            (tp, tu), sp, su, axes = net._clique_tables(clique, 10**6)
+            assert axes == clique.axes
             np.testing.assert_allclose(tp, np.einsum(pr, dims, list(clique.axes)), rtol=1e-12)
             np.testing.assert_allclose(tu, np.einsum(pr, dims, ur, dims, list(clique.axes)),
                                        rtol=1e-12)
@@ -1161,7 +1162,7 @@ def test_whole_clique_route_matches_the_oracle_on_random_networks():
     spanning = decisions = 0
     for rng, net in random_clique_nets(17, 120):
         space, n = net.space, len(net.space)
-        whole = helpers.whole_clique(net)
+        whole = helpers.whole_scope(net)
         tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
         # a cylinder on random axes, read on the whole clique, keeping up to two axes
         axes = [int(a) for a in rng.permutation(n)]
@@ -1170,7 +1171,7 @@ def test_whole_clique_route_matches_the_oracle_on_random_networks():
         event = Event(space, partial=fixed)
         spanning += not helpers.routed(net, event, keep)
         want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
-        got = _sums_from(net, whole, event, 10**6, keep)
+        got = _sums_from(net._scope_table(whole, 10**6), event, keep)
         np.testing.assert_allclose(got[0], want_sp, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[1], want_su, rtol=1e-12, atol=0.0)
         # a state set of random states, with no kept axes and with some
@@ -1314,3 +1315,234 @@ def test_quotients_stay_in_float_range_on_both_routes():
         got = optimal_decision(DecisionProblem(net, ("D1", "D2"), evidence))
         assert len(got.argmax) == 4
         close(got.eu, 1.0)
+
+
+# -- scope tables ----------------------------------------------------------------
+
+
+def _kept_scopes(net):
+    """The scope tables kept apart from the clique pairs, by mask."""
+    return {
+        scope: table for scope, table in net._scopes.items()
+        if net._clique_holding(scope).mask != scope
+    }
+
+
+def _scope_questions(rng, net):
+    """Cylinder questions on random axes: (fixed, keep), the fixed axes and
+    the kept ones disjoint, some inside a clique and some spanning."""
+    n, shape = len(net.space), net.space.shape
+    out = []
+    for k_fixed, k_keep in ((1, 0), (2, 0), (2, 1), (1, 2), (3, 1), (0, 1)):
+        axes = [int(a) for a in rng.permutation(n)]
+        fixed = {ax: int(rng.integers(shape[ax])) for ax in axes[:k_fixed]}
+        out.append((fixed, sorted(axes[k_fixed:k_fixed + k_keep])))
+    return out
+
+
+def test_scope_route_matches_the_oracle_on_random_networks():
+    """Cylinder sums with and without kept axes, conditionals, decisions and
+    eu_independent_events, each read off the table of its own scope, on 120
+    random mixed-domain networks with random references; u_norm is
+    u(E | True) bit for bit."""
+    from eunet import eu_independent_events
+    from test_decision import oracle_decision
+
+    routed = spanning = decisions = verdicts = 0
+    for rng, net in random_clique_nets(41, 120):
+        space = net.space
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+
+        def sums(fixed):
+            return helpers.oracle_event_sums(
+                net, lambda v: all(v[a] == x for a, x in fixed.items()), tables
+            )
+
+        for fixed, keep in _scope_questions(rng, net):
+            event = Event(space, partial=fixed)
+            scope = _clique_of(net, event, keep)
+            assert scope == sum(1 << ax for ax in (*fixed, *keep))
+            if helpers.routed(net, event, keep):
+                routed += 1
+            else:
+                spanning += 1
+            want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
+            got = _event_sums(net, event, 10**6, keep=keep)
+            # the table spans exactly the question's axes
+            table = net._scope_table(scope, 10**6)
+            assert table.axes == tuple(sorted((*fixed, *keep)))
+            assert table.pair.shape == (2, *(space.shape[ax] for ax in table.axes))
+            np.testing.assert_allclose(got[0], want_sp, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[1], want_su, rtol=1e-12, atol=0.0)
+            # the totals are a read of the sure event on the same table
+            assert event_utility(net, event).u_norm == conditional_event_utility(
+                net, event, net.true_event()
+            )
+            if not fixed:
+                continue
+            # the event given its first fixed axis, read off the event's table
+            sp, su = float(want_sp.sum()), float(want_su.sum())
+            first = dict(list(fixed.items())[:1])
+            f_sp, f_su = sums(first)
+            f = Event(space, partial=first)
+            assert conditional_probability(net, event, f) == pytest.approx(sp / f_sp, rel=1e-12)
+            assert conditional_event_utility(net, event, f) == pytest.approx(
+                (su / sp) / (f_su / f_sp), rel=1e-12
+            )
+            assert value(net, event, f) == pytest.approx(su / f_su, rel=1e-12)
+            if keep:
+                dvars = tuple(space.names[ax] for ax in keep)
+                want_ties, want_eu = oracle_decision(
+                    net, dvars, lambda v: all(v[a] == x for a, x in fixed.items()), tables
+                )
+                got = optimal_decision(DecisionProblem(net, dvars, event))
+                assert got.argmax == want_ties
+                assert got.eu == pytest.approx(want_eu, rel=1e-12)
+                decisions += 1
+        # E, F and G on three disjoint random axis sets
+        axes = [int(a) for a in rng.permutation(len(space))]
+        e, f, g = (
+            {ax: int(rng.integers(space.shape[ax])) for ax in part}
+            for part in (axes[:1], axes[1:2], axes[2:2 + int(rng.integers(0, 3))])
+        )
+        (sp_g, su_g), *meets = (sums(x) for x in (g, {**e, **g}, {**f, **g}, {**e, **f, **g}))
+        u_e, u_f, u_ef = ((su / sp) / (su_g / sp_g) for sp, su in meets)
+        gap = abs(u_ef - u_e * u_f) / abs(u_e * u_f)
+        if abs(gap - 1e-9) > 1e-6 * 1e-9:
+            events = (Event(space, partial=x) for x in (e, f, g))
+            assert eu_independent_events(net, *events) == (gap <= 1e-9)
+            verdicts += 1
+    assert routed >= 150 and spanning >= 150 and decisions >= 200 and verdicts >= 100
+
+
+def test_scope_answers_are_bit_identical_whatever_was_cached():
+    """A question asked first, after other scopes of the same clique, after
+    the reference joint, and with the scope tables' bound already full."""
+    from eunet import eu_independent_events, parse_network, serialize_network
+
+    checked = 0
+    for rng, net in random_clique_nets(43, 40):
+        doc = serialize_network(net)
+        space = net.space
+        questions = _scope_questions(rng, net)
+        names = space.names
+
+        def ask(net, questions=questions):
+            out = []
+            for fixed, keep in questions:
+                labels = {names[ax]: space.specs[ax].domain[v] for ax, v in fixed.items()}
+                e = net.cylinder(labels)
+                first = net.cylinder(dict(list(labels.items())[:1]))
+                out.append(event_utility(net, e))
+                out.append(conditional_event_utility(net, e, net.true_event()))
+                out.append(tuple(x.tolist() for x in _event_sums(net, e, 10**6, keep=keep)[:2])
+                           if keep else _event_sums(net, e, 10**6))
+                if fixed:
+                    out.append(conditional_probability(net, e, first))
+                    out.append(value(net, e, first))
+                if keep:
+                    dvars = tuple(names[ax] for ax in keep)
+                    out.append(optimal_decision(DecisionProblem(net, dvars, e)))
+            cyl = [net.cylinder({n: space.specs[ax].domain[1]}) for ax, n in enumerate(names[:3])]
+            out.append(eu_independent_events(net, *cyl))
+            return out
+
+        want = ask(net)
+        assert ask(net) == want  # read back from the cache
+        # after other scopes of the same cliques: every single axis and pair
+        other = parse_network(doc)
+        for clique in other._cliques() or (helpers.whole_clique(other),):
+            for k in (1, 2):
+                for axes in itertools.combinations(clique.axes, k):
+                    event_utility(other, Event(space, partial=dict.fromkeys(axes, 0)))
+        assert ask(other) == want
+        # after the reference joint
+        joint = parse_network(doc)
+        reconstruct_joint(joint)
+        assert ask(joint) == want
+        # with the bound full, so that no scope table is kept
+        full = parse_network(doc)
+        full._scope_entries = 10**6
+        assert ask(full) == want
+        assert not _kept_scopes(full)
+        checked += 1
+    assert checked == 40
+
+
+def test_a_cached_scope_read_checks_the_cap(monkeypatch):
+    net = clique_chain_net()
+    e = net.cylinder({"X1": "1", "X3": "0"})  # spans the pair cliques
+    f = net.cylinder({"X2": "1"})
+    problem = DecisionProblem(net, ("X2", "X4"), e)
+    event_utility(net, e)
+    conditional_probability(net, e, f)
+    optimal_decision(problem)
+    assert _kept_scopes(net)
+    below = net.state_count - 1
+    with pytest.raises(StateCapError):
+        event_utility(net, e, state_cap=below)
+    with pytest.raises(StateCapError):
+        conditional_probability(net, e, f, state_cap=below)
+    with pytest.raises(StateCapError):
+        optimal_decision(problem, state_cap=below)
+    with pytest.raises(StateCapError):
+        net._scope_table(_clique_of(net, e), below)
+    with monkeypatch.context() as m:
+        m.setenv(STATE_CAP_ENV, str(below))
+        with pytest.raises(StateCapError):
+            event_utility(net, e)
+
+
+def test_scope_tables_kept_stay_within_the_cap():
+    """The scope tables kept apart from the clique pairs hold at most the
+    cap's entries together; one past the bound is answered and not kept."""
+    for rng, net in random_clique_nets(45, 40):
+        cap = net.state_count  # the lowest cap the joint passes
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        for _ in range(4):
+            for fixed, keep in _scope_questions(rng, net):
+                event = Event(net.space, partial=fixed)
+                got = _event_sums(net, event, cap, keep=keep)
+                want = helpers.oracle_kept_sums(net, fixed, keep, tables)
+                np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+                kept = _kept_scopes(net)
+                assert net._scope_entries == sum(t.pair.size for t in kept.values()) <= cap
+    # a 9-variable chain of pair cliques, whose 84 three-axis scopes
+    # together hold more entries than the bound
+    names = [f"X{i}" for i in range(1, 10)]
+    net = helpers.chain_net(31, dict(zip(names, (2, 3, 2, 2, 3, 2, 2, 3, 2))), names)
+    cap, asked = net.state_count, 0
+    for a, b, c in itertools.combinations(range(9), 3):
+        event = Event(net.space, partial={a: 0, b: 1})
+        _event_sums(net, event, cap, keep=[c])
+        asked += 1
+    assert net._scope_entries <= cap
+    assert len(_kept_scopes(net)) < asked
+
+
+def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
+    net = bench_nets()[2]  # 19 binary variables
+    n = len(net.space)
+    whole = net._clique_tables(helpers.whole_clique(net), 10**6)
+    # spanning scopes spread over the layout, some with the innermost axis:
+    # summed-out runs in front of a short kept tail
+    built = 0
+    for axes in ((6, n - 1), (0, 6, 9, n - 1), (1, 6, 13, 17), (6, 8, 13, n - 2), (0, 9, n - 1)):
+        scope = sum(1 << ax for ax in axes)
+        if net._clique_holding(scope) != helpers.whole_clique(net):
+            continue
+        built += 1
+        tracemalloc.start()
+        try:
+            table = net._scope_table(scope, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.axes == axes
+        np.testing.assert_allclose(
+            table.pair,
+            whole.pair.sum(axis=tuple(1 + ax for ax in range(n) if ax not in axes)),
+            rtol=1e-12,
+        )
+        assert peak < whole.pair.nbytes / 256
+    assert built >= 3

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .inference import _clique_of, _cylinder_sums, _mask, _quotient, _sums_from
+from .inference import _cylinder_sums, _mask, _quotient, _scope_of, _sums_from
 from .model import (
     PROB,
     UTIL,
@@ -245,10 +245,10 @@ def eu_independent_events(
     # The meet of all three holds every region's axes, so its scope table
     # answers all four sums.
     if cylinders:
-        table = network._scope_table(_mask(regions[-1]), resolve_state_cap())
+        table = network._table(_mask(regions[-1]), resolve_state_cap())
         sums = [_cylinder_sums(table, fixed, ()) for fixed in regions]
     else:
-        table = network._scope_table(_clique_of(network, regions[-1]), resolve_state_cap())
+        table = network._table(_scope_of(network, regions[-1]), resolve_state_cap())
         sums = [_sums_from(table, ev) for ev in regions]
     (sp_g, su_g), *meet_sums = sums
     u_e, u_f, u_ef = (_quotient(su, su_g, sp_g, sp) for sp, su in meet_sums)

@@ -15,17 +15,15 @@ u(E|F) = (S_u(EF)/S_u(F)) (S_p(F)/S_p(EF)).  Each measure is taken as a
 ratio of like sums or a product of two, so it overflows only where its
 exact value does, even where a quotient of unlike sums such as u_rel would.
 
-Every sum of a cylinder question reads the question's scope table: the
-stacked (p, p * u) pair over exactly its fixed and kept axes, which holds
-the joint's sums over every other variable.  The network caches it under
-the scope's bit mask, summed once from the pair of the smallest clique of
-both layers' graph that holds the scope, or else from the clique of every
-axis, whose pair is the joint's; the clique pairs are summed from the
-factors by bucket elimination.  A read indexes the fixed axes and sums
-nothing more, save where one table answers several sums (the F of a
-conditional, the four meets of eu_independent_events).  State sets read
-the pair of the clique of every axis by flat state.  The separator shortcut
-(local_conditional_eu) reads two windows off the factors.
+Every sum reads one table form, the network's table of a scope mask: the
+stacked (p, p * u) pair over exactly the scope's axes, which holds the
+joint's sums over every other variable (``Network._table``).  A cylinder
+question's scope is its fixed and kept axes, a state set's every axis,
+whose table is the joint's pair, read by flat state.  A read indexes the
+fixed axes and sums nothing more, save where one table answers several
+sums (the F of a conditional, the four meets of eu_independent_events).
+The separator shortcut (local_conditional_eu) reads two windows off the
+factors.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .model import (
     SeparationError,
     ValidationError,
     _ratio_window,
-    _reduced,
     _require_cap,
     _Table,
     _totals,
@@ -100,11 +97,11 @@ def _event_sums(
     overflowed or underflowed raises NumericRangeError instead of turning
     into an inf, a NaN or a zero in the answer.
     """
-    table = network._scope_table(_clique_of(network, event, keep), cap)
+    table = network._table(_scope_of(network, event, keep), cap)
     return _sums_from(table, event, keep)
 
 
-def _clique_of(network: Network, event: Event, keep: Sequence[int] = ()) -> int:
+def _scope_of(network: Network, event: Event, keep: Sequence[int] = ()) -> int:
     """The scope of a question, the bit mask of the axes its table spans:
     a cylinder's fixed and kept axes, and every axis for a state set."""
     if event.space != network.space:
@@ -124,8 +121,8 @@ def _mask(axes: Iterable[int]) -> int:
 
 def _sums_from(table: _Table, event: Event, keep: Sequence[int] = ()) -> tuple:
     """The sums of :func:`_event_sums`, read from a scope table that holds
-    the event's axes and ``keep``.  A state set's table spans every axis,
-    so its flat indexes index the pair."""
+    the event's axes; with ``keep``, the table of the question's scope.  A
+    state set's table spans every axis, so its flat indexes index the pair."""
     if event._partial is not None:
         return _cylinder_sums(table, event._partial, keep)
     flat = event.flat_indexes()
@@ -149,23 +146,16 @@ _ALL = slice(None)
 
 def _cylinder_sums(table: _Table, fixed: dict[int, int], keep: Sequence[int]) -> tuple:
     """The cylinder branch of :func:`_event_sums`, over a scope table whose
-    axes hold ``fixed`` and ``keep``.
+    axes hold ``fixed``; with ``keep``, exactly ``fixed`` and ``keep``.
 
-    The fixed axes index the pair.  Where the table spans exactly the fixed
-    and kept axes, as it does for the question it was built for, that is
-    the whole read.  Otherwise the slice's other axes are summed out: F of
-    a conditional reads the table of E and F, and sums the axes only E
-    fixes.
+    The fixed axes index the pair.  With ``keep``, that is the whole read.
+    Otherwise the slice's other axes are summed out: F of a conditional
+    reads the table of E and F, and sums the axes only E fixes.
     """
     sub = table.pair[(_ALL, *[fixed.get(ax, _ALL) for ax in table.axes])]
-    if not keep:
-        return _in_range(*(sub.tolist() if sub.ndim == 1 else _totals(sub)))
-    if sub.ndim == 1 + len(keep):
+    if keep:
         return _tables_in_range(sub)
-    keep_set = set(keep)
-    return _tables_in_range(
-        _reduced(sub, [ax in keep_set for ax in table.axes if ax not in fixed])
-    )
+    return _in_range(*(sub.tolist() if sub.ndim == 1 else _totals(sub)))
 
 
 def _in_range(sp: float, su: float) -> tuple[float, float]:
@@ -226,7 +216,7 @@ def _conditional_sums(
     if ef.is_empty:
         raise EmptyEventError(f"E and F do not intersect, conditional {measure} undefined")
     # F's fixed axes are among those of E and F, so one table answers both.
-    table = network._scope_table(_clique_of(network, ef), resolve_state_cap(state_cap))
+    table = network._table(_scope_of(network, ef), resolve_state_cap(state_cap))
     return _sums_from(table, ef), _sums_from(table, f)
 
 
@@ -276,10 +266,10 @@ def conditional_probability(
 def _sure_and_event_sums(
     network: Network, e: Event, state_cap: int | None
 ) -> tuple[float, float, float, float]:
-    """S_p and S_u over E, then over the sure event: the totals of the
-    scope table that answers E, cached with it."""
+    """S_p and S_u over E, then over the sure event: the totals of E's
+    scope table, cached with it."""
     _require_nonempty(e, "event E")
-    table = network._scope_table(_clique_of(network, e), resolve_state_cap(state_cap))
+    table = network._table(_scope_of(network, e), resolve_state_cap(state_cap))
     return *_sums_from(table, e), *_in_range(table.sp, table.su)
 
 
@@ -288,9 +278,9 @@ def event_utility(network: Network, e: Event, state_cap: int | None = None) -> M
 
     ``u_rel`` is relative to the utility of the reference state, ``u_norm``
     rescales so the sure event is worth 1, and ``v = u_norm * p`` is the
-    additive value measure.  The sure event's sums are the totals of the
-    clique pair that answers E.  Where one of the four overflows,
-    NumericRangeError is raised; u_norm alone is u(E | True) of
+    additive value measure.  The sure event's sums are the totals of E's
+    scope table.  Where one of the four overflows, NumericRangeError is
+    raised; u_norm alone is u(E | True) of
     :func:`conditional_event_utility`, bit for bit.
     """
     sp, su, sp_t, su_t = _sure_and_event_sums(network, e, state_cap)

@@ -12,9 +12,11 @@ the joint measure up to the value it takes at the global reference state, so
 a network is a compact, strictly positive parameterisation of a probability
 measure and a utility function at once.
 
-Everything in this module is exact enumeration at desk scale.  Enumerating a
-state space is guarded by a cap (default one million states, overridable via
-the ``EUN_STATE_CAP`` environment variable or per call).  Networks are
+Every table in this module is exact: the ratio tables enumerate the joint,
+and the (p, p * u) tables the queries read are summed from the factors by
+bucket elimination over a cover of cliques.  Every read that could span the state
+space is guarded by a cap (default one million states, overridable via the
+``EUN_STATE_CAP`` environment variable or per call).  Networks are
 immutable once built; all reads are pure and cached reads are safe under
 concurrent initialisation (racing first readers may each build a value, and
 all of them get the one stored first).
@@ -713,14 +715,6 @@ class ReconstructedJoint(NamedTuple):
     u: np.ndarray
 
 
-class _Clique(NamedTuple):
-    """A clique of both layers' graph: its bit mask over the axes and its
-    axes in index order."""
-
-    mask: int
-    axes: tuple[int, ...]
-
-
 class _Bucket(NamedTuple):
     """One step of bucket elimination: the bit masks of the axes its
     operands span and of the variables it sums out, and its operands,
@@ -878,14 +872,12 @@ class Network:
     """An immutable expected utility network.
 
     Built through :func:`build_network`.  All public reads are pure; the
-    factor terms, each clique's (p, p * u) pair and each scope table are
-    computed on demand and cached, so concurrent readers are safe.  Every
-    cylinder question reads the table of its scope, the axes it fixes and
-    keeps, summed once from the pair of the smallest clique that holds
-    them, or of the clique of every axis, whose pair is the joint's; the
-    scope tables kept hold at most the state cap's entries together.
-    State sets read the joint's pair.  The per-layer ratio tables are a
-    reference reader that no query reads, built on each call.
+    factor terms and one (p, p * u) table per scope mask are computed on
+    demand and cached, so concurrent readers are safe.  Every question
+    reads the table of its scope (:meth:`_table`): a clique's, or every
+    axis's, is summed from the factors, any other scope's from the table
+    of the smallest clique that holds it.  The per-layer ratio tables are
+    a reference reader that no query reads, built on each call.
     """
 
     def __init__(
@@ -899,9 +891,9 @@ class Network:
         self._potentials = {layer: dict(potentials[layer]) for layer in LAYERS}
         self._lock = threading.Lock()
         self._cache: dict[str, object] = {}
-        # the scope tables, by scope mask, and the entries of those not
-        # shared with a clique
-        self._scopes: dict[int, _Table] = {}
+        # the tables of :meth:`_table`, by scope mask, and the entries of
+        # those that are not a clique's
+        self._tables: dict[int, _Table] = {}
         self._scope_entries = 0
 
     # -- structure reads ---------------------------------------------------
@@ -997,8 +989,9 @@ class Network:
         total.flags.writeable = False
         return total
 
-    def _cliques(self) -> tuple[_Clique, ...]:
-        """The maximal cliques of both layers' graph, fewest entries first; cached.
+    def _cliques(self) -> tuple[int, ...]:
+        """The bit masks of the maximal cliques of both layers' graph,
+        fewest entries first; cached.
 
         Every factor of either layer lies in one of them, and a clique's
         marginal tables answer every question whose axes it holds.  The
@@ -1010,7 +1003,7 @@ class Network:
         they do when one clique holds every variable.  Cap-free.
         """
 
-        def build() -> tuple[_Clique, ...]:
+        def build() -> tuple[int, ...]:
             shape, n = self.space.shape, len(self.space)
             # Bit masks of each variable's below-index neighbours in either
             # layer: the parents in its factors.
@@ -1029,14 +1022,11 @@ class Network:
                     u = rest.bit_length() - 1
                     rest ^= 1 << u
                     below[u] |= rest
-            sized = []
-            for mask in masks:
-                axes = tuple(ax for ax in range(n) if mask >> ax & 1)
-                sized.append((math.prod(shape[ax] for ax in axes), _Clique(mask, axes)))
+            sized = [(math.prod(shape[ax] for ax in range(n) if m >> ax & 1), m) for m in masks]
             if sum(entries for entries, _ in sized) >= math.prod(shape):
                 return ()
             sized.sort(key=operator.itemgetter(0))
-            return tuple(clique for _, clique in sized)
+            return tuple(mask for _, mask in sized)
 
         return self._cached("cliques", build)
 
@@ -1105,7 +1095,7 @@ class Network:
             last = 0
             while best:
                 for k, (shared, _) in best.items():
-                    here = (family[k].mask & family[last].mask).bit_count()
+                    here = (family[k] & family[last]).bit_count()
                     if here > shared:
                         best[k] = (here, last)
                 last = max(best, key=lambda k: (best[k][0], -k))
@@ -1116,9 +1106,9 @@ class Network:
 
         return self._cached("clique_tree", build)
 
-    def _schedule(self, clique: _Clique) -> list[_Bucket]:
-        """The buckets that sum every variable outside ``clique`` out of
-        :meth:`_terms`, then the bucket that keeps the clique.
+    def _schedule(self, clique: int) -> list[_Bucket]:
+        """The buckets that sum every variable outside the ``clique`` mask
+        out of :meth:`_terms`, then the bucket that keeps the clique.
 
         The clique tree is rooted at ``clique`` and walked leaves first:
         each other clique sums out the variables it does not share with its
@@ -1128,8 +1118,8 @@ class Network:
         Cap-free.
         """
         masks = self._terms()[0]
-        if clique.mask == (1 << len(self.space)) - 1:
-            return [_Bucket(clique.mask, 0, tuple(range(len(masks))))]
+        if clique == (1 << len(self.space)) - 1:
+            return [_Bucket(clique, 0, tuple(range(len(masks))))]
         family, tree = self._cliques(), self._clique_tree()
         root = family.index(clique)
         parent = {root: root}
@@ -1142,7 +1132,7 @@ class Network:
         live = dict(enumerate(masks))
         buckets: list[_Bucket] = []
         for k in reversed(visits[1:]):
-            private = family[k].mask & ~family[parent[k]].mask
+            private = family[k] & ~family[parent[k]]
             operands = [i for i, mask in live.items() if mask & private]
             if not operands:
                 continue
@@ -1151,88 +1141,72 @@ class Network:
                 scope |= live.pop(i)
             live[len(masks) + len(buckets)] = scope & ~private
             buckets.append(_Bucket(scope, scope & private, tuple(operands)))
-        buckets.append(_Bucket(clique.mask, 0, tuple(live)))
+        buckets.append(_Bucket(clique, 0, tuple(live)))
         return buckets
 
-    def _clique_holding(self, scope: int) -> _Clique:
-        """The clique with the fewest entries whose mask holds the ``scope``
-        mask, or else the clique of every axis, whose pair is the joint's.
+    def _clique_holding(self, scope: int) -> int:
+        """The mask of the clique with the fewest entries that holds the
+        ``scope`` mask, or else the mask of every axis, whose table is the
+        joint's pair.
 
         A pure function of the graph, the ordering and the scope, so a
         question reads the same table whatever was asked or cached before.
         """
         for clique in self._cliques():
-            if clique.mask & scope == scope:
+            if clique & scope == scope:
                 return clique
-        n = len(self.space)
-        return _Clique((1 << n) - 1, tuple(range(n)))
+        return (1 << len(self.space)) - 1
 
-    def _scope_table(self, scope: int, state_cap: int) -> _Table:
-        """The stacked pair over exactly the axes of the ``scope`` mask, and
-        its totals, cached under the mask.
+    def _table(self, scope: int, state_cap: int) -> _Table:
+        """The stacked (p, p * u) pair over exactly the axes of the ``scope``
+        mask, and its totals, S_p and S_u of the sure event; cached under
+        the mask.
 
-        Summed by :func:`_reduced` from the pair of
-        :meth:`_clique_holding`, so a pure function of the network and the
-        mask; where the scope is that clique, the clique's own entry.  The
-        totals are :func:`_totals` of the scope's pair.  The scope tables of
-        a network keep at most ``state_cap`` entries together: one built
-        past that bound is returned and not kept.  The cap is checked
-        against the joint on every call, cached or not.
-        """
-        _require_cap(self.state_count, state_cap, "enumeration over")
-        table = self._scopes.get(scope)
-        if table is not None:
-            return table
-        clique = self._clique_holding(scope)
-        table = self._clique_tables(clique, state_cap)
-        size = 0
-        if clique.mask != scope:
-            with np.errstate(over="ignore"):  # left as inf for the readers to report
-                pair = _reduced(table.pair, [scope >> ax & 1 for ax in clique.axes])
-                totals = _totals(pair)
-            pair.flags.writeable = False
-            axes = tuple(ax for ax in clique.axes if scope >> ax & 1)
-            table, size = _Table(pair, *totals, axes), pair.size
-        with self._lock:
-            if scope in self._scopes:
-                return self._scopes[scope]
-            if self._scope_entries + size <= state_cap:
-                self._scopes[scope] = table
-                self._scope_entries += size
-        return table
-
-    def _clique_tables(self, clique: _Clique, state_cap: int) -> _Table:
-        """The clique's stacked marginal pair and its totals, cached.
-
-        The pair's first axis holds two halves over the clique's axes: the
-        sums of the probability ratios, and of the products of both layers'
-        ratios, over every variable outside the clique.  Their totals are
-        S_p and S_u of the sure event.  The pair of the clique of every axis
-        is the joint's (p, p * u) pair.  Built on first use from the factors
-        by bucket elimination along :meth:`_schedule`, so no table made
-        holds more than the clique, or a clique of the cover, times the two
-        halves.  Where a product or a sum over- or underflows, the same
-        buckets run again in log space.  The cap is checked against the
+        The pair's halves hold the sums of the probability ratios, and of
+        the products of both layers' ratios, over every variable outside
+        the scope, so the table of every axis is the joint's pair.  Where
+        the scope is its own :meth:`_clique_holding`, a clique of the cover
+        or every axis, the pair is summed from the factors by bucket
+        elimination along :meth:`_schedule`, so no table made holds more
+        than the clique, or a clique of the cover, times the two halves;
+        where a product or a sum over- or underflows, the same buckets run
+        again in log space.  Any other scope is summed by :func:`_reduced`
+        from its clique's table, so the table is a pure function of the
+        network and the mask.  A clique's table is always kept; the others
+        kept hold at most ``state_cap`` entries together, and one built past
+        that bound is returned and not kept.  The cap is checked against the
         joint on every call, cached or not.
         """
         _require_cap(self.state_count, state_cap, "enumeration over")
-
-        def build() -> tuple[np.ndarray, float, float]:
-            tables, buckets, shape = self._terms()[1], self._schedule(clique), self.space.shape
-            try:
-                with np.errstate(over="raise", under="raise"):
-                    pair = _eliminate(tables, buckets, shape, log=False)
-            except FloatingPointError:
-                logs = _eliminate([np.log(t) for t in tables], buckets, shape, log=True)
-                # An overflow is left as inf for the readers to report.
-                with np.errstate(over="ignore"):
+        table = self._tables.get(scope)
+        if table is not None:
+            return table
+        shape, clique, size = self.space.shape, self._clique_holding(scope), 0
+        axes = tuple(ax for ax in range(len(shape)) if scope >> ax & 1)
+        # An overflow is left as inf for the readers to report.
+        with np.errstate(over="ignore"):
+            if scope == clique:
+                tables, buckets = self._terms()[1], self._schedule(scope)
+                try:
+                    with np.errstate(over="raise", under="raise"):
+                        pair = _eliminate(tables, buckets, shape, log=False)
+                except FloatingPointError:
+                    logs = _eliminate([np.log(t) for t in tables], buckets, shape, log=True)
                     pair = np.exp(logs, out=logs)
-            pair = pair.reshape(2, *(shape[ax] for ax in clique.axes))
+                pair = pair.reshape(2, *(shape[ax] for ax in axes))
+            else:
+                source = self._table(clique, state_cap)
+                pair = _reduced(source.pair, [scope >> ax & 1 for ax in source.axes])
+                size = pair.size
             pair.flags.writeable = False
-            with np.errstate(over="ignore"):
-                return _Table(pair, *_totals(pair), clique.axes)
-
-        return self._cached(f"clique/{clique.mask}", build)
+            table = _Table(pair, *_totals(pair), axes)
+        with self._lock:
+            if scope in self._tables:
+                return self._tables[scope]
+            if size == 0 or self._scope_entries + size <= state_cap:
+                self._tables[scope] = table
+                self._scope_entries += size
+        return table
 
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
         """The :func:`validate_imap` report, cached at the default tolerance;

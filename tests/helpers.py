@@ -22,7 +22,7 @@ from eunet import (
     VariableSpec,
     build_network,
 )
-from eunet.inference import _clique_of
+from eunet.inference import _scope_of
 
 
 def net_of(domains, ordering=None, prob_arcs=(), util_arcs=(), q=None, w=None):
@@ -312,19 +312,19 @@ def oracle_kept_sums(network: Network, fixed, keep, tables=None) -> tuple[np.nda
 
 
 def whole_scope(network: Network) -> int:
-    """The scope mask of every axis."""
+    """The mask of every axis, a scope and a clique, whose table is the joint's pair."""
     return (1 << len(network.space)) - 1
 
 
-def whole_clique(network: Network):
-    """The clique of every axis, whose pair is the joint's."""
-    return network._clique_holding(whole_scope(network))
+def axes_of(mask: int) -> tuple[int, ...]:
+    """The axes of a bit mask, in index order."""
+    return tuple(ax for ax in range(mask.bit_length()) if mask >> ax & 1)
 
 
 def routed(network: Network, event, keep=()) -> bool:
     """Whether a question reads a scope summed from a clique smaller than
     the clique of every axis."""
-    return network._clique_holding(_clique_of(network, event, keep)) != whole_clique(network)
+    return network._clique_holding(_scope_of(network, event, keep)) != whole_scope(network)
 
 
 def cylinder_member(network: Network, partial):

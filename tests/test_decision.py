@@ -699,7 +699,8 @@ def test_clique_routed_decisions_match_the_oracle_on_random_networks():
         family = net._cliques()
         # decisions and evidence inside a random clique, or on random axes
         if family and rng.random() < 0.75:
-            axes = [int(a) for a in rng.permutation(family[int(rng.integers(len(family)))].axes)]
+            clique = family[int(rng.integers(len(family)))]
+            axes = [int(a) for a in rng.permutation(helpers.axes_of(clique))]
         else:
             axes = [int(a) for a in rng.permutation(len(net.space))]
         n_dec = int(rng.integers(1, min(3, len(axes)) + 1))

@@ -37,7 +37,7 @@ from eunet import (
     validate_imap,
     value,
 )
-from eunet.inference import _clique_of, _event_sums, _sums_from
+from eunet.inference import _event_sums, _scope_of, _sums_from
 from test_model import adversarial_net
 
 
@@ -519,6 +519,14 @@ def mixed_domain_net():
     return helpers.chain_net(77, sizes, list(sizes))
 
 
+def whole_only(net):
+    """A copy of ``net`` with no clique family, so that the table of every
+    scope is summed from the table of every axis."""
+    copy = Network(net.space, net.graph, net._potentials)
+    copy._cliques = lambda: ()
+    return copy
+
+
 # (fixed axis -> value index, kept axes); axis sizes are 3, 2, 13, 2, 3, 2
 SUM_LAYOUTS = {
     "fixed outer and inner, keep nothing": ({0: 2, 5: 1}, ()),
@@ -540,9 +548,9 @@ def test_cylinder_sums_match_the_oracle_on_every_layout(layout):
     fixed, keep = SUM_LAYOUTS[layout]
     event = Event(net.space, partial=fixed)
     want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep)
-    # The route of _event_sums, and the whole scope every layout can take.
-    for scope in (_clique_of(net, event, keep), helpers.whole_scope(net)):
-        got = _sums_from(net._scope_table(scope, 10**6), event, keep)
+    # The route of _event_sums, and the same scope summed from the whole clique.
+    for source in (net, whole_only(net)):
+        got = _sums_from(source._table(_scope_of(net, event, keep), 10**6), event, keep)
         if not keep:
             assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
             continue
@@ -560,11 +568,11 @@ def test_event_sum_makes_no_slice_sized_temporary(fixed):
     event = Event(net.space, partial=fixed)
     # Both questions fit a clique: read its pair, then the whole clique's.
     assert helpers.routed(net, event)
-    for scope in (_clique_of(net, event), helpers.whole_scope(net)):
-        _sums_from(net._scope_table(scope, 10**6), event)  # the tables built and cached
+    for scope in (_scope_of(net, event), helpers.whole_scope(net)):
+        _sums_from(net._table(scope, 10**6), event)  # the tables built and cached
         tracemalloc.start()
         try:
-            _sums_from(net._scope_table(scope, 10**6), event)
+            _sums_from(net._table(scope, 10**6), event)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,9 +659,8 @@ def test_clique_family_is_the_clique_set_of_a_chordal_cover():
         cover = nx.Graph()
         cover.add_nodes_from(range(len(net.space)))
         for clique in family:
-            assert clique.axes == tuple(sorted(clique.axes))
-            assert clique.mask == sum(1 << ax for ax in clique.axes)
-            cover.add_edges_from(itertools.combinations(clique.axes, 2))
+            assert 0 < clique < 1 << len(net.space)
+            cover.add_edges_from(itertools.combinations(helpers.axes_of(clique), 2))
         # every arc of either layer lies in a clique, the cover is chordal,
         # and the family is exactly its set of maximal cliques
         index = net.space.index
@@ -661,9 +668,9 @@ def test_clique_family_is_the_clique_set_of_a_chordal_cover():
             assert cover.has_edge(index(x), index(y))
         assert nx.is_chordal(cover)
         assert {frozenset(c) for c in nx.find_cliques(cover)} == {
-            frozenset(c.axes) for c in family
+            frozenset(helpers.axes_of(c)) for c in family
         }
-        entries = [math.prod(net.space.shape[ax] for ax in c.axes) for c in family]
+        entries = [math.prod(net.space.shape[ax] for ax in helpers.axes_of(c)) for c in family]
         assert entries == sorted(entries)
         assert sum(entries) < net.state_count
     assert seen_empty and seen_full
@@ -695,7 +702,7 @@ def test_clique_route_matches_the_oracle_on_random_networks():
         questions = []
         if family:
             # a question inside a random clique: some axes fixed, some kept
-            axes = list(family[int(rng.integers(len(family)))].axes)
+            axes = list(helpers.axes_of(family[int(rng.integers(len(family)))]))
             rng.shuffle(axes)
             k = int(rng.integers(0, len(axes) + 1))
             questions.append((axes[:k], sorted(axes[k:][: int(rng.integers(0, 3))])))
@@ -807,14 +814,14 @@ def test_state_sets_and_eu_independent_events_read_the_joint(monkeypatch):
     e, f, g = (net.cylinder({n: "1"}) for n in ("X1", "X2", "X3"))
     assert helpers.routed(net, e)
 
-    read = Network._clique_tables
+    read = Network._table
 
-    def refuse(self, clique, cap):
-        if clique != helpers.whole_clique(self):
+    def refuse(self, scope, cap):
+        if self._clique_holding(scope) != helpers.whole_scope(self):
             raise AssertionError("a clique table was read")
-        return read(self, clique, cap)
+        return read(self, scope, cap)
 
-    monkeypatch.setattr(Network, "_clique_tables", refuse)
+    monkeypatch.setattr(Network, "_table", refuse)
     sp, su = helpers.oracle_event_sums(net, lambda v: tuple(v) in states.states())
     sp_t, su_t = helpers.oracle_event_sums(net, lambda v: True)
     assert event_utility(net, states).v == pytest.approx(su / su_t, rel=1e-12)
@@ -846,15 +853,15 @@ def refuse_the_joint(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a joint ratio table was built")
 
-    read = Network._clique_tables
+    read = Network._table
 
-    def refuse_the_whole_clique(self, clique, cap):
-        if clique == helpers.whole_clique(self):
+    def refuse_the_whole_clique(self, scope, cap):
+        if scope == helpers.whole_scope(self):
             refuse()
-        return read(self, clique, cap)
+        return read(self, scope, cap)
 
     monkeypatch.setattr(Network, "ratio_tables", refuse)
-    monkeypatch.setattr(Network, "_clique_tables", refuse_the_whole_clique)
+    monkeypatch.setattr(Network, "_table", refuse_the_whole_clique)
 
 
 def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
@@ -876,7 +883,8 @@ def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
         # E fixes some axes of a random clique; F fixes some of E's axes at
         # E's values and maybe another axis of the clique; the decisions are
         # up to two of the clique's axes that E leaves free.
-        axes = [int(a) for a in rng.permutation(family[int(rng.integers(len(family)))].axes)]
+        clique = family[int(rng.integers(len(family)))]
+        axes = [int(a) for a in rng.permutation(helpers.axes_of(clique))]
         k = int(rng.integers(1, len(axes) + 1))
         fixed = {ax: int(rng.integers(space.shape[ax])) for ax in axes[:k]}
         given = {ax: fixed.get(ax, int(rng.integers(space.shape[ax])))
@@ -1014,7 +1022,7 @@ def test_clique_route_answers_where_the_joint_answers(monkeypatch):
         def joint_answers(*events):
             try:
                 for ev in events:
-                    _sums_from(net._scope_table(helpers.whole_scope(net), 10**6), ev)
+                    _sums_from(net._table(helpers.whole_scope(net), 10**6), ev)
             except NumericRangeError:
                 return False
             return True
@@ -1035,7 +1043,7 @@ def test_clique_route_answers_where_the_joint_answers(monkeypatch):
         assert family
         for clique in family:
             for k in (1, 2):
-                for axes in itertools.combinations(clique.axes, k):
+                for axes in itertools.combinations(helpers.axes_of(clique), k):
                     for vals in itertools.product(*(range(space.shape[a]) for a in axes)):
                         fixed = dict(zip(axes, vals))
                         given = dict(list(fixed.items())[-1:])
@@ -1095,7 +1103,7 @@ def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
             continue
         assert sum(map(len, tree)) == 2 * (len(family) - 1)
         for ax in range(len(net.space)):
-            holding = {k for k, c in enumerate(family) if c.mask >> ax & 1}
+            holding = {k for k, c in enumerate(family) if c >> ax & 1}
             reached, frontier = set(), [min(holding)]
             while frontier:
                 k = frontier.pop()
@@ -1108,17 +1116,17 @@ def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
             mentioned |= mask
         for clique in family:
             *steps, root = net._schedule(clique)
-            assert root == (clique.mask, 0, root.operands)
+            assert root == (clique, 0, root.operands)
             used, summed = [], 0
             for bucket in steps:
-                assert any(bucket.scope & c.mask == bucket.scope for c in family)
+                assert any(bucket.scope & c == bucket.scope for c in family)
                 assert bucket.summed and bucket.summed & ~bucket.scope == 0
                 assert not summed & bucket.summed
                 summed |= bucket.summed
                 used += bucket.operands
             used += root.operands
             assert sorted(used) == list(range(len(masks) + len(steps)))
-            assert summed == mentioned & ~clique.mask
+            assert summed == mentioned & ~clique
             checked += 1
     assert checked >= 300
 
@@ -1128,10 +1136,10 @@ def test_clique_tables_match_the_joint_on_benchmark_style_networks():
         pr, ur = net.ratio_tables(PROB), net.ratio_tables(UTIL)
         dims = list(range(pr.ndim))
         for clique in net._cliques():
-            (tp, tu), sp, su, axes = net._clique_tables(clique, 10**6)
-            assert axes == clique.axes
-            np.testing.assert_allclose(tp, np.einsum(pr, dims, list(clique.axes)), rtol=1e-12)
-            np.testing.assert_allclose(tu, np.einsum(pr, dims, ur, dims, list(clique.axes)),
+            (tp, tu), sp, su, axes = net._table(clique, 10**6)
+            assert axes == helpers.axes_of(clique)
+            np.testing.assert_allclose(tp, np.einsum(pr, dims, list(axes)), rtol=1e-12)
+            np.testing.assert_allclose(tu, np.einsum(pr, dims, ur, dims, list(axes)),
                                        rtol=1e-12)
             assert (sp, su) == (pytest.approx(pr.sum(), rel=1e-12),
                                 pytest.approx(np.vdot(pr, ur), rel=1e-12))
@@ -1154,8 +1162,8 @@ def test_log_space_buckets_match_the_linear_ones():
 
 
 def test_whole_clique_route_matches_the_oracle_on_random_networks():
-    """Spanning cylinders, state sets with and without kept axes, and
-    decisions read the pair of the clique of every axis, within 1e-12 of
+    """Cylinders summed from the table of every axis, and state sets with
+    and without kept axes and decisions, which read it, within 1e-12 of
     the oracle."""
     from test_decision import oracle_decision
 
@@ -1164,21 +1172,22 @@ def test_whole_clique_route_matches_the_oracle_on_random_networks():
         space, n = net.space, len(net.space)
         whole = helpers.whole_scope(net)
         tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
-        # a cylinder on random axes, read on the whole clique, keeping up to two axes
+        # a cylinder on random axes, its table summed from the whole clique's,
+        # keeping up to two axes
         axes = [int(a) for a in rng.permutation(n)]
         fixed = {ax: int(rng.integers(space.shape[ax])) for ax in axes[:2]}
         keep = sorted(axes[2:2 + int(rng.integers(0, 3))])
         event = Event(space, partial=fixed)
         spanning += not helpers.routed(net, event, keep)
         want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
-        got = _sums_from(net._scope_table(whole, 10**6), event, keep)
+        got = _sums_from(whole_only(net)._table(_scope_of(net, event, keep), 10**6), event, keep)
         np.testing.assert_allclose(got[0], want_sp, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[1], want_su, rtol=1e-12, atol=0.0)
         # a state set of random states, with no kept axes and with some
         states = {tuple(int(rng.integers(k)) for k in space.shape) for _ in range(5)}
         member = states.__contains__
         ev = Event(space, states=frozenset(states))
-        assert _clique_of(net, ev) == whole
+        assert _scope_of(net, ev) == whole
         u_norm = conditional_event_utility(net, ev, net.true_event())
         assert event_utility(net, ev).u_norm == u_norm  # bit for bit
         assert _event_sums(net, ev, 10**6) == pytest.approx(
@@ -1214,11 +1223,10 @@ def test_whole_clique_route_matches_the_oracle_on_random_networks():
 
 def test_a_cold_whole_pair_build_makes_at_most_one_factor_sized_temporary():
     for net in [*bench_nets()[:2], clique_chain_net(), mixed_domain_net()]:
-        whole = helpers.whole_clique(net)
         terms = net._terms()[1]
         tracemalloc.start()
         try:
-            pair = net._clique_tables(whole, 10**6)[0]
+            pair = net._table(helpers.whole_scope(net), 10**6)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1321,10 +1329,9 @@ def test_quotients_stay_in_float_range_on_both_routes():
 
 
 def _kept_scopes(net):
-    """The scope tables kept apart from the clique pairs, by mask."""
+    """The tables kept that are not a clique's, by mask."""
     return {
-        scope: table for scope, table in net._scopes.items()
-        if net._clique_holding(scope).mask != scope
+        scope: table for scope, table in net._tables.items() if net._clique_holding(scope) != scope
     }
 
 
@@ -1360,7 +1367,7 @@ def test_scope_route_matches_the_oracle_on_random_networks():
 
         for fixed, keep in _scope_questions(rng, net):
             event = Event(space, partial=fixed)
-            scope = _clique_of(net, event, keep)
+            scope = _scope_of(net, event, keep)
             assert scope == sum(1 << ax for ax in (*fixed, *keep))
             if helpers.routed(net, event, keep):
                 routed += 1
@@ -1369,7 +1376,7 @@ def test_scope_route_matches_the_oracle_on_random_networks():
             want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
             got = _event_sums(net, event, 10**6, keep=keep)
             # the table spans exactly the question's axes
-            table = net._scope_table(scope, 10**6)
+            table = net._table(scope, 10**6)
             assert table.axes == tuple(sorted((*fixed, *keep)))
             assert table.pair.shape == (2, *(space.shape[ax] for ax in table.axes))
             np.testing.assert_allclose(got[0], want_sp, rtol=1e-12, atol=0.0)
@@ -1451,9 +1458,9 @@ def test_scope_answers_are_bit_identical_whatever_was_cached():
         assert ask(net) == want  # read back from the cache
         # after other scopes of the same cliques: every single axis and pair
         other = parse_network(doc)
-        for clique in other._cliques() or (helpers.whole_clique(other),):
+        for clique in other._cliques() or (helpers.whole_scope(other),):
             for k in (1, 2):
-                for axes in itertools.combinations(clique.axes, k):
+                for axes in itertools.combinations(helpers.axes_of(clique), k):
                     event_utility(other, Event(space, partial=dict.fromkeys(axes, 0)))
         assert ask(other) == want
         # after the reference joint
@@ -1486,7 +1493,7 @@ def test_a_cached_scope_read_checks_the_cap(monkeypatch):
     with pytest.raises(StateCapError):
         optimal_decision(problem, state_cap=below)
     with pytest.raises(StateCapError):
-        net._scope_table(_clique_of(net, e), below)
+        net._table(_scope_of(net, e), below)
     with monkeypatch.context() as m:
         m.setenv(STATE_CAP_ENV, str(below))
         with pytest.raises(StateCapError):
@@ -1520,21 +1527,84 @@ def test_scope_tables_kept_stay_within_the_cap():
     assert len(_kept_scopes(net)) < asked
 
 
+def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
+    """After a mixed question set, the one table cache holds exactly the
+    scopes asked and the cliques they were summed from; a clique's table
+    is one object as a source and as a scope; the bound counts the other
+    tables only; and a call under a smaller cap keeps a clique table it
+    builds."""
+    from eunet import eu_independent_events, model
+
+    sources = []
+    reduced = model._reduced
+
+    def spy(pair, kept):
+        sources.append(pair)
+        return reduced(pair, kept)
+
+    monkeypatch.setattr(model, "_reduced", spy)
+    both = 0
+    for rng, net in random_clique_nets(47, 60):
+        space, asked = net.space, set()
+        sources.clear()
+        for fixed, keep in _scope_questions(rng, net):
+            event = Event(space, partial=fixed)
+            asked |= {_scope_of(net, event, keep), _scope_of(net, event)}
+            _event_sums(net, event, 10**6, keep=keep)
+            event_utility(net, event)
+            if fixed:
+                first = Event(space, partial=dict(list(fixed.items())[:1]))
+                conditional_probability(net, event, first)
+            if keep:
+                optimal_decision(DecisionProblem(net, tuple(space.names[ax] for ax in keep), event))
+        e, f, g = (Event(space, partial={ax: 1}) for ax in range(3))
+        eu_independent_events(net, e, f, g)
+        asked.add(0b111)
+        if rng.random() < 0.3:
+            event_utility(net, Event(space, states=frozenset({(0,) * len(space)})))
+            asked.add(helpers.whole_scope(net))
+        cliques = {net._clique_holding(scope) for scope in asked}
+        assert set(net._tables) == asked | cliques
+        # every source read is the cached table of its clique, and a clique
+        # asked as a scope gets that same table back
+        for pair in sources:
+            assert any(net._tables[clique].pair is pair for clique in cliques)
+        for clique in cliques:
+            assert net._table(clique, 10**6) is net._tables[clique]
+            if clique in asked and any(net._tables[clique].pair is pair for pair in sources):
+                both += 1
+        assert net._scope_entries == sum(t.pair.size for t in _kept_scopes(net).values())
+    assert both >= 10
+    # a 9-variable chain of pair cliques: its three-axis scopes, each summed
+    # from the table of every axis, hold more entries than the joint
+    names = [f"X{i}" for i in range(1, 10)]
+    net = helpers.chain_net(31, dict(zip(names, (2, 3, 2, 2, 3, 2, 2, 3, 2))), names)
+    for scope in itertools.combinations(range(9), 3):
+        _event_sums(net, Event(net.space, partial=dict.fromkeys(scope, 0)), 10**6)
+    assert net._scope_entries > net.state_count
+    assert set(net._tables) == set(_kept_scopes(net)) | {helpers.whole_scope(net)}
+    # under the lowest cap the joint passes, a pair clique's table is built
+    # and kept, while a scope summed from it is not
+    _event_sums(net, Event(net.space, partial={0: 0, 1: 0}), net.state_count)
+    _event_sums(net, Event(net.space, partial={0: 0}), net.state_count)
+    assert 0b11 in net._tables and 0b1 not in net._tables
+
+
 def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
     net = bench_nets()[2]  # 19 binary variables
     n = len(net.space)
-    whole = net._clique_tables(helpers.whole_clique(net), 10**6)
+    whole = net._table(helpers.whole_scope(net), 10**6)
     # spanning scopes spread over the layout, some with the innermost axis:
     # summed-out runs in front of a short kept tail
     built = 0
     for axes in ((6, n - 1), (0, 6, 9, n - 1), (1, 6, 13, 17), (6, 8, 13, n - 2), (0, 9, n - 1)):
         scope = sum(1 << ax for ax in axes)
-        if net._clique_holding(scope) != helpers.whole_clique(net):
+        if net._clique_holding(scope) != helpers.whole_scope(net):
             continue
         built += 1
         tracemalloc.start()
         try:
-            table = net._scope_table(scope, 10**6)
+            table = net._table(scope, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -743,11 +743,20 @@ def _eliminate(
     values = list(tables)
     *steps, root = buckets
     done = root.scope
-    for _, summed, operands in steps:
+    for spans, summed, operands in steps:
         done |= summed
         total = values[operands[0]]
-        for i in operands[1:]:
-            total = combine(total, values[i])
+        if len(operands) > 1:
+            # One row-major buffer of the bucket's shape takes the products
+            # in place, one operand after another.
+            halves = max(len(values[i]) for i in operands)
+            lengths = [n if spans >> ax & 1 else 1 for ax, n in enumerate(shape)]
+            total = combine(total, values[operands[1]], out=np.empty((halves, *lengths)))
+            for i in operands[2:]:
+                combine(total, values[i], out=total)
+        for i in operands:
+            if i >= len(tables):
+                values[i] = None  # a result is the operand of one bucket only
         axes = []
         while summed:
             low = summed & -summed
@@ -755,7 +764,10 @@ def _eliminate(
             summed ^= low
         if log:
             top = np.maximum.reduce(total, tuple(axes), keepdims=True)
-            total = np.log(np.add.reduce(np.exp(total - top), tuple(axes), keepdims=True)) + top
+            # the bucket's own buffer, not a term, takes the shift in place
+            shifted = np.subtract(total, top, out=total if len(operands) > 1 else None)
+            total = np.log(np.add.reduce(np.exp(shifted, out=shifted), tuple(axes), keepdims=True))
+            total += top
         else:
             total = np.add.reduce(total, tuple(axes), keepdims=True)
         values.append(total)
@@ -874,10 +886,11 @@ class Network:
     Built through :func:`build_network`.  All public reads are pure; the
     factor terms and one (p, p * u) table per scope mask are computed on
     demand and cached, so concurrent readers are safe.  Every question
-    reads the table of its scope (:meth:`_table`): a clique's, or every
-    axis's, is summed from the factors, any other scope's from the table
-    of the smallest clique that holds it.  The per-layer ratio tables are
-    a reference reader that no query reads, built on each call.
+    reads the table of its scope (:meth:`_table`): a clique's, every
+    axis's, or one that spans cliques is summed from the factors, any
+    other scope's from the table of the smallest clique that holds it.
+    The per-layer ratio tables are a reference reader that no query reads,
+    built on each call.
     """
 
     def __init__(
@@ -1106,48 +1119,54 @@ class Network:
 
         return self._cached("clique_tree", build)
 
-    def _schedule(self, clique: int) -> list[_Bucket]:
-        """The buckets that sum every variable outside the ``clique`` mask
-        out of :meth:`_terms`, then the bucket that keeps the clique.
+    def _schedule(self, scope: int) -> list[_Bucket]:
+        """The buckets that sum every variable outside the ``scope`` mask
+        out of :meth:`_terms`, then the bucket that keeps exactly the scope.
 
-        The clique tree is rooted at ``clique`` and walked leaves first:
-        each other clique sums out the variables it does not share with its
-        parent, taking every term and earlier result that mentions them, all
-        of which lie inside it.  A pure function of the network, whatever
-        is cached.  The clique of every axis is one bucket over every term.
-        Cap-free.
+        The clique tree is rooted at the clique that holds the most of the
+        scope's axes (the first in :meth:`_cliques` order on a tie), the
+        scope's own clique where it is one, and walked leaves first: each
+        clique, the root included, sums out its variables that are neither
+        in its parent nor in the scope, taking every term and earlier result
+        that mentions them.  A scope variable rides up inside the results,
+        so a bucket spans at most its clique and the scope.  A pure function
+        of the network and the scope, whatever is cached.  The scope of
+        every axis is one bucket over every term.  Cap-free.
         """
         masks = self._terms()[0]
-        if clique == (1 << len(self.space)) - 1:
-            return [_Bucket(clique, 0, tuple(range(len(masks))))]
+        if scope == (1 << len(self.space)) - 1:
+            return [_Bucket(scope, 0, tuple(range(len(masks))))]
         family, tree = self._cliques(), self._clique_tree()
-        root = family.index(clique)
-        parent = {root: root}
+        root = max(range(len(family)), key=lambda k: ((family[k] & scope).bit_count(), -k))
+        # each clique's variables shared with its parent; the root has none
+        shared = {root: 0}
         visits = [root]
         for k in visits:
             for j in tree[k]:
-                if j not in parent:
-                    parent[j] = k
+                if j not in shared:
+                    shared[j] = family[k]
                     visits.append(j)
         live = dict(enumerate(masks))
         buckets: list[_Bucket] = []
-        for k in reversed(visits[1:]):
-            private = family[k] & ~family[parent[k]]
-            operands = [i for i, mask in live.items() if mask & private]
+        for k in reversed(visits):
+            private = family[k] & ~shared[k] & ~scope
+            operands = [i for i, mask in live.items() if mask & private] if private else []
             if not operands:
                 continue
-            scope = 0
+            spans = 0
             for i in operands:
-                scope |= live.pop(i)
-            live[len(masks) + len(buckets)] = scope & ~private
-            buckets.append(_Bucket(scope, scope & private, tuple(operands)))
-        buckets.append(_Bucket(clique, 0, tuple(live)))
+                spans |= live.pop(i)
+            live[len(masks) + len(buckets)] = spans & ~private
+            buckets.append(_Bucket(spans, spans & private, tuple(operands)))
+        buckets.append(_Bucket(scope, 0, tuple(live)))
         return buckets
 
     def _clique_holding(self, scope: int) -> int:
         """The mask of the clique with the fewest entries that holds the
-        ``scope`` mask, or else the mask of every axis, whose table is the
-        joint's pair.
+        ``scope`` mask, or else the mask of every axis: on a network with a
+        clique family, the scope spans cliques and :meth:`_table` sums it
+        from the factors; on one without, it is reduced from the joint's
+        pair.
 
         A pure function of the graph, the ordering and the scope, so a
         question reads the same table whatever was asked or cached before.
@@ -1166,26 +1185,30 @@ class Network:
         the products of both layers' ratios, over every variable outside
         the scope, so the table of every axis is the joint's pair.  Where
         the scope is its own :meth:`_clique_holding`, a clique of the cover
-        or every axis, the pair is summed from the factors by bucket
-        elimination along :meth:`_schedule`, so no table made holds more
-        than the clique, or a clique of the cover, times the two halves;
-        where a product or a sum over- or underflows, the same buckets run
-        again in log space.  Any other scope is summed by :func:`_reduced`
-        from its clique's table, so the table is a pure function of the
-        network and the mask.  A clique's table is always kept; the others
-        kept hold at most ``state_cap`` entries together, and one built past
-        that bound is returned and not kept.  The cap is checked against the
-        joint on every call, cached or not.
+        or every axis, or where it spans the cliques of a family, the pair
+        is summed from the factors by bucket elimination along
+        :meth:`_schedule`, so no table made holds more than a clique of the
+        cover and the scope times the two halves, and no spanning question
+        builds the joint's pair; where a product or a sum over- or
+        underflows, the same buckets run again in log space.  A scope inside
+        a clique, or any scope of a network with no clique family, is summed
+        by :func:`_reduced` from its clique's table, so the table is a pure
+        function of the network and the mask.  A clique's table is always
+        kept; the others kept hold at most ``state_cap`` entries together,
+        and one built past that bound is returned and not kept.  The cap is
+        checked against the joint on every call, cached or not.
         """
         _require_cap(self.state_count, state_cap, "enumeration over")
         table = self._tables.get(scope)
         if table is not None:
             return table
-        shape, clique, size = self.space.shape, self._clique_holding(scope), 0
+        shape, clique = self.space.shape, self._clique_holding(scope)
         axes = tuple(ax for ax in range(len(shape)) if scope >> ax & 1)
+        # A scope that spans the cliques of a family is its own source.
+        source = scope if clique == (1 << len(shape)) - 1 and self._cliques() else clique
         # An overflow is left as inf for the readers to report.
         with np.errstate(over="ignore"):
-            if scope == clique:
+            if scope == source:
                 tables, buckets = self._terms()[1], self._schedule(scope)
                 try:
                     with np.errstate(over="raise", under="raise"):
@@ -1195,11 +1218,11 @@ class Network:
                     pair = np.exp(logs, out=logs)
                 pair = pair.reshape(2, *(shape[ax] for ax in axes))
             else:
-                source = self._table(clique, state_cap)
-                pair = _reduced(source.pair, [scope >> ax & 1 for ax in source.axes])
-                size = pair.size
+                held = self._table(clique, state_cap)
+                pair = _reduced(held.pair, [scope >> ax & 1 for ax in held.axes])
             pair.flags.writeable = False
             table = _Table(pair, *_totals(pair), axes)
+        size = 0 if scope == clique else pair.size
         with self._lock:
             if scope in self._tables:
                 return self._tables[scope]

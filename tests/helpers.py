@@ -312,7 +312,7 @@ def oracle_kept_sums(network: Network, fixed, keep, tables=None) -> tuple[np.nda
 
 
 def whole_scope(network: Network) -> int:
-    """The mask of every axis, a scope and a clique, whose table is the joint's pair."""
+    """The mask of every axis, whose table is the joint's pair."""
     return (1 << len(network.space)) - 1
 
 
@@ -322,8 +322,10 @@ def axes_of(mask: int) -> tuple[int, ...]:
 
 
 def routed(network: Network, event, keep=()) -> bool:
-    """Whether a question reads a scope summed from a clique smaller than
-    the clique of every axis."""
+    """Whether a question's scope lies inside a clique of the cover, so that
+    its table is the clique's or is summed from it; a scope that spans
+    cliques is summed from the factors, or from the joint's pair on a
+    network with no clique family."""
     return network._clique_holding(_scope_of(network, event, keep)) != whole_scope(network)
 
 

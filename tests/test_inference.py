@@ -1094,13 +1094,17 @@ def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
     """The clique tree has the running intersection property, and each
     clique's schedule uses every term and result once, sums out each
     variable outside the clique that a term mentions once, and adds up no
-    bucket beyond one clique of the family."""
+    bucket beyond one clique of the family; a spanning scope's schedule
+    does the same with the scope in place of the clique, and no bucket
+    goes beyond one clique joined with the scope."""
     nets = [net for _, net in no_joint_nets(15, 150)] + bench_nets()
-    checked = 0
+    rng = np.random.default_rng(15)
+    checked = spanning = 0
     for net in nets:
         family, tree = net._cliques(), net._clique_tree()
         if not family:
             continue
+        n = len(net.space)
         assert sum(map(len, tree)) == 2 * (len(family) - 1)
         for ax in range(len(net.space)):
             holding = {k for k, c in enumerate(family) if c >> ax & 1}
@@ -1114,21 +1118,26 @@ def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
         mentioned = 0
         for mask in masks:
             mentioned |= mask
-        for clique in family:
-            *steps, root = net._schedule(clique)
-            assert root == (clique, 0, root.operands)
+        scopes = [sum(1 << int(ax) for ax in rng.choice(n, size=k, replace=False))
+                  for k in (2, 2, 3, min(4, n - 1))]
+        spans = [s for s in scopes if net._clique_holding(s) == helpers.whole_scope(net)]
+        for scope in (*family, *spans):
+            *steps, root = net._schedule(scope)
+            assert root == (scope, 0, root.operands)
+            joined = 0 if scope in family else scope
             used, summed = [], 0
             for bucket in steps:
-                assert any(bucket.scope & c == bucket.scope for c in family)
+                assert any(bucket.scope & ~(c | joined) == 0 for c in family)
                 assert bucket.summed and bucket.summed & ~bucket.scope == 0
                 assert not summed & bucket.summed
                 summed |= bucket.summed
                 used += bucket.operands
             used += root.operands
             assert sorted(used) == list(range(len(masks) + len(steps)))
-            assert summed == mentioned & ~clique
+            assert summed == mentioned & ~scope
             checked += 1
-    assert checked >= 300
+        spanning += len(spans)
+    assert checked >= 300 and spanning >= 100
 
 
 def test_clique_tables_match_the_joint_on_benchmark_style_networks():
@@ -1151,8 +1160,10 @@ def test_log_space_buckets_match_the_linear_ones():
     for _, net in no_joint_nets(16, 150):
         tables = net._terms()[1]
         logs = [np.log(t) for t in tables]
-        for clique in net._cliques():
-            buckets = net._schedule(clique)
+        family, whole = net._cliques(), helpers.whole_scope(net)
+        spans = [s for s in range(1, whole) if family and net._clique_holding(s) == whole]
+        for scope in (*family, *spans):
+            buckets = net._schedule(scope)
             linear = _eliminate(tables, buckets, net.space.shape, log=False)
             logged = _eliminate(logs, buckets, net.space.shape, log=True)
             np.testing.assert_allclose(np.exp(logged), linear, rtol=1e-12)
@@ -1203,7 +1214,8 @@ def test_whole_clique_route_matches_the_oracle_on_random_networks():
             )
             assert met[combo] == (want[0] > 0.0)
             assert (sp[combo], su[combo]) == pytest.approx(want, rel=1e-12, abs=0.0)
-        # decisions on the whole clique: evidence a state set, and a spanning cylinder
+        # decisions: evidence a state set, read off the whole clique, and a
+        # spanning cylinder, whose scope is summed from the factors
         dvars = tuple(space.names[a] for a in sorted(axes[2:3]))
         cylinder = Event(space, partial={axes[0]: 0, axes[1]: 0})
         for evidence, test in (
@@ -1249,8 +1261,9 @@ def exact_measure_oracle(net):
 
 def test_quotients_stay_in_float_range_on_both_routes():
     """Each measure is a product of ratios of like sums, so it is answered
-    wherever its exact value is in float range, on a clique and on the
-    whole clique, and only u_rel(A=1), about 5e399, raises."""
+    wherever its exact value is in float range, on a clique, across
+    cliques and on the whole clique, and only u_rel(A=1), about 5e399,
+    raises."""
     from fractions import Fraction
 
     from eunet import eu_independent_events
@@ -1283,7 +1296,7 @@ def test_quotients_stay_in_float_range_on_both_routes():
     got = optimal_decision(DecisionProblem(net, ("B",), a1))
     assert got.argmax == ({"B": "1"},)
     close(got.eu, u({B: 1}, {A: 1}))
-    # the whole clique
+    # across cliques, and the whole clique for a state set and for all three axes
     close(conditional_event_utility(net, a1, c0), u({A: 1}, {C: 0}))
     close(conditional_event_utility(net, b1, a1 & c0), u({B: 1}, {A: 1, C: 0}))
     got = optimal_decision(DecisionProblem(net, ("A",), c0))
@@ -1529,10 +1542,12 @@ def test_scope_tables_kept_stay_within_the_cap():
 
 def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
     """After a mixed question set, the one table cache holds exactly the
-    scopes asked and the cliques they were summed from; a clique's table
-    is one object as a source and as a scope; the bound counts the other
-    tables only; and a call under a smaller cap keeps a clique table it
-    builds."""
+    scopes asked and the cliques they were summed from: a scope that spans
+    cliques has no source, and the table of every axis is kept only after a
+    state-set question or on a network with no clique family; a clique's
+    table is one object as a source and as a scope; the bound counts the
+    other tables only; and a call under a smaller cap keeps a clique table
+    it builds."""
     from eunet import eu_independent_events, model
 
     sources = []
@@ -1560,11 +1575,15 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
         e, f, g = (Event(space, partial={ax: 1}) for ax in range(3))
         eu_independent_events(net, e, f, g)
         asked.add(0b111)
+        whole = helpers.whole_scope(net)
         if rng.random() < 0.3:
             event_utility(net, Event(space, states=frozenset({(0,) * len(space)})))
-            asked.add(helpers.whole_scope(net))
+            asked.add(whole)
         cliques = {net._clique_holding(scope) for scope in asked}
+        if net._cliques():
+            cliques.discard(whole)  # spanning scopes are summed from the factors
         assert set(net._tables) == asked | cliques
+        assert (whole in net._tables) == (whole in asked or not net._cliques())
         # every source read is the cached table of its clique, and a clique
         # asked as a scope gets that same table back
         for pair in sources:
@@ -1576,13 +1595,14 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
         assert net._scope_entries == sum(t.pair.size for t in _kept_scopes(net).values())
     assert both >= 10
     # a 9-variable chain of pair cliques: its three-axis scopes, each summed
-    # from the table of every axis, hold more entries than the joint
+    # from the factors with no source table, hold more entries than the joint
     names = [f"X{i}" for i in range(1, 10)]
     net = helpers.chain_net(31, dict(zip(names, (2, 3, 2, 2, 3, 2, 2, 3, 2))), names)
+    sources.clear()
     for scope in itertools.combinations(range(9), 3):
         _event_sums(net, Event(net.space, partial=dict.fromkeys(scope, 0)), 10**6)
     assert net._scope_entries > net.state_count
-    assert set(net._tables) == set(_kept_scopes(net)) | {helpers.whole_scope(net)}
+    assert set(net._tables) == set(_kept_scopes(net)) and not sources
     # under the lowest cap the joint passes, a pair clique's table is built
     # and kept, while a scope summed from it is not
     _event_sums(net, Event(net.space, partial={0: 0, 1: 0}), net.state_count)
@@ -1591,17 +1611,29 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
 
 
 def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
+    """A scope inside the largest clique is reduced from the clique's warm
+    pair with no large temporary, and a scope that spans cliques is summed
+    from the factors with a peak far below the joint's pair."""
     net = bench_nets()[2]  # 19 binary variables
-    n = len(net.space)
-    whole = net._table(helpers.whole_scope(net), 10**6)
-    # spanning scopes spread over the layout, some with the innermost axis:
+    n, whole = len(net.space), helpers.whole_scope(net)
+    largest = net._cliques()[-1]
+    warm = net._table(largest, 10**6)
+    inside = helpers.axes_of(largest)
+    # scopes spread over the clique's layout, some with its innermost axis:
     # summed-out runs in front of a short kept tail
-    built = 0
-    for axes in ((6, n - 1), (0, 6, 9, n - 1), (1, 6, 13, 17), (6, 8, 13, n - 2), (0, 9, n - 1)):
+    reduced = [
+        (inside[1], inside[-1]),
+        (inside[0], inside[4], inside[7], inside[-1]),
+        (inside[1], inside[4], inside[10], inside[14]),
+        (inside[4], inside[6], inside[10], inside[-2]),
+        (inside[0], inside[7], inside[-1]),
+    ]
+    spanning = [(6, n - 1), (0, 6, 9, n - 1), (1, 6, 13, 17), (6, 8, 13, n - 2), (6, 16)]
+    pairs = {}
+    for axes in (*reduced, *spanning):
         scope = sum(1 << ax for ax in axes)
-        if net._clique_holding(scope) != helpers.whole_scope(net):
-            continue
-        built += 1
+        holding = net._clique_holding(scope)
+        assert holding == (largest if axes in reduced else whole)
         tracemalloc.start()
         try:
             table = net._table(scope, 10**6)
@@ -1609,10 +1641,140 @@ def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
         finally:
             tracemalloc.stop()
         assert table.axes == axes
+        pairs[axes] = table.pair
+        if holding == largest:
+            assert peak < warm.pair.nbytes / 128
+        else:
+            assert peak < 2 * net.state_count * 8 / 4  # a quarter of the joint's pair
+    assert whole not in net._tables
+    joint = net._table(whole, 10**6).pair
+    for axes, pair in pairs.items():
         np.testing.assert_allclose(
-            table.pair,
-            whole.pair.sum(axis=tuple(1 + ax for ax in range(n) if ax not in axes)),
-            rtol=1e-12,
+            pair, joint.sum(axis=tuple(1 + ax for ax in range(n) if ax not in axes)), rtol=1e-12
         )
-        assert peak < whole.pair.nbytes / 256
-    assert built >= 3
+
+
+def log_range_chain():
+    """X1 - ... - X6 in both layers, whose products of factors leave float
+    range while every sum of a scope's table stays in it.
+
+    q_X1(1) = 1e155 and q(1 | previous = 1) = 1e-155 further down, so two
+    neighbouring probability tables multiply to 1e-310 where both take 1,
+    below the smallest normal float; w(1 | previous = 1) = 1e155, so a
+    product of the utility tables alone reaches 1e775.  The pair cliques
+    hold fewer entries than the joint.
+    """
+    names = [f"X{i}" for i in range(1, 7)]
+    arcs = list(zip(names, names[1:]))
+    q = {"X1": {("1",): 1e155}}
+    w = {"X1": {("1",): 0.5}}
+    for _, name in arcs:
+        q[name] = {("1", "0"): 2.0, ("1", "1"): 1e-155}
+        w[name] = {("1", "0"): 0.75, ("1", "1"): 1e155}
+    return helpers.net_of(
+        {n: ("0", "1") for n in names}, prob_arcs=arcs, util_arcs=arcs, q=q, w=w
+    )
+
+
+def test_spanning_questions_are_answered_without_the_joint(monkeypatch):
+    """With the joint tables refused, every cylinder question on fewer than
+    all the axes of a network with a clique family is answered, whether its
+    axes share a clique or span several: kept-axes sums, measures,
+    conditionals, value, decisions and eu_independent_events agree with
+    the oracle; and where the linear pass leaves float range on a spanning
+    scope, the log-space pass agrees with exact sums."""
+    from fractions import Fraction
+
+    from eunet import eu_independent_events, model
+    from test_decision import oracle_decision
+
+    refuse_the_joint(monkeypatch)
+    spanning = decisions = verdicts = 0
+    for rng, net in no_joint_nets(19, 150):
+        if not net._cliques():
+            continue
+        space, n = net.space, len(net.space)
+        tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
+        sp_t, su_t = helpers.oracle_event_sums(net, lambda v: True, tables)
+
+        def member(fixed):
+            return lambda v: all(v[a] == x for a, x in fixed.items())
+
+        def sums(fixed):
+            return helpers.oracle_event_sums(net, member(fixed), tables)
+
+        for _ in range(3):
+            # E fixes some of n - 1 random axes and keeps up to two others;
+            # F fixes some of E's axes at E's values and the first kept axis
+            axes = [int(a) for a in rng.permutation(n)][: n - 1]
+            k = int(rng.integers(1, len(axes)))
+            fixed = {ax: int(rng.integers(space.shape[ax])) for ax in axes[:k]}
+            keep = sorted(axes[k:][:2])
+            event = Event(space, partial=fixed)
+            spanning += not helpers.routed(net, event, keep)
+            want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
+            got_sp, got_su, met = _event_sums(net, event, 10**6, keep=keep)
+            assert met.all()
+            np.testing.assert_allclose(got_sp, want_sp, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got_su, want_su, rtol=1e-12, atol=0.0)
+            sp, su = float(want_sp.sum()), float(want_su.sum())
+            got = event_utility(net, event)
+            assert got.p == pytest.approx(sp / sp_t, rel=1e-12)
+            assert got.u_rel == pytest.approx(su / sp, rel=1e-12)
+            assert got.u_norm == pytest.approx((su / sp) / (su_t / sp_t), rel=1e-12)
+            assert value(net, event) == pytest.approx(su / su_t, rel=1e-12)
+            given = dict(list(fixed.items())[: int(rng.integers(0, k + 1))])
+            given[keep[0]] = int(rng.integers(space.shape[keep[0]]))
+            f = Event(space, partial=given)
+            (sp_ef, su_ef), (sp_f, su_f) = sums({**fixed, **given}), sums(given)
+            assert conditional_probability(net, event, f) == pytest.approx(sp_ef / sp_f, rel=1e-12)
+            assert conditional_event_utility(net, event, f) == pytest.approx(
+                (su_ef / sp_ef) / (su_f / sp_f), rel=1e-12
+            )
+            assert value(net, event, f) == pytest.approx(su_ef / su_f, rel=1e-12)
+            dvars = tuple(space.names[ax] for ax in keep)
+            want_ties, want_eu = oracle_decision(net, dvars, member(fixed), tables)
+            got = optimal_decision(DecisionProblem(net, dvars, event))
+            assert got.argmax == want_ties
+            assert got.eu == pytest.approx(want_eu, rel=1e-12)
+            decisions += 1
+        # E, F and G on disjoint axes that leave one axis out
+        axes = [int(a) for a in rng.permutation(n)]
+        e, f, g = (
+            {ax: int(rng.integers(space.shape[ax])) for ax in part}
+            for part in (axes[:1], axes[1:2], axes[2:2 + int(rng.integers(0, n - 2))])
+        )
+        (sp_g, su_g), *meets = (sums(x) for x in (g, {**e, **g}, {**f, **g}, {**e, **f, **g}))
+        u_e, u_f, u_ef = ((su / sp) / (su_g / sp_g) for sp, su in meets)
+        gap = abs(u_ef - u_e * u_f) / abs(u_e * u_f)
+        if abs(gap - 1e-9) > 1e-6 * 1e-9:
+            events = (Event(space, partial=x) for x in (e, f, g))
+            assert eu_independent_events(net, *events) == (gap <= 1e-9)
+            verdicts += 1
+    assert spanning >= 250 and decisions >= 300 and verdicts >= 100
+
+    # the log-space pass on spanning scopes, against exact sums
+    ran = []
+    eliminate = model._eliminate
+
+    def spy(tables, buckets, shape, log):
+        ran.append((buckets[-1].scope, log))
+        return eliminate(tables, buckets, shape, log)
+
+    monkeypatch.setattr(model, "_eliminate", spy)
+    net = log_range_chain()
+    exact = exact_state_sums(net)
+    whole = helpers.whole_scope(net)
+    for fixed, keep in (({0: 1, 5: 1}, [3]), ({0: 1, 2: 1}, [4]), ({1: 1}, [3, 5])):
+        event = Event(net.space, partial=fixed)
+        scope = _scope_of(net, event, keep)
+        assert net._clique_holding(scope) == whole
+        got_sp, got_su, _ = _event_sums(net, event, 10**6, keep=keep)
+        assert (scope, True) in ran
+        for combo in itertools.product((0, 1), repeat=len(keep)):
+            at = {**fixed, **dict(zip(keep, combo))}
+            members = [s for v, s in exact.items() if all(v[a] == x for a, x in at.items())]
+            want_sp = sum((p for p, _ in members), Fraction(0))
+            want_su = sum((pu for _, pu in members), Fraction(0))
+            assert got_sp[combo] == pytest.approx(float(want_sp), rel=1e-12)
+            assert got_su[combo] == pytest.approx(float(want_su), rel=1e-12)

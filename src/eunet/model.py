@@ -808,48 +808,6 @@ def _totals(pair: np.ndarray) -> list[float]:
     return pair.sum(axis=tuple(range(1, pair.ndim))).tolist()
 
 
-# A pass of numpy's reductions runs fast when its innermost loop covers many
-# contiguous entries, and element by element around a short innermost axis.
-# A run of at least this many contiguous entries is long.  Where one pass and
-# a split pass cross depends on the whole layout: on a 19-variable binary
-# network it fell between 32 and 128 entries case by case, and over 40
-# random decisions there both bounds took the same time.  A longer tail runs
-# faster from a large pair (0.3 against 0.4-0.7 ms from an 8 MiB pair, at
-# 1,024 entries) but holds a larger temporary.
-_LONG_RUN = 32
-
-
-def _reduced(pair: np.ndarray, kept: Sequence[bool]) -> np.ndarray:
-    """A stacked pair summed over each axis after the halves' axis whose
-    flag in ``kept`` is false, some flag false; the order of the sums
-    follows the pair's row-major layout.
-
-    Where the innermost axes are summed out and make a long contiguous run,
-    or are the only summed-out ones (the auction's layout), one multi-axis
-    sum steps through long runs already.  Otherwise the innermost axes that
-    make the shortest long block, whatever their roles, are the tail: one
-    sum takes the summed-out axes in front of it, with the tail's block as
-    its inner loop, and a second sums the tail's own.  No temporary holds
-    more than the kept axes in front of the tail times the tail.
-    """
-    shape = pair.shape[1:]
-    n = len(shape)
-    inner = n
-    while inner and not kept[inner - 1]:
-        inner -= 1
-    if inner < n and (math.prod(shape[inner:]) >= _LONG_RUN or all(kept[:inner])):
-        return pair.sum(axis=tuple(ax + 1 for ax in range(n) if not kept[ax]))
-    tail, block = n, 1
-    while tail and block < _LONG_RUN:
-        tail -= 1
-        block *= shape[tail]
-    front = tuple(ax + 1 for ax in range(tail) if not kept[ax])
-    out = pair.sum(axis=front) if front else pair
-    first = 1 + sum(kept[:tail])  # the tail's first axis in ``out``
-    back = tuple(first + i for i in range(n - tail) if not kept[tail + i])
-    return out.sum(axis=back) if back else out
-
-
 class MantlePotential(NamedTuple):
     """A full-mantle ratio table: variable, conditioning names, table."""
 
@@ -888,7 +846,8 @@ class Network:
     demand and cached, so concurrent readers are safe.  Every question
     reads the table of its scope (:meth:`_table`): a clique's, every
     axis's, or one that spans cliques is summed from the factors, any
-    other scope's from the table of the smallest clique that holds it.
+    other scope's in one sum over the other axes of the table of the
+    smallest clique that holds it.
     The per-layer ratio tables are a reference reader that no query reads,
     built on each call.
     """
@@ -1191,12 +1150,13 @@ class Network:
         cover and the scope times the two halves, and no spanning question
         builds the joint's pair; where a product or a sum over- or
         underflows, the same buckets run again in log space.  A scope inside
-        a clique, or any scope of a network with no clique family, is summed
-        by :func:`_reduced` from its clique's table, so the table is a pure
-        function of the network and the mask.  A clique's table is always
-        kept; the others kept hold at most ``state_cap`` entries together,
-        and one built past that bound is returned and not kept.  The cap is
-        checked against the joint on every call, cached or not.
+        a clique, or any scope of a network with no clique family, is one
+        numpy sum of its clique's table over the clique's other axes, so the
+        table is a pure function of the network and the mask.  A clique's
+        table is always kept; the others kept hold at most ``state_cap``
+        entries together, and one built past that bound is returned and not
+        kept.  The cap is checked against the joint on every call, cached or
+        not.
         """
         _require_cap(self.state_count, state_cap, "enumeration over")
         table = self._tables.get(scope)
@@ -1219,7 +1179,9 @@ class Network:
                 pair = pair.reshape(2, *(shape[ax] for ax in axes))
             else:
                 held = self._table(clique, state_cap)
-                pair = _reduced(held.pair, [scope >> ax & 1 for ax in held.axes])
+                pair = held.pair.sum(
+                    axis=tuple(1 + i for i, ax in enumerate(held.axes) if not scope >> ax & 1)
+                )
             pair.flags.writeable = False
             table = _Table(pair, *_totals(pair), axes)
         size = 0 if scope == clique else pair.size

@@ -1540,28 +1540,20 @@ def test_scope_tables_kept_stay_within_the_cap():
     assert len(_kept_scopes(net)) < asked
 
 
-def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
+def test_one_cache_holds_the_scopes_asked_and_their_source_cliques():
     """After a mixed question set, the one table cache holds exactly the
     scopes asked and the cliques they were summed from: a scope that spans
     cliques has no source, and the table of every axis is kept only after a
-    state-set question or on a network with no clique family; a clique's
-    table is one object as a source and as a scope; the bound counts the
-    other tables only; and a call under a smaller cap keeps a clique table
-    it builds."""
-    from eunet import eu_independent_events, model
+    state-set question or on a network with no clique family; a scope
+    inside a clique is, bit for bit, one sum of that clique's cached pair;
+    a clique's table is one object as a source and as a scope; the bound
+    counts the other tables only; and a call under a smaller cap keeps a
+    clique table it builds."""
+    from eunet import eu_independent_events
 
-    sources = []
-    reduced = model._reduced
-
-    def spy(pair, kept):
-        sources.append(pair)
-        return reduced(pair, kept)
-
-    monkeypatch.setattr(model, "_reduced", spy)
     both = 0
     for rng, net in random_clique_nets(47, 60):
         space, asked = net.space, set()
-        sources.clear()
         for fixed, keep in _scope_questions(rng, net):
             event = Event(space, partial=fixed)
             asked |= {_scope_of(net, event, keep), _scope_of(net, event)}
@@ -1582,27 +1574,34 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
         cliques = {net._clique_holding(scope) for scope in asked}
         if net._cliques():
             cliques.discard(whole)  # spanning scopes are summed from the factors
+        # every table of a scope inside a clique is the one-pass sum of that
+        # clique's cached pair over the clique's other axes
+        sources = set()
+        for scope, table in _kept_scopes(net).items():
+            clique = net._clique_holding(scope)
+            if clique not in cliques:
+                continue
+            assert clique in net._tables
+            held = net._tables[clique]
+            summed = tuple(1 + i for i, ax in enumerate(held.axes) if not scope >> ax & 1)
+            assert np.array_equal(table.pair, held.pair.sum(axis=summed))
+            sources.add(clique)
         assert set(net._tables) == asked | cliques
         assert (whole in net._tables) == (whole in asked or not net._cliques())
-        # every source read is the cached table of its clique, and a clique
-        # asked as a scope gets that same table back
-        for pair in sources:
-            assert any(net._tables[clique].pair is pair for clique in cliques)
+        # a clique's table is one object as a source and as a scope
         for clique in cliques:
             assert net._table(clique, 10**6) is net._tables[clique]
-            if clique in asked and any(net._tables[clique].pair is pair for pair in sources):
-                both += 1
+        both += len(sources & asked)
         assert net._scope_entries == sum(t.pair.size for t in _kept_scopes(net).values())
     assert both >= 10
     # a 9-variable chain of pair cliques: its three-axis scopes, each summed
     # from the factors with no source table, hold more entries than the joint
     names = [f"X{i}" for i in range(1, 10)]
     net = helpers.chain_net(31, dict(zip(names, (2, 3, 2, 2, 3, 2, 2, 3, 2))), names)
-    sources.clear()
     for scope in itertools.combinations(range(9), 3):
         _event_sums(net, Event(net.space, partial=dict.fromkeys(scope, 0)), 10**6)
     assert net._scope_entries > net.state_count
-    assert set(net._tables) == set(_kept_scopes(net)) and not sources
+    assert set(net._tables) == set(_kept_scopes(net))
     # under the lowest cap the joint passes, a pair clique's table is built
     # and kept, while a scope summed from it is not
     _event_sums(net, Event(net.space, partial={0: 0, 1: 0}), net.state_count)
@@ -1611,7 +1610,7 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques(monkeypatch):
 
 
 def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
-    """A scope inside the largest clique is reduced from the clique's warm
+    """A scope inside the largest clique is one sum of the clique's warm
     pair with no large temporary, and a scope that spans cliques is summed
     from the factors with a peak far below the joint's pair."""
     net = bench_nets()[2]  # 19 binary variables
@@ -1620,7 +1619,8 @@ def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
     warm = net._table(largest, 10**6)
     inside = helpers.axes_of(largest)
     # scopes spread over the clique's layout, some with its innermost axis:
-    # summed-out runs in front of a short kept tail
+    # short kept runs between summed-out ones, where the one-pass sum steps
+    # through the 1 MiB pair with no temporary near its size
     reduced = [
         (inside[1], inside[-1]),
         (inside[0], inside[4], inside[7], inside[-1]),

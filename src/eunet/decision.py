@@ -324,6 +324,8 @@ def build_vickrey_auction(
     nothing that grows with the state count; the queries on the network
     check the state cap themselves.
     """
+    if isinstance(resolution, (bool, np.bool_)) or not hasattr(resolution, "__index__"):
+        raise ValidationError("grid resolution must be an integer")
     if resolution < 2:
         raise ValidationError("grid resolution must be at least 2")
     if not 0.0 < epsilon < 1e-3:
@@ -364,10 +366,8 @@ def build_vickrey_auction(
     # Allocation distribution over (b, c): the deterministic second-price
     # outcome keeps mass 1 - (r - 1) eps, everything else gets eps.
     alloc = np.full((g, g, r), epsilon)
-    for b in range(g):
-        for c in range(g):
-            winner = g + c if b >= c else b
-            alloc[b, c, winner] = 1.0 - (r - 1) * epsilon
+    b, c = np.indices((g, g))
+    alloc[b, c, np.where(b >= c, g + c, b)] = 1.0 - (r - 1) * epsilon
 
     # The joint is (1/g)^3 c_given_s[s, c] alloc[b, c, a] over (V, B, S, C, A);
     # the uniform constant cancels from every ratio.
@@ -375,13 +375,11 @@ def build_vickrey_auction(
     q_pots = _factor_potentials(factors, space, graph, PROB)
 
     w_a = np.ones((r, g))
-    # winner-side rows sit after the g losing rows, so the price index is
-    # a_idx - g; using k / resolution rather than re-parsing the label keeps
-    # winning at one's own value worth exactly 1
-    for a_idx in range(g, r):
-        m = (a_idx - g) / resolution
-        for v_idx in range(g):
-            w_a[a_idx, v_idx] = (1.0 + v_idx / resolution) / (1.0 + m)
+    # winner-side rows sit after the g losing rows, one per price k; using
+    # k / resolution rather than re-parsing the label keeps winning at one's
+    # own value worth exactly 1
+    steps = np.arange(g) / resolution
+    w_a[g:] = (1.0 + steps) / (1.0 + steps[:, None])
     w_pots = [
         RestrictedPotential("A", UTIL, ("V",), w_a, reference_index=0),
     ]

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .inference import _cylinder_sums, _mask, _quotient, _scope_of, _sums_from
+from .inference import _cylinder_sums, _quotient, _scope_of, _sums_from
 from .model import (
     PROB,
     UTIL,
@@ -31,6 +31,7 @@ from .model import (
     Network,
     ValidationError,
     _check_layer,
+    _mask,
     _merged,
     ratio_spread,
     resolve_state_cap,
@@ -182,6 +183,8 @@ def derive_perfect_map(
         names = tuple(names)
         if len(names) != n:
             raise ValidationError("names must match the table axis count")
+        if len(set(names)) != n:
+            raise ValidationError("names must be unique")
 
     def layer_arcs(arr: np.ndarray) -> list[tuple[str, str]]:
         arcs = []

@@ -17,10 +17,12 @@ exact value does, even where a quotient of unlike sums such as u_rel would.
 
 Every sum reads one table form, the network's table of a scope mask: the
 stacked (p, p * u) pair over exactly the scope's axes, which holds the
-joint's sums over every other variable (``Network._table``).  A cylinder
-question's scope is its fixed and kept axes, a state set's every axis,
-whose table is the joint's pair, read by flat state.  A read indexes the
-fixed axes and sums nothing more, save where one table answers several
+joint's sums over every other variable (``Network._table``).  It is summed
+from the table of the clique of the network's cover that holds the scope,
+or from the factors where the scope is a clique or spans cliques.  A
+cylinder question's scope is its fixed and kept axes, a state set's every
+axis, whose table is the joint's pair, read by flat state.  A read indexes
+the fixed axes and sums nothing more, save where one table answers several
 sums (the F of a conditional, the four meets of eu_independent_events).
 The separator shortcut (local_conditional_eu) reads two windows off the
 factors.
@@ -29,7 +31,7 @@ factors.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,7 @@ from .model import (
     ValidationError,
     _ratio_window,
     _require_cap,
+    _mask,
     _Table,
     _totals,
     resolve_state_cap,
@@ -109,14 +112,6 @@ def _scope_of(network: Network, event: Event, keep: Sequence[int] = ()) -> int:
     if event._partial is None:
         return (1 << len(network.space)) - 1
     return _mask(event._partial) | _mask(keep)
-
-
-def _mask(axes: Iterable[int]) -> int:
-    """The bit mask of ``axes``."""
-    mask = 0
-    for ax in axes:
-        mask |= 1 << ax
-    return mask
 
 
 def _sums_from(table: _Table, event: Event, keep: Sequence[int] = ()) -> tuple:

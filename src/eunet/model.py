@@ -715,6 +715,19 @@ class ReconstructedJoint(NamedTuple):
     u: np.ndarray
 
 
+def _mask(axes: Iterable[int]) -> int:
+    """The bit mask of ``axes``."""
+    mask = 0
+    for ax in axes:
+        mask |= 1 << ax
+    return mask
+
+
+def _axes(mask: int) -> tuple[int, ...]:
+    """The axes of a bit mask, in index order."""
+    return tuple(ax for ax in range(mask.bit_length()) if mask >> ax & 1)
+
+
 class _Bucket(NamedTuple):
     """One step of bucket elimination: the bit masks of the axes its
     operands span and of the variables it sums out, and its operands,
@@ -757,19 +770,15 @@ def _eliminate(
         for i in operands:
             if i >= len(tables):
                 values[i] = None  # a result is the operand of one bucket only
-        axes = []
-        while summed:
-            low = summed & -summed
-            axes.append(low.bit_length())  # the axis's position after the halves' axis
-            summed ^= low
+        axes = tuple(1 + ax for ax in _axes(summed))  # after the halves' axis
         if log:
-            top = np.maximum.reduce(total, tuple(axes), keepdims=True)
+            top = np.maximum.reduce(total, axes, keepdims=True)
             # the bucket's own buffer, not a term, takes the shift in place
             shifted = np.subtract(total, top, out=total if len(operands) > 1 else None)
-            total = np.log(np.add.reduce(np.exp(shifted, out=shifted), tuple(axes), keepdims=True))
+            total = np.log(np.add.reduce(np.exp(shifted, out=shifted), axes, keepdims=True))
             total += top
         else:
-            total = np.add.reduce(total, tuple(axes), keepdims=True)
+            total = np.add.reduce(total, axes, keepdims=True)
         values.append(total)
     count = math.prod(n for ax, n in enumerate(shape) if not done >> ax & 1)
     kept = [n if root.scope >> ax & 1 else 1 for ax, n in enumerate(shape)]
@@ -844,10 +853,9 @@ class Network:
     Built through :func:`build_network`.  All public reads are pure; the
     factor terms and one (p, p * u) table per scope mask are computed on
     demand and cached, so concurrent readers are safe.  Every question
-    reads the table of its scope (:meth:`_table`): a clique's, every
-    axis's, or one that spans cliques is summed from the factors, any
-    other scope's in one sum over the other axes of the table of the
-    smallest clique that holds it.
+    reads the table of its scope (:meth:`_table`): a clique's, or one that
+    spans cliques, is summed from the factors, any other scope's in one sum
+    over the other axes of the table of the smallest clique that holds it.
     The per-layer ratio tables are a reference reader that no query reads,
     built on each call.
     """
@@ -935,26 +943,18 @@ class Network:
         """The full joint ratio table of one layer (value 1 at the reference
         state), built on each call: a reference reader, which no query reads.
 
-        Sums the broadcast per-variable log tables left to right along the
-        ordering, the same summation order as the scalar path in
-        :func:`joint_ratio` (the two can still differ by an ulp at the final
-        exponentiation).  The cap is checked first.
+        Adds up the logs of the layer's :meth:`_terms` tables, the ratios in
+        a probability term's one half and in a utility term's second half,
+        left to right along the ordering: the same summation order as the
+        scalar path in :func:`joint_ratio` (the two can still differ by an
+        ulp at the final exponentiation).  The cap is checked first.
         """
-        _check_layer(layer)
+        halves = 1 if _check_layer(layer) == PROB else 2
         _require_cap(self.state_count, state_cap, "enumeration over")
-        n = len(self.space)
-        # Identity tables add 0 everywhere and are skipped; the first term
-        # is added to 0.0, not to a table of zeros.
-        logs = [(axes, np.log(table)) for axes, table in self._factors(layer)]
-        terms = [(axes, logt) for axes, logt in logs if logt.any()]
-        total = np.empty(self.space.shape) if terms else np.zeros(self.space.shape)
-        for k, (axes, logt) in enumerate(terms):
-            order = sorted(range(len(axes)), key=lambda a: axes[a])
-            view = logt.transpose(order)
-            idx: list[object] = [None] * n
-            for v in sorted(axes):
-                idx[v] = slice(None)
-            np.add(total if k else 0.0, view[tuple(idx)], out=total)
+        total = np.zeros(self.space.shape)
+        for t in self._terms()[1]:
+            if len(t) == halves:
+                total += np.log(t[-1])
         # An overflow is left as inf for the readers to report.
         with np.errstate(over="ignore"):
             np.exp(total, out=total)
@@ -962,17 +962,19 @@ class Network:
         return total
 
     def _cliques(self) -> tuple[int, ...]:
-        """The bit masks of the maximal cliques of both layers' graph,
-        fewest entries first; cached.
+        """The bit masks of the cliques of the cover, the maximal cliques
+        of a chordal graph that holds both layers' graphs, fewest entries
+        first; cached.
 
         Every factor of either layer lies in one of them, and a clique's
         marginal tables answer every question whose axes it holds.  The
         variables are eliminated along the reverse ordering, the last one
         first: each one and its remaining neighbours, the below-index ones,
         form a clique, and those neighbours are joined.  A clique is maximal
-        unless an earlier one holds it.  The family is dropped when its
-        tables together would hold at least as many entries as the joint, as
-        they do when one clique holds every variable.  Cap-free.
+        unless an earlier one holds it.  Where those cliques together would
+        hold at least as many entries as the joint, the cover is the one
+        clique of every axis instead, as it is when one clique holds every
+        variable.  Cap-free.
         """
 
         def build() -> tuple[int, ...]:
@@ -982,8 +984,7 @@ class Network:
             below = [0] * n
             for layer in LAYERS:
                 for (v, *parents), _ in self._factors(layer):
-                    for ax in parents:
-                        below[v] |= 1 << ax
+                    below[v] |= _mask(parents)
             masks: list[int] = []
             for v in range(n - 1, -1, -1):
                 rest = below[v]
@@ -994,9 +995,9 @@ class Network:
                     u = rest.bit_length() - 1
                     rest ^= 1 << u
                     below[u] |= rest
-            sized = [(math.prod(shape[ax] for ax in range(n) if m >> ax & 1), m) for m in masks]
+            sized = [(math.prod(shape[ax] for ax in _axes(m)), m) for m in masks]
             if sum(entries for entries, _ in sized) >= math.prod(shape):
-                return ()
+                return ((1 << n) - 1,)
             sized.sort(key=operator.itemgetter(0))
             return tuple(mask for _, mask in sized)
 
@@ -1090,12 +1091,10 @@ class Network:
         that mentions them.  A scope variable rides up inside the results,
         so a bucket spans at most its clique and the scope.  A pure function
         of the network and the scope, whatever is cached.  The scope of
-        every axis is one bucket over every term.  Cap-free.
+        every axis sums nothing out, so it is the last bucket alone, over
+        every term in index order.  Cap-free.
         """
-        masks = self._terms()[0]
-        if scope == (1 << len(self.space)) - 1:
-            return [_Bucket(scope, 0, tuple(range(len(masks))))]
-        family, tree = self._cliques(), self._clique_tree()
+        masks, family, tree = self._terms()[0], self._cliques(), self._clique_tree()
         root = max(range(len(family)), key=lambda k: ((family[k] & scope).bit_count(), -k))
         # each clique's variables shared with its parent; the root has none
         shared = {root: 0}
@@ -1120,12 +1119,9 @@ class Network:
         buckets.append(_Bucket(scope, 0, tuple(live)))
         return buckets
 
-    def _clique_holding(self, scope: int) -> int:
-        """The mask of the clique with the fewest entries that holds the
-        ``scope`` mask, or else the mask of every axis: on a network with a
-        clique family, the scope spans cliques and :meth:`_table` sums it
-        from the factors; on one without, it is reduced from the joint's
-        pair.
+    def _clique_holding(self, scope: int) -> int | None:
+        """The mask of the clique of the cover with the fewest entries that
+        holds the ``scope`` mask, or None where the scope spans cliques.
 
         A pure function of the graph, the ordering and the scope, so a
         question reads the same table whatever was asked or cached before.
@@ -1133,7 +1129,7 @@ class Network:
         for clique in self._cliques():
             if clique & scope == scope:
                 return clique
-        return (1 << len(self.space)) - 1
+        return None
 
     def _table(self, scope: int, state_cap: int) -> _Table:
         """The stacked (p, p * u) pair over exactly the axes of the ``scope``
@@ -1143,32 +1139,27 @@ class Network:
         The pair's halves hold the sums of the probability ratios, and of
         the products of both layers' ratios, over every variable outside
         the scope, so the table of every axis is the joint's pair.  Where
-        the scope is its own :meth:`_clique_holding`, a clique of the cover
-        or every axis, or where it spans the cliques of a family, the pair
-        is summed from the factors by bucket elimination along
+        the scope is a clique of the cover or spans cliques, the pair is
+        summed from the factors by bucket elimination along
         :meth:`_schedule`, so no table made holds more than a clique of the
-        cover and the scope times the two halves, and no spanning question
-        builds the joint's pair; where a product or a sum over- or
-        underflows, the same buckets run again in log space.  A scope inside
-        a clique, or any scope of a network with no clique family, is one
-        numpy sum of its clique's table over the clique's other axes, so the
-        table is a pure function of the network and the mask.  A clique's
-        table is always kept; the others kept hold at most ``state_cap``
-        entries together, and one built past that bound is returned and not
-        kept.  The cap is checked against the joint on every call, cached or
-        not.
+        cover and the scope times the two halves; where a product or a sum
+        over- or underflows, the same buckets run again in log space.  Any
+        other scope is one numpy sum of the table of its
+        :meth:`_clique_holding` over the clique's other axes, so the table
+        is a pure function of the network and the mask.  A clique's table
+        and the table of every axis are always kept; the others kept hold at
+        most ``state_cap`` entries together, and one built past that bound
+        is returned and not kept.  The cap is checked against the joint on
+        every call, cached or not.
         """
         _require_cap(self.state_count, state_cap, "enumeration over")
         table = self._tables.get(scope)
         if table is not None:
             return table
-        shape, clique = self.space.shape, self._clique_holding(scope)
-        axes = tuple(ax for ax in range(len(shape)) if scope >> ax & 1)
-        # A scope that spans the cliques of a family is its own source.
-        source = scope if clique == (1 << len(shape)) - 1 and self._cliques() else clique
+        shape, clique, axes = self.space.shape, self._clique_holding(scope), _axes(scope)
         # An overflow is left as inf for the readers to report.
         with np.errstate(over="ignore"):
-            if scope == source:
+            if clique in (None, scope):
                 tables, buckets = self._terms()[1], self._schedule(scope)
                 try:
                     with np.errstate(over="raise", under="raise"):
@@ -1184,7 +1175,7 @@ class Network:
                 )
             pair.flags.writeable = False
             table = _Table(pair, *_totals(pair), axes)
-        size = 0 if scope == clique else pair.size
+        size = 0 if scope in (clique, (1 << len(shape)) - 1) else pair.size
         with self._lock:
             if scope in self._tables:
                 return self._tables[scope]
@@ -1216,6 +1207,8 @@ def _structure(
     The returned graph's nodes are exactly the ordering; it is ``graph``
     itself when they already are.
     """
+    if not specs:
+        raise ValidationError("a network needs at least one variable")
     by_name = {}
     for spec in specs:
         if spec.name in by_name:

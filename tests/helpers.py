@@ -23,6 +23,7 @@ from eunet import (
     build_network,
 )
 from eunet.inference import _scope_of
+from eunet.model import _axes as axes_of
 
 
 def net_of(domains, ordering=None, prob_arcs=(), util_arcs=(), q=None, w=None):
@@ -316,17 +317,15 @@ def whole_scope(network: Network) -> int:
     return (1 << len(network.space)) - 1
 
 
-def axes_of(mask: int) -> tuple[int, ...]:
-    """The axes of a bit mask, in index order."""
-    return tuple(ax for ax in range(mask.bit_length()) if mask >> ax & 1)
-
-
 def routed(network: Network, event, keep=()) -> bool:
-    """Whether a question's scope lies inside a clique of the cover, so that
-    its table is the clique's or is summed from it; a scope that spans
-    cliques is summed from the factors, or from the joint's pair on a
-    network with no clique family."""
-    return network._clique_holding(_scope_of(network, event, keep)) != whole_scope(network)
+    """Whether a question's scope lies inside a clique of the cover other
+    than the clique of every axis, so that its table is a clique's smaller
+    than the joint or is summed from one; a scope that spans cliques is
+    summed from the factors, and on a network whose cover is the one
+    clique of every axis each scope is summed from the joint's pair."""
+    return network._clique_holding(_scope_of(network, event, keep)) not in (
+        None, whole_scope(network)
+    )
 
 
 def cylinder_member(network: Network, partial):

@@ -291,6 +291,10 @@ def auction_k2():
 def test_auction_rejects_bad_parameters():
     with pytest.raises(ValidationError, match="at least 2"):
         build_vickrey_auction(1)
+    for resolution in (3.0, True, "3", None):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build_vickrey_auction(resolution)
+    assert build_vickrey_auction(np.int64(2)).resolution == 2
     with pytest.raises(ValidationError, match="epsilon"):
         build_vickrey_auction(2, epsilon=0.0)
     with pytest.raises(ValidationError, match="epsilon"):
@@ -698,7 +702,7 @@ def test_clique_routed_decisions_match_the_oracle_on_random_networks():
         )
         family = net._cliques()
         # decisions and evidence inside a random clique, or on random axes
-        if family and rng.random() < 0.75:
+        if family != (helpers.whole_scope(net),) and rng.random() < 0.75:
             clique = family[int(rng.integers(len(family)))]
             axes = [int(a) for a in rng.permutation(helpers.axes_of(clique))]
         else:

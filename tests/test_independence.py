@@ -168,6 +168,15 @@ def test_perfect_map_shape_validation(rng):
         derive_perfect_map(p, u)
 
 
+def test_perfect_map_rejects_duplicate_names(rng):
+    # with no arcs, and with an arc between the two axes of one name
+    free = np.ones((2, 2))
+    linked = helpers.planted_factor_table(rng, 2, [(0, 1)])
+    for p in (free, linked):
+        with pytest.raises(ValidationError, match="names must be unique"):
+            derive_perfect_map(p, free, names=("A", "A"))
+
+
 # -- sound graphoid-style implications, tested non-vacuously ------------------------
 
 

@@ -520,10 +520,11 @@ def mixed_domain_net():
 
 
 def whole_only(net):
-    """A copy of ``net`` with no clique family, so that the table of every
-    scope is summed from the table of every axis."""
+    """A copy of ``net`` whose cover is the one clique of every axis, so that
+    the table of every scope is summed from the table of every axis."""
     copy = Network(net.space, net.graph, net._potentials)
-    copy._cliques = lambda: ()
+    whole = helpers.whole_scope(net)
+    copy._cliques = lambda: (whole,)
     return copy
 
 
@@ -634,7 +635,8 @@ def test_imap_readers_raise_on_an_overflowing_table():
 
 def random_clique_nets(seed, count):
     """``count`` random networks of 4 to 6 variables with mixed domains and
-    random references; some have a clique family, some only the joint."""
+    random references; some are covered by smaller cliques, some by the
+    one clique of every axis."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         yield rng, helpers.random_network(
@@ -649,13 +651,9 @@ def random_clique_nets(seed, count):
 def test_clique_family_is_the_clique_set_of_a_chordal_cover():
     import networkx as nx
 
-    seen_empty = seen_full = 0
+    seen_whole = seen_family = 0
     for _, net in random_clique_nets(11, 120):
         family = net._cliques()
-        if not family:
-            seen_empty += 1
-            continue
-        seen_full += 1
         cover = nx.Graph()
         cover.add_nodes_from(range(len(net.space)))
         for clique in family:
@@ -672,21 +670,53 @@ def test_clique_family_is_the_clique_set_of_a_chordal_cover():
         }
         entries = [math.prod(net.space.shape[ax] for ax in helpers.axes_of(c)) for c in family]
         assert entries == sorted(entries)
-        assert sum(entries) < net.state_count
-    assert seen_empty and seen_full
+        # a family of smaller cliques holds fewer entries than the joint;
+        # otherwise the cover is the one clique of every axis
+        if family == (helpers.whole_scope(net),):
+            seen_whole += 1
+        else:
+            seen_family += 1
+            assert sum(entries) < net.state_count
+    assert seen_whole and seen_family
 
 
-def test_networks_without_a_clique_family_read_the_joint(rng):
-    # a complete graph, whose only clique is the whole space
+def dense_nets(rng):
+    """A complete graph, whose only clique is the whole space, and a chain
+    whose pair cliques hold as many entries as the joint."""
     dense = helpers.random_network(rng, n_vars=5, domain_sizes=(2, 3), arc_prob=1.0)
-    # a chain whose pair cliques hold as many entries as the joint
-    chain = helpers.binary_chain_net()
-    for net in (dense, chain):
-        assert net._cliques() == ()
+    return dense, helpers.binary_chain_net()
+
+
+def test_dense_networks_are_covered_by_the_clique_of_every_axis(rng):
+    for net in dense_nets(rng):
+        whole = helpers.whole_scope(net)
+        assert net._cliques() == (whole,)
+        assert net._clique_tree() == ((),)
+        assert all(net._clique_holding(scope) == whole for scope in range(whole + 1))
+
+
+def test_networks_covered_by_the_clique_of_every_axis_read_the_joint(rng):
+    for net in dense_nets(rng):
         e = net.cylinder({net.space.names[0]: "1"})
         assert not helpers.routed(net, e)
         sp, su = helpers.oracle_event_sums(net, helpers.cylinder_member(net, e.fixed_variables()))
         assert _event_sums(net, e, 10**6) == pytest.approx((sp, su), rel=1e-12)
+        # the question's table is summed from the joint's pair, which is kept
+        assert set(net._tables) == {_scope_of(net, e), helpers.whole_scope(net)}
+
+
+def test_the_schedule_of_every_axis_is_one_bucket_over_every_term():
+    from eunet.model import _Bucket
+
+    checked = 0
+    for net in [net for _, net in no_joint_nets(15, 60)] + bench_nets():
+        whole = helpers.whole_scope(net)
+        if net._cliques() == (whole,):
+            continue
+        terms = tuple(range(len(net._terms()[0])))
+        assert net._schedule(whole) == [_Bucket(whole, 0, terms)]
+        checked += 1
+    assert checked >= 30
 
 
 def test_clique_route_matches_the_oracle_on_random_networks():
@@ -700,7 +730,7 @@ def test_clique_route_matches_the_oracle_on_random_networks():
         sure = helpers.oracle_event_sums(net, lambda v: True, tables)
         family = net._cliques()
         questions = []
-        if family:
+        if family != (helpers.whole_scope(net),):
             # a question inside a random clique: some axes fixed, some kept
             axes = list(helpers.axes_of(family[int(rng.integers(len(family)))]))
             rng.shuffle(axes)
@@ -797,7 +827,7 @@ def test_overflowing_networks_raise_on_the_clique_route():
     # overflow_window_net overflows in a window, not in the joint; its one
     # clique holds every variable, so it reads the whole clique and answers
     net = helpers.overflow_window_net()
-    assert net._cliques() == ()
+    assert net._cliques() == (helpers.whole_scope(net),)
     assert event_utility(net, net.true_event()).p == 1.0
     with pytest.raises(NumericRangeError, match="inf or 0 entry"):
         validate_imap(net)
@@ -817,7 +847,7 @@ def test_state_sets_and_eu_independent_events_read_the_joint(monkeypatch):
     read = Network._table
 
     def refuse(self, scope, cap):
-        if self._clique_holding(scope) != helpers.whole_scope(self):
+        if self._clique_holding(scope) is not None:
             raise AssertionError("a clique table was read")
         return read(self, scope, cap)
 
@@ -875,7 +905,7 @@ def test_clique_route_builds_no_joint(monkeypatch, tmp_path):
     routed = commands = 0
     for rng, net in no_joint_nets(14, 200):
         family = net._cliques()
-        if not family:
+        if family == (helpers.whole_scope(net),):
             continue
         space, names = net.space, net.space.names
         tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
@@ -1040,7 +1070,7 @@ def test_clique_route_answers_where_the_joint_answers(monkeypatch):
         sure = net.true_event()
         answered = 0
         family = net._cliques()
-        assert family
+        assert family != (helpers.whole_scope(net),)
         for clique in family:
             for k in (1, 2):
                 for axes in itertools.combinations(helpers.axes_of(clique), k):
@@ -1102,8 +1132,6 @@ def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
     checked = spanning = 0
     for net in nets:
         family, tree = net._cliques(), net._clique_tree()
-        if not family:
-            continue
         n = len(net.space)
         assert sum(map(len, tree)) == 2 * (len(family) - 1)
         for ax in range(len(net.space)):
@@ -1120,7 +1148,7 @@ def test_every_bucket_of_a_clique_schedule_lies_in_one_clique():
             mentioned |= mask
         scopes = [sum(1 << int(ax) for ax in rng.choice(n, size=k, replace=False))
                   for k in (2, 2, 3, min(4, n - 1))]
-        spans = [s for s in scopes if net._clique_holding(s) == helpers.whole_scope(net)]
+        spans = [s for s in scopes if net._clique_holding(s) is None]
         for scope in (*family, *spans):
             *steps, root = net._schedule(scope)
             assert root == (scope, 0, root.operands)
@@ -1161,7 +1189,7 @@ def test_log_space_buckets_match_the_linear_ones():
         tables = net._terms()[1]
         logs = [np.log(t) for t in tables]
         family, whole = net._cliques(), helpers.whole_scope(net)
-        spans = [s for s in range(1, whole) if family and net._clique_holding(s) == whole]
+        spans = [s for s in range(1, whole) if net._clique_holding(s) is None]
         for scope in (*family, *spans):
             buckets = net._schedule(scope)
             linear = _eliminate(tables, buckets, net.space.shape, log=False)
@@ -1342,9 +1370,12 @@ def test_quotients_stay_in_float_range_on_both_routes():
 
 
 def _kept_scopes(net):
-    """The tables kept that are not a clique's, by mask."""
+    """The tables kept that are neither a clique's nor the joint's, by mask:
+    those the bound counts."""
+    whole = helpers.whole_scope(net)
     return {
-        scope: table for scope, table in net._tables.items() if net._clique_holding(scope) != scope
+        scope: table for scope, table in net._tables.items()
+        if scope not in (net._clique_holding(scope), whole)
     }
 
 
@@ -1471,7 +1502,7 @@ def test_scope_answers_are_bit_identical_whatever_was_cached():
         assert ask(net) == want  # read back from the cache
         # after other scopes of the same cliques: every single axis and pair
         other = parse_network(doc)
-        for clique in other._cliques() or (helpers.whole_scope(other),):
+        for clique in other._cliques():
             for k in (1, 2):
                 for axes in itertools.combinations(helpers.axes_of(clique), k):
                     event_utility(other, Event(space, partial=dict.fromkeys(axes, 0)))
@@ -1544,7 +1575,7 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques():
     """After a mixed question set, the one table cache holds exactly the
     scopes asked and the cliques they were summed from: a scope that spans
     cliques has no source, and the table of every axis is kept only after a
-    state-set question or on a network with no clique family; a scope
+    state-set question or where it is the cover's one clique; a scope
     inside a clique is, bit for bit, one sum of that clique's cached pair;
     a clique's table is one object as a source and as a scope; the bound
     counts the other tables only; and a call under a smaller cap keeps a
@@ -1571,9 +1602,8 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques():
         if rng.random() < 0.3:
             event_utility(net, Event(space, states=frozenset({(0,) * len(space)})))
             asked.add(whole)
-        cliques = {net._clique_holding(scope) for scope in asked}
-        if net._cliques():
-            cliques.discard(whole)  # spanning scopes are summed from the factors
+        # spanning scopes are summed from the factors
+        cliques = {net._clique_holding(scope) for scope in asked} - {None}
         # every table of a scope inside a clique is the one-pass sum of that
         # clique's cached pair over the clique's other axes
         sources = set()
@@ -1587,7 +1617,7 @@ def test_one_cache_holds_the_scopes_asked_and_their_source_cliques():
             assert np.array_equal(table.pair, held.pair.sum(axis=summed))
             sources.add(clique)
         assert set(net._tables) == asked | cliques
-        assert (whole in net._tables) == (whole in asked or not net._cliques())
+        assert (whole in net._tables) == (whole in asked or net._cliques() == (whole,))
         # a clique's table is one object as a source and as a scope
         for clique in cliques:
             assert net._table(clique, 10**6) is net._tables[clique]
@@ -1633,7 +1663,7 @@ def test_a_scope_build_from_a_warm_pair_makes_no_large_temporary():
     for axes in (*reduced, *spanning):
         scope = sum(1 << ax for ax in axes)
         holding = net._clique_holding(scope)
-        assert holding == (largest if axes in reduced else whole)
+        assert holding == (largest if axes in reduced else None)
         tracemalloc.start()
         try:
             table = net._table(scope, 10**6)
@@ -1678,11 +1708,11 @@ def log_range_chain():
 
 def test_spanning_questions_are_answered_without_the_joint(monkeypatch):
     """With the joint tables refused, every cylinder question on fewer than
-    all the axes of a network with a clique family is answered, whether its
-    axes share a clique or span several: kept-axes sums, measures,
-    conditionals, value, decisions and eu_independent_events agree with
-    the oracle; and where the linear pass leaves float range on a spanning
-    scope, the log-space pass agrees with exact sums."""
+    all the axes of a network covered by smaller cliques is answered,
+    whether its axes share a clique or span several: kept-axes sums,
+    measures, conditionals, value, decisions and eu_independent_events
+    agree with the oracle; and where the linear pass leaves float range on
+    a spanning scope, the log-space pass agrees with exact sums."""
     from fractions import Fraction
 
     from eunet import eu_independent_events, model
@@ -1691,7 +1721,7 @@ def test_spanning_questions_are_answered_without_the_joint(monkeypatch):
     refuse_the_joint(monkeypatch)
     spanning = decisions = verdicts = 0
     for rng, net in no_joint_nets(19, 150):
-        if not net._cliques():
+        if net._cliques() == (helpers.whole_scope(net),):
             continue
         space, n = net.space, len(net.space)
         tables = (helpers.oracle_ratio_table(net, PROB), helpers.oracle_ratio_table(net, UTIL))
@@ -1764,11 +1794,10 @@ def test_spanning_questions_are_answered_without_the_joint(monkeypatch):
     monkeypatch.setattr(model, "_eliminate", spy)
     net = log_range_chain()
     exact = exact_state_sums(net)
-    whole = helpers.whole_scope(net)
     for fixed, keep in (({0: 1, 5: 1}, [3]), ({0: 1, 2: 1}, [4]), ({1: 1}, [3, 5])):
         event = Event(net.space, partial=fixed)
         scope = _scope_of(net, event, keep)
-        assert net._clique_holding(scope) == whole
+        assert net._clique_holding(scope) is None
         got_sp, got_su, _ = _event_sums(net, event, 10**6, keep=keep)
         assert (scope, True) in ran
         for combo in itertools.product((0, 1), repeat=len(keep)):

@@ -195,6 +195,15 @@ def test_potential_table_is_frozen():
 # -- build_network validation -------------------------------------------------
 
 
+def test_a_network_without_variables_is_rejected():
+    from eunet import parse_network
+
+    with pytest.raises(ValidationError, match="at least one variable"):
+        build_network([], (), EUNGraph.of())
+    with pytest.raises(ValidationError, match="at least one variable"):
+        parse_network('{"format": "eun/1", "variables": [], "ordering": []}')
+
+
 def test_duplicate_variable_rejected():
     with pytest.raises(ValidationError, match="duplicate variable"):
         build_network([binary("X"), binary("X")], ("X", "X"), EUNGraph.of())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -57,8 +58,9 @@ TIE_TOLERANCE = 1e-9
 class DecisionProblem:
     """Decision variables plus an evidence event on one network.
 
-    The decision variables are stored in ordering index order.  The evidence
-    must be non-empty and must not fix any decision variable.
+    The decision variables, a sequence of names and never one bare string,
+    are stored in ordering index order.  The evidence must be non-empty and
+    must not fix any decision variable.
     """
 
     network: Network
@@ -66,26 +68,35 @@ class DecisionProblem:
     evidence: Event
 
     def __post_init__(self) -> None:
-        net = self.network
-        seen = set()
+        space = self.network.space
+        if isinstance(self.decision_vars, str):
+            raise ValidationError(
+                f"decision variables must be a sequence of names, not the string "
+                f"{self.decision_vars!r}"
+            )
+        axes = set()
         for name in self.decision_vars:
-            net.space.index(name)
-            if name in seen:
+            ax = space.index(name)
+            if ax in axes:
                 raise ValidationError(f"duplicate decision variable {name!r}")
-            seen.add(name)
-        if not seen:
+            axes.add(ax)
+        if not axes:
             raise ValidationError("a decision problem needs at least one decision variable")
-        ordered = tuple(n for n in net.space.names if n in seen)
-        object.__setattr__(self, "decision_vars", ordered)
-        if self.evidence.space != net.space:
+        names = space.names
+        object.__setattr__(self, "decision_vars", tuple([names[ax] for ax in sorted(axes)]))
+        evidence = self.evidence
+        if evidence.space != space:
             raise ValidationError("evidence belongs to a different variable system")
-        if self.evidence.is_empty:
+        if evidence.is_empty:
             raise EmptyEventError("evidence event is empty")
-        fixed = set(self.evidence.fixed_variables())
-        clash = fixed & seen
+        # a cylinder's fixed axes are its keys; a state set's are found from its states
+        fixed = evidence._partial
+        if fixed is None:
+            fixed = map(space.index, evidence.fixed_variables())
+        clash = axes.intersection(fixed)
         if clash:
             raise ValidationError(
-                f"evidence already fixes decision variable(s) {sorted(clash)}"
+                f"evidence already fixes decision variable(s) {sorted(names[ax] for ax in clash)}"
             )
 
 
@@ -99,37 +110,44 @@ class OptimalDecision(NamedTuple):
 def optimal_decision(problem: DecisionProblem, state_cap: int | None = None) -> OptimalDecision:
     """Exhaustively rank decision assignments by conditional expected utility.
 
-    One read of a table over the decision axes (for cylinder evidence, a
-    slice of the scope table of the evidence's and the decisions' axes)
-    yields S_p(d and E) and S_u(d and E) for every assignment d at once,
-    and their totals give S_p(E) and S_u(E); each assignment the evidence
-    meets then scores u(d | E) = (S_u(dE) / S_u(E)) (S_p(E) / S_p(dE)).
-    Assignments within relative ``TIE_TOLERANCE`` of the maximum are all
-    reported, in lexicographic order of value indexes over the decision
-    variables (themselves in ordering index order).
+    One read of a table over the decision axes yields S_p(d and E) and
+    S_u(d and E) for every assignment d at once, with their totals S_p(E)
+    and S_u(E) and their least entries; each assignment the evidence meets
+    then scores u(d | E) = (S_u(dE) / S_u(E)) (S_p(E) / S_p(dE)).  For
+    cylinder evidence the read is one slice of the scope table of the
+    evidence's and the decisions' axes, and the evidence meets every
+    assignment; a state set's sums are binned from its states.
+
+    The scores are taken as one array product where no quotient can leave
+    the normal float range: S_u(dE) / S_u(E) is at most 1, so every product
+    is finite when S_p(E) over the least S_p(dE) is, and none underflows
+    when the least S_u(dE) over S_u(E) is normal.  Otherwise each score is
+    taken apart by :func:`~eunet.inference._quotient`, which raises
+    NumericRangeError on an overflow; so no answer depends on numpy's error
+    state.  Assignments within relative ``TIE_TOLERANCE`` of the maximum
+    are all reported, in lexicographic order of value indexes over the
+    decision variables (themselves in ordering index order).
     """
-    net = problem.network
-    d_axes = [net.space.index(n) for n in problem.decision_vars]
-    sp, su, member = _event_sums(
-        net, problem.evidence, resolve_state_cap(state_cap), keep=d_axes
+    space = problem.network.space
+    d_axes = [space.index(n) for n in problem.decision_vars]
+    sp, su, met, (sp_e, su_e), (lo_p, lo_u) = _event_sums(
+        problem.network, problem.evidence, resolve_state_cap(state_cap), keep=d_axes
     )
-    if not member.any():
-        raise EmptyEventError("no decision assignment is compatible with the evidence")
-    sp_e, su_e = float(sp.sum()), float(su.sum())
-    eu = np.full(sp.shape, -np.inf)
-    with np.errstate(all="ignore"):  # a ratio out of range on its own is redone below
-        np.multiply(su / su_e, sp_e / sp, out=eu, where=member)
-        best = float(eu.max())
-    if not 0.0 < best < math.inf:
-        for combo in zip(*np.nonzero(member)):
-            eu[combo] = _quotient(float(su[combo]), su_e, sp_e, float(sp[combo]))
-        best = float(eu.max())
+    if met is not None:  # a state set: score the assignments it meets
+        sp, su = sp[met], su[met]
+    if sp_e / lo_p < math.inf and lo_u / su_e >= sys.float_info.min:
+        eu = (su / su_e) * (sp_e / sp)
+    else:
+        scores = zip(su.ravel().tolist(), sp.ravel().tolist())
+        eu = np.reshape([_quotient(u, su_e, sp_e, p) for u, p in scores], sp.shape)
+    best = float(np.maximum.reduce(eu, None))
+    hits = (eu >= best * (1.0 - TIE_TOLERANCE)).nonzero()
+    if met is not None:  # positions among the met assignments, to value indexes
+        hits = [c[hits[0]] for c in met.nonzero()]
+    names, specs = space.names, space.specs
     winners = tuple(
-        {
-            net.space.names[a]: net.space.specs[a].domain[v]
-            for a, v in zip(d_axes, combo)
-        }
-        for combo in np.argwhere(eu >= best * (1.0 - TIE_TOLERANCE)).tolist()
+        {names[a]: specs[a].domain[v] for a, v in zip(d_axes, combo)}
+        for combo in zip(*(c.tolist() for c in hits))
     )
     return OptimalDecision(argmax=winners, eu=best)
 
@@ -147,6 +165,10 @@ def decompose_decisions(
     """
     net = problem.network
     d = set(problem.decision_vars)
+    if isinstance(conditioning, str):
+        raise ValidationError(
+            f"the conditioning set must be a collection of names, not the string {conditioning!r}"
+        )
     c = frozenset(conditioning)
     for name in c:
         net.space.index(name)

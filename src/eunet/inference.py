@@ -95,10 +95,12 @@ def _event_sums(
 
     With ``keep`` (axes in index order, left free by a cylinder event) the
     sums come back as tables over the kept axes, followed by a boolean table
-    marking the combinations the event meets.  Every sum must be finite and,
-    over a non-empty event or a met combination, positive; a sum that
-    overflowed or underflowed raises NumericRangeError instead of turning
-    into an inf, a NaN or a zero in the answer.
+    marking the combinations the event meets (None for a cylinder, which
+    meets every one), the totals [S_p(E), S_u(E)] and the least S_p and S_u
+    of a met combination, as from :func:`_tables_in_range`.  Every sum must
+    be finite and, over a non-empty event or a met combination, positive; a
+    sum that overflowed or underflowed raises NumericRangeError instead of
+    turning into an inf, a NaN or a zero in the answer.
     """
     table = network._table(_scope_of(network, event, keep), cap)
     return _sums_from(table, event, keep)
@@ -165,20 +167,22 @@ def _in_range(sp: float, su: float) -> tuple[float, float]:
 
 def _tables_in_range(sums: np.ndarray, member: np.ndarray | None = None) -> tuple:
     """Pass on a stacked pair of kept-axes tables, with finite totals and
-    positive met entries, as (S_p table, S_u table, met combinations); with
-    no ``member``, every combination is met.
+    positive met entries, as (S_p table, S_u table, ``member``, totals,
+    least met entries): the totals are [S_p, S_u] over the event and the
+    least entries the smallest S_p and S_u of a met combination; with no
+    ``member``, every combination is met.
 
     The entries are non-negative, so finite totals make every entry finite.
     """
-    _in_range(*sums.reshape(2, -1).sum(axis=1).tolist())
+    totals = _totals(sums)
+    _in_range(*totals)
     met = sums if member is None else sums[:, member]
-    if not met.min() > 0.0:
+    lows = np.minimum.reduce(met, tuple(range(1, met.ndim))).tolist()
+    if not min(lows) > 0.0:
         raise NumericRangeError(
             "an event sum underflows to 0: the joint ratios underflow on this network"
         )
-    if member is None:
-        member = np.ones(sums.shape[1:], dtype=bool)
-    return sums[0], sums[1], member
+    return sums[0], sums[1], member, totals, lows
 
 
 def _quotient(a: float, b: float, c: float = 1.0, d: float = 1.0) -> float:

@@ -814,7 +814,7 @@ class _Table(NamedTuple):
 def _totals(pair: np.ndarray) -> list[float]:
     """Each half of a stacked pair summed over every other axis, the same
     reduction as a read of the sure event on the pair."""
-    return pair.sum(axis=tuple(range(1, pair.ndim))).tolist()
+    return np.add.reduce(pair, tuple(range(1, pair.ndim))).tolist()
 
 
 class MantlePotential(NamedTuple):

@@ -140,6 +140,25 @@ def quotient_range_net():
     )
 
 
+def like_sums_range_net():
+    """A, D1, D2 and C binary, {A, D1, D2} a clique of the probability
+    layer, q_A(1) = 1e200 and q_D1(1 | A=1) = q_D2(1 | A=1, D1) = 1e-200.
+
+    Ratios of like sums leave float range on their own: p(D1=1, D2=1 | A=1)
+    is about 1e-400, yet u(D1=1, D2=1 | A=1) is 1.  C is free, so a question
+    that asks C spans cliques.
+    """
+    return net_of(
+        {n: ("0", "1") for n in ("A", "D1", "D2", "C")},
+        prob_arcs=[("A", "D1"), ("A", "D2"), ("D1", "D2")],
+        q={
+            "A": {("1",): 1e200},
+            "D1": {("1", "0"): 1.0, ("1", "1"): 1e-200},
+            "D2": {("1", a, d): 1e-200 if a == "1" else 1.0 for a in "01" for d in "01"},
+        },
+    )
+
+
 def overflow_window_net():
     """Ordering (A, D, B), arcs A - B and D - B, and B's ratio 1e200 at A=1
     against 1e-200 at A=0.

@@ -14,6 +14,7 @@ from eunet import (
     UTIL,
     DecisionProblem,
     EmptyEventError,
+    EunError,
     Event,
     NumericRangeError,
     StateCapError,
@@ -67,6 +68,18 @@ def test_empty_evidence_rejected(chain_net):
 def test_evidence_may_not_fix_a_decision_variable(chain_net):
     with pytest.raises(ValidationError, match="fixes decision variable"):
         DecisionProblem(chain_net, ("X1",), chain_net.cylinder({"X1": "1"}))
+
+
+def test_a_bare_string_of_names_is_rejected():
+    # "AB" would otherwise read as the two names A and B, character by character
+    net = helpers.net_of({n: ("0", "1") for n in "ABC"})
+    for names in ("AB", "A"):
+        with pytest.raises(ValidationError, match="not the string"):
+            DecisionProblem(net, names, net.true_event())
+    problem = DecisionProblem(net, ("A",), net.true_event())
+    with pytest.raises(ValidationError, match="not the string"):
+        decompose_decisions(problem, conditioning="BC")
+    assert decompose_decisions(problem, conditioning=("B", "C")) == (("A",),)
 
 
 # -- optimal_decision ---------------------------------------------------------
@@ -632,6 +645,84 @@ def test_overflowing_decision_raises_numeric_range_error():
     net = helpers.extreme_ratio_net()
     with pytest.raises(NumericRangeError):
         optimal_decision(DecisionProblem(net, ("A",), net.true_event()))
+
+
+# The float-range document of the CI workflow: q_A(1) = 1e-200 and
+# w_A(1) = w_B(1 | A=1) = 1e200, so the best EU of B given A=1 is exactly 2.
+FLOAT_RANGE_DOC = (
+    '{"format": "eun/1", "variables": [{"name": "A", "domain": ["0", "1"], "reference": "0"}, '
+    '{"name": "B", "domain": ["0", "1"], "reference": "0"}, '
+    '{"name": "C", "domain": ["0", "1"], "reference": "0"}], "ordering": ["A", "B", "C"], '
+    '"prob_arcs": [["A", "B"]], "util_arcs": [["A", "B"]], '
+    '"q": {"A": [{"value": "1", "given": {}, "ratio": 1e-200}]}, '
+    '"w": {"A": [{"value": "1", "given": {}, "ratio": 1e+200}], '
+    '"B": [{"value": "1", "given": {"A": "0"}, "ratio": 1.0}, '
+    '{"value": "1", "given": {"A": "1"}, "ratio": 1e+200}]}}'
+)
+
+
+def float_range_decisions():
+    """Decisions on the edge of float range, each as (argmax, EU) or as the
+    type and message of the error it raises."""
+    from eunet import parse_network
+
+    problems = []
+    net = helpers.quotient_range_net()
+    problems += [
+        DecisionProblem(net, ("B",), net.cylinder({"A": "1"})),
+        DecisionProblem(net, ("A",), net.cylinder({"C": "0"})),
+    ]
+    # every score is taken apart: p(D1=1, D2=1 | A=1) is about 1e-400
+    net = helpers.like_sums_range_net()
+    problems += [
+        DecisionProblem(net, ("D1", "D2"), net.cylinder(given))
+        for given in ({"A": "1"}, {"A": "1", "C": "0"})
+    ]
+    doc = parse_network(FLOAT_RANGE_DOC)
+    problems.append(DecisionProblem(doc, ("B",), doc.cylinder({"A": "1"})))
+    # S_u(A=1) / S_u(True), about 2e-400, underflows where S_p(True) / S_p(A=1) is 2
+    net = helpers.net_of(
+        {"A": ("0", "1"), "C": ("0", "1")},
+        util_arcs=[("A", "C")],
+        w={"A": {("1",): 1e-200}, "C": {("1", "0"): 1e200, ("1", "1"): 1.0}},
+    )
+    problems.append(DecisionProblem(net, ("A",), net.true_event()))
+    # S_p(True) / S_p(A=1), about 5e399, overflows where u(A=1) is about 1e200
+    net = helpers.net_of(
+        {"A": ("0", "1"), "B": ("0", "1")},
+        prob_arcs=[("A", "B")],
+        q={"A": {("1",): 1e-200}, "B": {("1", "0"): 1e200, ("1", "1"): 1.0}},
+        w={"A": {("1",): 1e200}},
+    )
+    problems.append(DecisionProblem(net, ("A",), net.true_event()))
+    model = build_vickrey_auction(12, 1e-9)
+    problems += [model.decision_problem(v) for v in model.grid]
+    net = helpers.extreme_ratio_net()
+    problems.append(DecisionProblem(net, ("A",), net.true_event()))
+    out = []
+    for problem in problems:
+        try:
+            out.append(optimal_decision(problem))
+        except EunError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_decisions_do_not_depend_on_numpy_error_state():
+    import warnings
+
+    want = float_range_decisions()
+    assert want[0] == (({"B": "1"},), 2.0)
+    assert want[4] == (({"B": "1"},), 2.0)  # the CI document
+    assert want[5] == (({"A": "0"},), 2.0)
+    assert want[6].argmax == ({"A": "1"},)
+    assert want[6].eu == pytest.approx(1e200, rel=1e-12)
+    assert len(want[2].argmax) == len(want[3].argmax) == 4
+    assert want[-1][0] is NumericRangeError
+    for state in ("raise", "warn"):
+        with np.errstate(all=state), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert float_range_decisions() == want
 
 
 def test_decision_reduces_the_evidence_once(monkeypatch, rng):

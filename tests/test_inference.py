@@ -555,11 +555,14 @@ def test_cylinder_sums_match_the_oracle_on_every_layout(layout):
         if not keep:
             assert got == pytest.approx((float(want_sp), float(want_su)), rel=1e-12)
             continue
-        sp, su, member = got
-        assert sp.shape == su.shape == member.shape == want_sp.shape
-        assert member.all()
+        sp, su, member, totals, lows = got
+        assert sp.shape == su.shape == want_sp.shape
+        assert member is None  # a cylinder meets every combination
         np.testing.assert_allclose(sp, want_sp, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(su, want_su, rtol=1e-12, atol=0.0)
+        # the totals and least entries come back with the tables
+        assert totals == pytest.approx([want_sp.sum(), want_su.sum()], rel=1e-12)
+        assert lows == [sp.min(), su.min()]
 
 
 @pytest.mark.parametrize("fixed", [{0: 1}, {7: 0}])
@@ -748,7 +751,7 @@ def test_clique_route_matches_the_oracle_on_random_networks():
             want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
             got = _event_sums(net, event, 10**6, keep=keep)
             if keep:
-                assert got[2].all()
+                assert got[2] is None
             sp, su = got[:2]
             np.testing.assert_allclose(sp, want_sp, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(su, want_su, rtol=1e-12, atol=0.0)
@@ -1233,7 +1236,9 @@ def test_whole_clique_route_matches_the_oracle_on_random_networks():
             helpers.oracle_event_sums(net, lambda v: tuple(v) in states, tables), rel=1e-12
         )
         keep = sorted(axes[:int(rng.integers(1, 3))])
-        sp, su, met = _event_sums(net, ev, 10**6, keep=keep)
+        sp, su, met, totals, lows = _event_sums(net, ev, 10**6, keep=keep)
+        assert totals == pytest.approx([sp.sum(), su.sum()], rel=1e-12)
+        assert lows == [sp[met].min(), su[met].min()]
         for combo in itertools.product(*(range(space.shape[ax]) for ax in keep)):
             want = helpers.oracle_event_sums(
                 net,
@@ -1340,19 +1345,9 @@ def test_quotients_stay_in_float_range_on_both_routes():
     lhs, rhs = u({A: 1, B: 1}, {C: 0}), u({A: 1}, {C: 0}) * u({B: 1}, {C: 0})
     assert eu_independent_events(net, a1, b1, c0) == (abs(lhs - rhs) <= Fraction(1e-9) * rhs)
 
-    # Ratios of like sums that leave float range on their own: with
-    # q_A(1) = 1e200 and q_D1(1 | A=1) = q_D2(1 | A=1, D1) = 1e-200,
+    # Ratios of like sums that leave float range on their own:
     # p(D1=1, D2=1 | A=1) is about 1e-400, yet u(D1=1, D2=1 | A=1) is 1.
-    # {A, D1, D2} is a clique; C is free, so asking C spans cliques.
-    net = helpers.net_of(
-        {n: ("0", "1") for n in ("A", "D1", "D2", "C")},
-        prob_arcs=[("A", "D1"), ("A", "D2"), ("D1", "D2")],
-        q={
-            "A": {("1",): 1e200},
-            "D1": {("1", "0"): 1.0, ("1", "1"): 1e-200},
-            "D2": {("1", a, d): 1e-200 if a == "1" else 1.0 for a in "01" for d in "01"},
-        },
-    )
+    net = helpers.like_sums_range_net()
     sums = exact_measure_oracle(net)
     a1 = net.cylinder({"A": "1"})
     for target in ({"D1": "1", "D2": "1"}, {"D1": "1", "D2": "1", "C": "0"}):
@@ -1743,8 +1738,8 @@ def test_spanning_questions_are_answered_without_the_joint(monkeypatch):
             event = Event(space, partial=fixed)
             spanning += not helpers.routed(net, event, keep)
             want_sp, want_su = helpers.oracle_kept_sums(net, fixed, keep, tables)
-            got_sp, got_su, met = _event_sums(net, event, 10**6, keep=keep)
-            assert met.all()
+            got_sp, got_su, met, *_ = _event_sums(net, event, 10**6, keep=keep)
+            assert met is None
             np.testing.assert_allclose(got_sp, want_sp, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(got_su, want_su, rtol=1e-12, atol=0.0)
             sp, su = float(want_sp.sum()), float(want_su.sum())
@@ -1798,7 +1793,7 @@ def test_spanning_questions_are_answered_without_the_joint(monkeypatch):
         event = Event(net.space, partial=fixed)
         scope = _scope_of(net, event, keep)
         assert net._clique_holding(scope) is None
-        got_sp, got_su, _ = _event_sums(net, event, 10**6, keep=keep)
+        got_sp, got_su, *_ = _event_sums(net, event, 10**6, keep=keep)
         assert (scope, True) in ran
         for combo in itertools.product((0, 1), repeat=len(keep)):
             at = {**fixed, **dict(zip(keep, combo))}

@@ -20,13 +20,15 @@ the offending spot.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
+from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str  # quotes, as json.dumps does
-from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -123,33 +125,70 @@ def _load_document(text: str, expected_format: str) -> dict:
     return doc
 
 
+# The well-formed shapes of the entries of ``variables``, ``ordering`` and
+# the arc lists.  An entry that has one builds no key path; any other goes
+# through the per-entry checks, which word its fault.
+
+
+def _are_strings(items: list) -> bool:
+    return all(type(v) is str for v in items)
+
+
+def _is_variable(item: object) -> bool:
+    """A string name, an array of string labels, a string reference if
+    any, and no other key."""
+    if type(item) is not dict:
+        return False
+    name, domain, reference = item.get("name"), item.get("domain"), item.get("reference")
+    return (
+        type(name) is str
+        and type(domain) is list
+        and len(item) == 2 + (reference is not None)
+        and (reference is None or type(reference) is str)
+        and _are_strings(domain)
+    )
+
+
+def _is_pair(item: object) -> bool:
+    return type(item) is list and len(item) == 2 and type(item[0]) is str and type(item[1]) is str
+
+
+def _pair(item: object, at: str, what: str) -> tuple[str, str]:
+    """One arc or edge through the per-entry checks; ``what`` says what a
+    pair is, for the message on a wrong length."""
+    pair = _as_list(item, at)
+    if len(pair) != 2:
+        _fail(at, f"{what}, got {len(pair)} entries")
+    return _as_str(pair[0], f"{at}[0]"), _as_str(pair[1], f"{at}[1]")
+
+
 def _parse_variables(raw: object, path: str) -> list[VariableSpec]:
     specs = []
     for k, item in enumerate(_as_list(raw, path)):
-        at = f"{path}[{k}]"
-        obj = _as_object(item, at)
-        _reject_unknown(obj, at, frozenset({"name", "domain", "reference"}))
-        name = _as_str(_require(obj, "name", at), f"{at}.name")
-        domain = tuple(
-            _as_str(v, f"{at}.domain[{j}]")
-            for j, v in enumerate(_as_list(_require(obj, "domain", at), f"{at}.domain"))
-        )
-        reference = None
-        if "reference" in obj:
-            reference = _as_str(obj["reference"], f"{at}.reference")
+        if _is_variable(item):
+            name, domain, reference = item["name"], tuple(item["domain"]), item.get("reference")
+        else:  # the per-entry checks
+            at = f"{path}[{k}]"
+            obj = _as_object(item, at)
+            _reject_unknown(obj, at, frozenset({"name", "domain", "reference"}))
+            name = _as_str(_require(obj, "name", at), f"{at}.name")
+            domain = tuple(
+                _as_str(v, f"{at}.domain[{j}]")
+                for j, v in enumerate(_as_list(_require(obj, "domain", at), f"{at}.domain"))
+            )
+            reference = None
+            if "reference" in obj:
+                reference = _as_str(obj["reference"], f"{at}.reference")
         specs.append(VariableSpec(name, domain, reference))
     return specs
 
 
 def _parse_arcs(raw: object, path: str) -> list[tuple[str, str]]:
-    arcs = []
-    for k, item in enumerate(_as_list(raw, path)):
-        at = f"{path}[{k}]"
-        pair = _as_list(item, at)
-        if len(pair) != 2:
-            _fail(at, f"an arc is a pair of variable names, got {len(pair)} entries")
-        arcs.append((_as_str(pair[0], f"{at}[0]"), _as_str(pair[1], f"{at}[1]")))
-    return arcs
+    return [
+        (item[0], item[1]) if _is_pair(item)
+        else _pair(item, f"{path}[{k}]", "an arc is a pair of variable names")
+        for k, item in enumerate(_as_list(raw, path))
+    ]
 
 
 def _parse_rows(
@@ -182,76 +221,88 @@ def _parse_rows(
 
 
 _NO_CONDITION: dict = {}  # a row's ``given`` when it omits one
+_LEFT_OUT = object()  # the rows of a table a layer leaves out
+_NUMBERS = (int, float)  # the types a row's number may have
 
 
 def _read_layer(
-    tables: Sequence[tuple[object, Sequence[VariableSpec]]], number_key: str
-) -> tuple[np.ndarray, np.ndarray, list[int]] | None:
-    """Read a layer's tables into one flat buffer: ``(buffer, covered, starts)``, or None.
+    tables: Sequence[tuple[object, Sequence[VariableSpec]]], number_key: str, *, implied: bool
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """Read a layer's tables into one flat buffer: ``(buffer, views)``, or None.
 
-    ``tables`` pairs each table's rows with its axes, the variable's own
-    first; table ``t`` fills ``buffer[starts[t]:starts[t + 1]]`` in
-    row-major order.  Per table, one dict per axis maps a label to its index
-    times the axis's stride (plus the table's start, on the first axis), so
-    a row's lookups add up to its flat code in the buffer; each lookup is
-    one pass over the table's rows.  The row checks, the code count and the
-    scatter run once for the whole layer.  ``covered`` marks the entries
-    some row gave; the others hold 1.
+    ``tables`` pairs each table's rows, or ``_LEFT_OUT``, with its axes, the
+    variable's own first.  The buffer holds the tables one after another in
+    row-major order, and ``views`` are their read-only views of it; the
+    entries no row gives hold 1.  ``implied`` says that a table's reference
+    rows may be left out (``eun/1``); a row that gives one must then hold
+    exactly 1.
 
-    Only direct checks run: each row is an object with no unknown key, its
-    ``value`` and its ``given`` labels (exactly one per other axis) are in
-    their domains, its number is an int or a float, and no code repeats.
-    None means a row failed one; the per-row checks of ``_parse_rows`` and
-    ``VariableSpec.value_index`` then word the error.
+    One Python pass reads every row.  Per table, one dict per axis maps a
+    label to its index times the axis's stride (plus the table's start, on
+    the variable's own axis), so a row's lookups add up to its flat code in
+    the buffer.  On the way each row is checked: it is an object with no
+    unknown key, its ``given`` names exactly the other axes, every label is
+    in its domain and the number is an int or a float.  A table that is
+    given needs a row for each entry that is not implied; as no code may
+    repeat, counting them says so.  numpy then runs once for the layer: the
+    repeat test, the finite and positive test of the numbers, and one
+    scatter.  None means a check failed; the per-row checks of
+    ``_parse_rows`` and ``VariableSpec.value_index`` then word the error.
     """
-    starts = [0]
-    for rows, specs in tables:
-        if type(rows) is not list:
-            return None
-        starts.append(starts[-1] + math.prod(len(spec.domain) for spec in specs))
-    rows = list(itertools.chain.from_iterable(rows for rows, _ in tables))
-    n = len(rows)
-    codes = np.zeros(n, np.intp)
+    starts, shapes = [0], []
+    codes, numbers = array("q"), array("d")
+    add_code, add_number = codes.append, numbers.append
     try:
-        if not set(map(type, rows)) <= {dict}:
-            return None
-        if set(map(len, rows)) <= {3}:
-            # Three keys, each looked up below: exactly the allowed ones.
-            givens = list(map(itemgetter("given"), rows))
-        elif all(map(frozenset({"value", "given", number_key}).issuperset, rows)):
-            givens = list(map(methodcaller("get", "given", _NO_CONDITION), rows))
-        else:
-            return None
-        if not set(map(type, givens)) <= {dict}:
-            return None
-        numbers = list(map(itemgetter(number_key), rows))
-        if not set(map(type, numbers)) <= {int, float}:
-            return None
-        values = np.fromiter(map(float, numbers), float, n)
-        end = 0
-        for (table_rows, specs), start, stop in zip(tables, starts, starts[1:]):
-            at, end = end, end + len(table_rows)
-            if at == end:
-                continue  # a table left out, or one with no rows
-            given = givens[at:end]
-            if not set(map(len, given)) <= {len(specs) - 1}:
+        for rows, axes in tables:
+            shape = [len(s.domain) for s in axes]
+            start, size = starts[-1], math.prod(shape)
+            starts.append(start + size)
+            shapes.append(shape)
+            if rows is _LEFT_OUT:
+                continue
+            if type(rows) is not list:
                 return None
-            columns = [map(itemgetter("value"), table_rows)]
-            columns += [map(itemgetter(spec.name), given) for spec in specs[1:]]
-            base, stride = start, stop - start
-            for spec, labels in zip(specs, columns):
-                stride //= len(spec.domain)
-                lookup = {label: base + i * stride for i, label in enumerate(spec.domain)}
-                codes[at:end] += np.fromiter(map(lookup.__getitem__, labels), np.intp, end - at)
-                base = 0
+            spec, stride = axes[0], size // shape[0]
+            own = {label: start + i * stride for i, label in enumerate(spec.domain)}
+            # the rows still needed, and the code of the implied rows' first entry
+            needed, reference = (size - stride, own[spec.reference]) if implied else (size, -1)
+            lookups = []
+            for condition in axes[1:]:
+                stride //= len(condition.domain)
+                lookups.append(
+                    (condition.name, {label: i * stride for i, label in enumerate(condition.domain)})
+                )
+            arity = len(lookups)
+            for row in rows:
+                if type(row) is not dict:
+                    return None
+                keys = len(row)
+                given = row["given"] if keys == 3 else _NO_CONDITION if keys == 2 else None
+                code, number = own[row["value"]], row[number_key]
+                if type(given) is not dict or len(given) != arity or type(number) not in _NUMBERS:
+                    return None
+                if code != reference:
+                    needed -= 1
+                elif number != 1:
+                    return None
+                for name, lookup in lookups:
+                    code += lookup[given[name]]
+                add_code(code)
+                add_number(number)
+            if needed:
+                return None
     except (KeyError, TypeError, OverflowError):
         return None
-    counts = np.bincount(codes, minlength=starts[-1])
-    if np.count_nonzero(counts) < n:  # some code repeats
+    at = np.frombuffer(codes, np.int64)
+    if np.count_nonzero(np.bincount(at)) < len(at):  # some code repeats
+        return None
+    values = np.frombuffer(numbers)
+    if not (0.0 < values.min(initial=1.0) and values.max(initial=1.0) < math.inf):  # NaN fails
         return None
     buffer = np.ones(starts[-1])
-    buffer[codes] = values
-    return buffer, counts.astype(bool), starts
+    buffer[at] = values
+    buffer.flags.writeable = False
+    return buffer, [buffer[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
 
 
 def _read_potentials(
@@ -259,43 +310,31 @@ def _read_potentials(
 ) -> dict[str, RestrictedPotential] | None:
     """One layer's potentials, each table a read-only view of one buffer, or None.
 
-    Every check runs once over the whole layer: tables for declared
-    variables only, complete rows, finite and positive entries, and unit
-    reference rows.  A variable with no table gets the identity table.  None
-    means a check failed; ``_parse_layer_rows`` then words the error.
+    Besides ``_read_layer``'s checks, a layer may only hold tables for
+    declared variables.  A variable with no table gets the identity table.
+    None means a check failed; ``_parse_layer_rows`` then words the error.
     """
     if type(raw) is not dict or not raw.keys() <= set(space.names):
         return None
-    parents = {name: graph.below_neighbors(layer, name, space.names) for name in space.names}
-    axes = [[space.spec(n) for n in (name, *parents[name])] for name in space.names]
-    read = _read_layer([(raw.get(name, []), a) for name, a in zip(space.names, axes)], "ratio")
+    # Each variable's conditioning set, from one pass over the ordering: its
+    # neighbours in the layer that come before it, in that order.
+    axes, parents, before = [], [], []
+    for spec in space.specs:
+        mantle = graph.neighbors(layer, spec.name)
+        below = [s for s in before if s.name in mantle]
+        axes.append((spec, *below))
+        parents.append(tuple(s.name for s in below))
+        before.append(spec)
+    read = _read_layer(
+        [(raw.get(spec.name, _LEFT_OUT), a) for spec, a in zip(space.specs, axes)],
+        "ratio",
+        implied=True,
+    )
     if read is None:
         return None
-    buffer, covered, starts = read
-    # The entries that need no row: a missing table's, and each reference row.
-    implied = np.zeros(len(buffer), dtype=bool)
-    for name, spec, start, stop in zip(space.names, space.specs, starts, starts[1:]):
-        if name not in raw:
-            implied[start:stop] = True
-        else:
-            row = (stop - start) // spec.size
-            at = start + spec.reference_index * row
-            implied[at:at + row] = True
-    covered |= implied
-    if not (
-        covered.all()
-        and 0.0 < buffer.min(initial=1.0)  # a NaN fails here
-        and buffer.max(initial=1.0) < math.inf
-        and (buffer[implied] == 1.0).all()
-    ):
-        return None
-    buffer.flags.writeable = False
     return {
-        name: RestrictedPotential._checked(
-            name, layer, parents[name],
-            buffer[start:stop].reshape([spec.size for spec in a]),
-        )
-        for name, a, start, stop in zip(space.names, axes, starts, starts[1:])
+        name: RestrictedPotential._checked(name, layer, p, table)
+        for name, p, table in zip(space.names, parents, read[1])
     }
 
 
@@ -334,10 +373,11 @@ def parse_network(text: str) -> Network:
         frozenset({"format", "variables", "ordering", "prob_arcs", "util_arcs", "q", "w"}),
     )
     specs = _parse_variables(_require(doc, "variables", "$"), "$.variables")
-    ordering = tuple(
-        _as_str(v, f"$.ordering[{k}]")
-        for k, v in enumerate(_as_list(_require(doc, "ordering", "$"), "$.ordering"))
-    )
+    ordering = _as_list(_require(doc, "ordering", "$"), "$.ordering")
+    if not _are_strings(ordering):
+        for k, v in enumerate(ordering):
+            _as_str(v, f"$.ordering[{k}]")
+    ordering = tuple(ordering)
     graph = EUNGraph.of(
         prob_arcs=_parse_arcs(doc.get("prob_arcs", []), "$.prob_arcs"),
         util_arcs=_parse_arcs(doc.get("util_arcs", []), "$.util_arcs"),
@@ -492,9 +532,11 @@ def _cpt_rows(
 
 def _sum_error(table: np.ndarray) -> float:
     """How far a CPT's rows are from summing to 1 at worst; inf when a sum
-    overflows, which is no warning but a failed check."""
+    overflows, which is no warning but a failed check.  The rows are added
+    in turn (numpy would add a long one-axis table pairwise), so the sums
+    are the ones ``_read_cpts`` checks, bit for bit."""
     with np.errstate(over="ignore"):
-        return float(np.max(np.abs(table.sum(axis=0) - 1.0)))
+        return float(np.max(np.abs(functools.reduce(operator.add, table) - 1.0)))
 
 
 def _read_cpts(
@@ -502,26 +544,30 @@ def _read_cpts(
 ) -> dict[str, np.ndarray] | None:
     """Every CPT as a read-only view of one buffer, or None.
 
-    One pass over the layer checks that every table is complete and every
-    entry positive; each table's rows must then sum to 1 (within 1e-9).
-    None means a check failed; ``_cpt_rows`` then words the error.
+    ``_read_layer``'s one pass over the layer checks that every table is
+    complete and every entry finite and positive; each table's rows must
+    then sum to 1 (within 1e-9).  None means a check failed; ``_cpt_rows``
+    then words the error.
     """
     if not cpts_raw.keys() >= set(names):
         return None
-    read = _read_layer([(cpts_raw[name], a) for name, a in zip(names, axes)], "p")
+    read = _read_layer([(cpts_raw[name], a) for name, a in zip(names, axes)], "p", implied=False)
     if read is None:
         return None
-    buffer, covered, starts = read
-    if not (covered.all() and 0.0 < buffer.min(initial=1.0)):  # a NaN fails here
+    buffer, tables = read
+    # Each entry's parent configuration, numbered across the layer, so that
+    # one bincount adds up every table's rows, each row in turn, as
+    # ``_sum_error`` adds them.
+    configs, count = array("q"), 0
+    for table in tables:
+        block = table.size // len(table)
+        configs += array("q", range(count, count + block)) * len(table)
+        count += block
+    with np.errstate(over="ignore"):
+        sums = np.bincount(np.frombuffer(configs, np.int64), weights=buffer)
+    if not np.abs(sums - 1.0).max(initial=0.0) <= 1e-9:
         return None
-    buffer.flags.writeable = False
-    cpts = {
-        name: buffer[start:stop].reshape([spec.size for spec in a])
-        for name, a, start, stop in zip(names, axes, starts, starts[1:])
-    }
-    if not all(_sum_error(t) <= 1e-9 for t in cpts.values()):
-        return None
-    return cpts
+    return dict(zip(names, tables))
 
 
 def parse_bayes_net(text: str) -> BayesNet:
@@ -542,18 +588,15 @@ def parse_bayes_net(text: str) -> BayesNet:
 
     edges = set()
     for k, item in enumerate(_as_list(_require(doc, "dag_edges", "$"), "$.dag_edges")):
-        at = f"$.dag_edges[{k}]"
-        pair = _as_list(item, at)
-        if len(pair) != 2:
-            _fail(at, f"an edge is a [parent, child] pair, got {len(pair)} entries")
-        a = _as_str(pair[0], f"{at}[0]")
-        b = _as_str(pair[1], f"{at}[1]")
-        for n in (a, b):
-            if n not in by_name:
-                _fail(at, f"edge touches undeclared variable {n!r}")
-        if a == b:
-            _fail(at, f"self-loop edge on {a!r}")
-        edges.add((a, b))
+        if not (_is_pair(item) and item[0] in by_name and item[1] in by_name and item[0] != item[1]):
+            at = f"$.dag_edges[{k}]"
+            a, b = _pair(item, at, "an edge is a [parent, child] pair")
+            for n in (a, b):
+                if n not in by_name:
+                    _fail(at, f"edge touches undeclared variable {n!r}")
+            if a == b:
+                _fail(at, f"self-loop edge on {a!r}")
+        edges.add((item[0], item[1]))
     _check_acyclic(names, frozenset(edges))
 
     parents = {

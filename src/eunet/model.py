@@ -955,8 +955,8 @@ class Network:
         for t in self._terms()[1]:
             if len(t) == halves:
                 total += np.log(t[-1])
-        # An overflow is left as inf for the readers to report.
-        with np.errstate(over="ignore"):
+        # An overflow or underflow is left as inf or 0 for the readers to report.
+        with np.errstate(over="ignore", under="ignore"):
             np.exp(total, out=total)
         total.flags.writeable = False
         return total
@@ -1157,8 +1157,10 @@ class Network:
         if table is not None:
             return table
         shape, clique, axes = self.space.shape, self._clique_holding(scope), _axes(scope)
-        # An overflow is left as inf for the readers to report.
-        with np.errstate(over="ignore"):
+        # An overflow is left as inf for the readers to report, and the log
+        # space redo's exp rounds an underflow to 0 or a subnormal, whatever
+        # numpy's error state is.
+        with np.errstate(over="ignore", under="ignore"):
             if clique in (None, scope):
                 tables, buckets = self._terms()[1], self._schedule(scope)
                 try:
@@ -1311,7 +1313,7 @@ def joint_ratio(network: Network, layer: str, x: Assignment | Mapping[str, str])
     total = 0.0
     for axes, table in network._factors(layer):
         total += math.log(table[tuple(values[a] for a in axes)])
-    with np.errstate(over="ignore"):  # reported just below
+    with np.errstate(over="ignore", under="ignore"):  # reported just below
         out = float(np.exp(total))
     if not 0.0 < out < math.inf:
         state = {s.name: s.domain[v] for s, v in zip(network.space.specs, values)}
@@ -1336,7 +1338,13 @@ def reconstruct_joint(network: Network, state_cap: int | None = None) -> Reconst
     pr, ur = (network.ratio_tables(layer, state_cap) for layer in LAYERS)
     for layer, table in zip(LAYERS, (pr, ur)):
         _require_in_range(table, f"the {layer} ratio table")
-    p = pr / pr.sum()
+    # An overflowing sum is reported just below; a p entry below float
+    # range rounds to 0 or a subnormal.
+    with np.errstate(over="ignore", under="ignore"):
+        total = pr.sum()
+        p = pr / total
+    if not total < math.inf:
+        raise NumericRangeError(f"the {PROB} ratio table sums to inf: its ratios overflow")
     p.flags.writeable = False
     return ReconstructedJoint(p=p, u=ur)
 
@@ -1381,7 +1389,7 @@ def _ratio_window(
         sub = sub.transpose(sorted(range(len(here)), key=lambda k: kept.index(here[k])))
         sub = sub.reshape([space.shape[a] if a in here else 1 for a in kept])
         at_ref = tuple(refs[a] if a in here else 0 for a in moved)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # reported just below
             ratio *= sub / sub[at_ref]
     names = ", ".join(repr(space.names[a]) for a in moved)
     _require_in_range(ratio, f"the ratio window of {names}")

@@ -159,6 +159,31 @@ def like_sums_range_net():
     )
 
 
+def underflow_redo_net():
+    """A, C binary and B over 0, 1, 2; arcs A - B and B - C; q_A(1) = 1e10,
+    q_B = (1, 1e-300, 1e290) at either A and q_C(1 | B) = 1e-200.
+
+    Summing {A}'s table out of the factors underflows (1e-300 * 1e-200), so
+    it is redone in log space, and that redo's exp underflows too; yet
+    p(A=1) = 1e10 / (1 + 1e10) is in float range.
+    """
+    return net_of(
+        {"A": ("0", "1"), "B": ("0", "1", "2"), "C": ("0", "1")},
+        prob_arcs=[("A", "B"), ("B", "C")],
+        q={
+            "A": {("1",): 1e10},
+            "B": {(b, a): r for a in "01" for b, r in (("1", 1e-300), ("2", 1e290))},
+            "C": {("1", b): 1e-200 for b in "012"},
+        },
+    )
+
+
+def overflow_total_net():
+    """A and B binary and free, q_B(1) = 1e308: every entry is finite, yet
+    S_p = 2 + 2e308 of the sure event overflows."""
+    return net_of({"A": ("0", "1"), "B": ("0", "1")}, q={"B": {("1",): 1e308}})
+
+
 def overflow_window_net():
     """Ordering (A, D, B), arcs A - B and D - B, and B's ratio 1e200 at A=1
     against 1e-200 at A=0.

@@ -597,9 +597,21 @@ def per_row_checks_run(*args):
     raise AssertionError("the per-row checks ran on a valid document")
 
 
+def no_per_entry_checks(monkeypatch):
+    """Make every per-row or per-entry check fail the test: valid documents
+    never reach them, as each of their entries has its well-formed shape."""
+    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
+    for name in ("_is_variable", "_is_pair", "_are_strings"):
+        def shape_test(item, real=getattr(formats, name), name=name):
+            if not real(item):
+                raise AssertionError(f"{name} refused {item!r} of a valid document")
+            return True
+        monkeypatch.setattr(formats, name, shape_test)
+
+
 def test_reader_matches_row_by_row_oracle_on_random_networks(monkeypatch):
     # The per-row checks only word errors; valid documents never reach them.
-    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
+    no_per_entry_checks(monkeypatch)
     rng = np.random.default_rng(2024)
     for trial in range(24):
         base = helpers.random_network(
@@ -628,7 +640,7 @@ def test_reader_matches_row_by_row_oracle_on_random_networks(monkeypatch):
 
 
 def test_cpt_reader_matches_row_by_row_oracle(monkeypatch):
-    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
+    no_per_entry_checks(monkeypatch)
     rng = np.random.default_rng(7)
     for _ in range(10):
         doc = json.loads(bn_doc())
@@ -938,7 +950,7 @@ def _mutate(doc, layer_keys, number_key, rng):
         refs = {v["name"]: v.get("reference", v["domain"][0]) for v in doc["variables"]}
         last = rows[-1] if type(rows[-1]) is dict else {}
         tables[name] = _pick(rng, [
-            {}, 1, [], rows[:-1], rows + rows[:1], list(reversed(rows)),
+            {}, 1, [], None, rows[:-1], rows + rows[:1], list(reversed(rows)),
             rows + [{**last, "value": refs.get(name, "0")}],
         ])
         return
@@ -962,10 +974,79 @@ def _mutate(doc, layer_keys, number_key, rng):
         row[field] = _pick(rng, pool)
 
 
+_NOT_STRINGS = [0, None, ["X"], {}, True]
+
+
+def _mutate_structure(doc, rng):
+    """Break one entry of ``variables``, of ``ordering`` or of an arc list
+    (``dag_edges`` in a Bayes network document)."""
+    names = [v["name"] for v in doc["variables"] if type(v) is dict and "name" in v]
+    arc_keys = ["dag_edges"] if "cpts" in doc else ["prob_arcs", "util_arcs"]
+    part = _pick(rng, ["variables", "arcs", "arcs"] + (["ordering"] if "cpts" not in doc else []))
+    if part == "variables":
+        k = int(rng.integers(len(doc["variables"])))
+        entry = doc["variables"][k]
+        fault = _pick(rng, [
+            "name", "label", "unknown", "domain", "null reference", "reference",
+            "no name", "no domain", "entry", "one label", "empty name", "duplicate",
+        ])
+        if fault == "entry":
+            doc["variables"][k] = _pick(rng, ["X", [], None, 1])
+        elif fault == "duplicate":
+            doc["variables"].append(dict(entry))
+        elif fault == "name":
+            entry["name"] = _pick(rng, _NOT_STRINGS)
+        elif fault == "empty name":
+            entry["name"] = ""
+        elif fault == "label":
+            entry["domain"][int(rng.integers(len(entry["domain"])))] = _pick(rng, _NOT_STRINGS)
+        elif fault == "unknown":
+            entry[_pick(rng, ["weight", "Name", ""])] = 1
+        elif fault == "domain":
+            entry["domain"] = _pick(rng, ["01", {"0": 1}, None, 2])
+        elif fault == "null reference":
+            entry["reference"] = None
+        elif fault == "reference":
+            entry["reference"] = _pick(rng, [0, "9", ["0"]])
+        elif fault == "one label":
+            entry["domain"] = entry["domain"][:1]
+        else:
+            del entry[fault.split()[1]]
+    elif part == "ordering":
+        ordering = doc["ordering"]
+        k = int(rng.integers(len(ordering)))
+        fault = _pick(rng, ["item", "item", "drop", "repeat", "array"])
+        if fault == "item":
+            ordering[k] = _pick(rng, _NOT_STRINGS)
+        elif fault == "drop":
+            del ordering[k]
+        elif fault == "repeat":
+            ordering.append(ordering[k])
+        else:
+            doc["ordering"] = _pick(rng, ["X", {}, None])
+    else:
+        key = _pick(rng, arc_keys)
+        arcs = doc.setdefault(key, [])
+        if type(arcs) is not list or rng.random() < 0.1:
+            doc[key] = _pick(rng, [{}, "X", None, [[]]])
+            return
+        a, b = (_pick(rng, names) for _ in range(2)) if names else ("X", "Y")
+        arc = _pick(rng, [
+            [a], [a, b, a], [a, 0], [None, b], ["Q", b], [a, a], f"{a}-{b}", {a: b}, [], [a, ["Y"]],
+        ])
+        if arcs and rng.random() < 0.5:
+            arcs[int(rng.integers(len(arcs)))] = arc
+        else:
+            arcs.insert(int(rng.integers(len(arcs) + 1)), arc)
+
+
 def mutated_corpus(seed, count):
     """``(parse, text)`` pairs: documents with one to three faults each, built
-    from fault_doc, a random mixed-domain network and bn_doc in turn."""
+    from fault_doc, a random mixed-domain network and bn_doc in turn.  A
+    fault breaks a layer; about one document in four also has a fault in
+    its variables, ordering or arcs, drawn from a second random stream."""
     rng = np.random.default_rng(seed)
+    structure_rng = np.random.default_rng([seed, 1])
     for k in range(count):
         if k % 3 == 0:
             parse, doc, keys, number = parse_network, fault_doc(), ("q", "w"), "ratio"
@@ -982,6 +1063,8 @@ def mutated_corpus(seed, count):
             parse, doc, keys, number = parse_bayes_net, json.loads(bn_doc()), ("cpts",), "p"
         for _ in range(int(rng.integers(1, 4))):
             _mutate(doc, keys, number, rng)
+        if structure_rng.random() < 0.25:
+            _mutate_structure(doc, structure_rng)
         yield parse, json.dumps(doc)
 
 
@@ -1002,15 +1085,42 @@ def parse_outcome(parse, text):
 
 
 def test_layer_reader_matches_per_row_route_on_mutated_corpus(monkeypatch):
-    corpus = list(mutated_corpus(11, 450))
+    corpus = list(mutated_corpus(11, 600))
     fast = [parse_outcome(parse, text) for parse, text in corpus]
-    # Refused by the layer reader, every document goes to the per-row checks.
-    monkeypatch.setattr(formats, "_read_layer", lambda *args: None)
+    # Refused by the layer reader and the shape tests, every document goes
+    # to the per-row and per-entry checks.
+    monkeypatch.setattr(formats, "_read_layer", lambda *args, **kwargs: None)
+    for name in ("_is_variable", "_is_pair", "_are_strings"):
+        monkeypatch.setattr(formats, name, lambda item: False)
     slow = [parse_outcome(parse, text) for parse, text in corpus]
     for (_, text), got, want in zip(corpus, fast, slow):
         assert got == want, text
     kinds = {outcome[0] for outcome in fast}
     assert {"ok", SchemaError, ValidationError} <= kinds
+    # The structure faults reach every per-entry check.
+    messages = "\n".join(str(outcome[1]) for outcome in fast if outcome[0] != "ok")
+    for part in (
+        "$.variables[", ".domain[", ".reference: expected a string", "unknown key",
+        "$.ordering[", "_arcs[", "an arc is a pair", "$.dag_edges[", "an edge is a",
+    ):
+        assert part in messages, part
+
+
+def test_explicit_reference_rows_parse_as_omitted_ones():
+    doc = fault_doc()
+    want = parse_outcome(parse_network, json.dumps(doc))
+    assert want[0] == "ok"
+    for one in (1, 1.0):
+        for name, ref, given in (("X", "0", {}), ("Y", "b", {"X": "0"}), ("Y", "b", {"X": "1"})):
+            written = json.loads(json.dumps(doc))
+            written["q"][name].insert(0, {"value": ref, "given": given, "ratio": one})
+            assert parse_outcome(parse_network, json.dumps(written)) == want
+    # Anything else at a reference row is refused, in the per-row route's words.
+    for other in (2, 1.0000000000000002, 0.0, True, "1"):
+        written = json.loads(json.dumps(doc))
+        written["q"]["X"].append({"value": "0", "given": {}, "ratio": other})
+        outcome = parse_outcome(parse_network, json.dumps(written))
+        assert outcome[0] in (SchemaError, ValidationError), other
 
 
 # -- the templated writer against the plain json.dumps writer ------------------------

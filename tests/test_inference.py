@@ -20,6 +20,7 @@ from eunet import (
     Event,
     Network,
     NumericRangeError,
+    ReconstructedJoint,
     SeparationError,
     StateCapError,
     ValidationError,
@@ -479,6 +480,73 @@ def test_overflowing_sums_raise_numeric_range_error():
     net = helpers.extreme_ratio_net()
     with pytest.raises(NumericRangeError, match="float range"):
         event_utility(net, net.cylinder({"A": "1"}))
+
+
+def error_state_answers():
+    """Every measure that sums a table, and the log-space readers, on two
+    networks whose sums leave float range on the way: per network, each
+    answer, or its error type and message.  The networks are built anew,
+    so their tables are built under the caller's error state too."""
+    from eunet import eu_independent_events
+
+    # A and B binary, q_A(1) = 1e-10 and q_B(1) = 1e307: p(A=1, B=0) is
+    # about 1e-317, below the normal floats.
+    subnormal = helpers.net_of({"A": ("0", "1"), "B": ("0", "1")}, q={
+        "A": {("1",): 1e-10}, "B": {("1",): 1e307},
+    })
+    out = []
+    for net in (helpers.underflow_redo_net(), helpers.overflow_total_net(), subnormal):
+        a, b = net.cylinder({"A": "1"}), net.cylinder({"B": "1"})
+        sure = net.true_event()
+        answers = []
+        for ask in (
+            lambda: conditional_probability(net, a, sure),
+            lambda: event_utility(net, a),
+            lambda: event_utility(net, a | b),  # a state set
+            lambda: eu_independent_events(net, a, b, sure),
+            lambda: optimal_decision(DecisionProblem(net, ("A",), sure)),
+            lambda: joint_ratio(net, PROB, {name: "1" for name in net.ordering}),
+            lambda: reconstruct_joint(net),
+        ):
+            try:
+                answers.append(ask())
+            except Exception as exc:  # the test compares every outcome
+                answers.append((type(exc), str(exc)))
+        out.append(answers)
+    return out
+
+
+def test_answers_do_not_depend_on_numpy_error_state():
+    import warnings
+
+    def same(x, y):
+        if isinstance(x, ReconstructedJoint):
+            return x.p.tobytes() == y.p.tobytes() and x.u.tobytes() == y.u.tobytes()
+        return x == y
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = error_state_answers()
+    # p(A=1) is in float range, though the log-space redo's exp underflows,
+    # and so is every sum; the joint ratio at the all-1 state, 1e-490, is not
+    underflow, overflow, subnormal = want
+    assert underflow[0] == pytest.approx(1e10 / (1 + 1e10), rel=1e-12)
+    assert underflow[1].p == underflow[2].p == underflow[0]
+    assert underflow[3] is True
+    assert underflow[4].argmax == ({"A": "0"}, {"A": "1"})  # the utility layer is flat
+    assert underflow[5][0] is underflow[6][0] is NumericRangeError
+    # Every entry is finite, yet S_p of the sure event overflows.
+    assert overflow[5] == pytest.approx(1e308, rel=1e-12)
+    for answer in overflow[:5] + overflow[6:]:
+        assert answer[0] is NumericRangeError, answer
+    assert subnormal[0] == pytest.approx(1e-10, rel=1e-12)
+    assert 0.0 < subnormal[6].p[1, 0] < 1e-307
+    for state in ("raise", "warn"):
+        with np.errstate(all=state), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = error_state_answers()
+        for got_net, want_net in zip(got, want):
+            assert all(map(same, got_net, want_net)), (state, got_net, want_net)
 
 
 def test_complement_takes_a_per_call_cap(monkeypatch):

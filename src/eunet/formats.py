@@ -20,11 +20,9 @@ the offending spot.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
-import operator
 from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -125,68 +123,49 @@ def _load_document(text: str, expected_format: str) -> dict:
     return doc
 
 
-# The well-formed shapes of the entries of ``variables``, ``ordering`` and
-# the arc lists.  An entry that has one builds no key path; any other goes
-# through the per-entry checks, which word its fault.
+_VARIABLE_KEYS = frozenset({"name", "domain", "reference"})
 
 
-def _are_strings(items: list) -> bool:
-    return all(type(v) is str for v in items)
+def _parse_variables(raw: object, path: str) -> list[VariableSpec]:
+    """The ``variables`` entries, checked in the order their messages name
+    them; an entry's key path is built only when one of its checks fails."""
+    specs = []
+    for k, item in enumerate(_as_list(raw, path)):
+        if type(item) is not dict or not item.keys() <= _VARIABLE_KEYS:
+            at = f"{path}[{k}]"
+            _reject_unknown(_as_object(item, at), at, _VARIABLE_KEYS)
+        name = item.get("name")
+        if type(name) is not str:
+            at = f"{path}[{k}]"
+            _as_str(_require(item, "name", at), f"{at}.name")
+        domain = item.get("domain")
+        if type(domain) is not list or not all(type(v) is str for v in domain):
+            at = f"{path}[{k}]"
+            for j, v in enumerate(_as_list(_require(item, "domain", at), f"{at}.domain")):
+                _as_str(v, f"{at}.domain[{j}]")
+        reference = item.get("reference")
+        if "reference" in item and type(reference) is not str:
+            _as_str(reference, f"{path}[{k}].reference")
+        specs.append(VariableSpec(name, tuple(domain), reference))
+    return specs
 
 
-def _is_variable(item: object) -> bool:
-    """A string name, an array of string labels, a string reference if
-    any, and no other key."""
-    if type(item) is not dict:
-        return False
-    name, domain, reference = item.get("name"), item.get("domain"), item.get("reference")
-    return (
-        type(name) is str
-        and type(domain) is list
-        and len(item) == 2 + (reference is not None)
-        and (reference is None or type(reference) is str)
-        and _are_strings(domain)
-    )
-
-
-def _is_pair(item: object) -> bool:
-    return type(item) is list and len(item) == 2 and type(item[0]) is str and type(item[1]) is str
-
-
-def _pair(item: object, at: str, what: str) -> tuple[str, str]:
-    """One arc or edge through the per-entry checks; ``what`` says what a
-    pair is, for the message on a wrong length."""
+def _pair(item: object, path: str, k: int, what: str) -> tuple[str, str]:
+    """Entry ``k`` of an arc or edge list, a pair of names; ``what`` says
+    what a pair is, for the message on a wrong length.  The key path is
+    built only for an entry that is no pair of strings."""
+    if type(item) is list and len(item) == 2 and type(item[0]) is str and type(item[1]) is str:
+        return item[0], item[1]
+    at = f"{path}[{k}]"
     pair = _as_list(item, at)
     if len(pair) != 2:
         _fail(at, f"{what}, got {len(pair)} entries")
     return _as_str(pair[0], f"{at}[0]"), _as_str(pair[1], f"{at}[1]")
 
 
-def _parse_variables(raw: object, path: str) -> list[VariableSpec]:
-    specs = []
-    for k, item in enumerate(_as_list(raw, path)):
-        if _is_variable(item):
-            name, domain, reference = item["name"], tuple(item["domain"]), item.get("reference")
-        else:  # the per-entry checks
-            at = f"{path}[{k}]"
-            obj = _as_object(item, at)
-            _reject_unknown(obj, at, frozenset({"name", "domain", "reference"}))
-            name = _as_str(_require(obj, "name", at), f"{at}.name")
-            domain = tuple(
-                _as_str(v, f"{at}.domain[{j}]")
-                for j, v in enumerate(_as_list(_require(obj, "domain", at), f"{at}.domain"))
-            )
-            reference = None
-            if "reference" in obj:
-                reference = _as_str(obj["reference"], f"{at}.reference")
-        specs.append(VariableSpec(name, domain, reference))
-    return specs
-
-
 def _parse_arcs(raw: object, path: str) -> list[tuple[str, str]]:
     return [
-        (item[0], item[1]) if _is_pair(item)
-        else _pair(item, f"{path}[{k}]", "an arc is a pair of variable names")
+        _pair(item, path, k, "an arc is a pair of variable names")
         for k, item in enumerate(_as_list(raw, path))
     ]
 
@@ -227,15 +206,14 @@ _NUMBERS = (int, float)  # the types a row's number may have
 
 def _read_layer(
     tables: Sequence[tuple[object, Sequence[VariableSpec]]], number_key: str, *, implied: bool
-) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """Read a layer's tables into one flat buffer: ``(buffer, views)``, or None.
+) -> list[np.ndarray] | None:
+    """A layer's tables as read-only views of one flat buffer, or None.
 
     ``tables`` pairs each table's rows, or ``_LEFT_OUT``, with its axes, the
     variable's own first.  The buffer holds the tables one after another in
-    row-major order, and ``views`` are their read-only views of it; the
-    entries no row gives hold 1.  ``implied`` says that a table's reference
-    rows may be left out (``eun/1``); a row that gives one must then hold
-    exactly 1.
+    row-major order; the entries no row gives hold 1.  ``implied`` says
+    that a table's reference rows may be left out (``eun/1``); a row that
+    gives one must then hold exactly 1.
 
     One Python pass reads every row.  Per table, one dict per axis maps a
     label to its index times the axis's stride (plus the table's start, on
@@ -269,9 +247,8 @@ def _read_layer(
             lookups = []
             for condition in axes[1:]:
                 stride //= len(condition.domain)
-                lookups.append(
-                    (condition.name, {label: i * stride for i, label in enumerate(condition.domain)})
-                )
+                offsets = {label: i * stride for i, label in enumerate(condition.domain)}
+                lookups.append((condition.name, offsets))
             arity = len(lookups)
             for row in rows:
                 if type(row) is not dict:
@@ -302,7 +279,7 @@ def _read_layer(
     buffer = np.ones(starts[-1])
     buffer[at] = values
     buffer.flags.writeable = False
-    return buffer, [buffer[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
+    return [buffer[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
 
 
 def _read_potentials(
@@ -325,16 +302,16 @@ def _read_potentials(
         axes.append((spec, *below))
         parents.append(tuple(s.name for s in below))
         before.append(spec)
-    read = _read_layer(
+    tables = _read_layer(
         [(raw.get(spec.name, _LEFT_OUT), a) for spec, a in zip(space.specs, axes)],
         "ratio",
         implied=True,
     )
-    if read is None:
+    if tables is None:
         return None
     return {
         name: RestrictedPotential._checked(name, layer, p, table)
-        for name, p, table in zip(space.names, parents, read[1])
+        for name, p, table in zip(space.names, parents, tables)
     }
 
 
@@ -374,8 +351,8 @@ def parse_network(text: str) -> Network:
     )
     specs = _parse_variables(_require(doc, "variables", "$"), "$.variables")
     ordering = _as_list(_require(doc, "ordering", "$"), "$.ordering")
-    if not _are_strings(ordering):
-        for k, v in enumerate(ordering):
+    for k, v in enumerate(ordering):
+        if type(v) is not str:
             _as_str(v, f"$.ordering[{k}]")
     ordering = tuple(ordering)
     graph = EUNGraph.of(
@@ -532,11 +509,9 @@ def _cpt_rows(
 
 def _sum_error(table: np.ndarray) -> float:
     """How far a CPT's rows are from summing to 1 at worst; inf when a sum
-    overflows, which is no warning but a failed check.  The rows are added
-    in turn (numpy would add a long one-axis table pairwise), so the sums
-    are the ones ``_read_cpts`` checks, bit for bit."""
+    overflows, which is no warning but a failed check."""
     with np.errstate(over="ignore"):
-        return float(np.max(np.abs(functools.reduce(operator.add, table) - 1.0)))
+        return float(np.max(np.abs(table.sum(axis=0) - 1.0)))
 
 
 def _read_cpts(
@@ -551,21 +526,8 @@ def _read_cpts(
     """
     if not cpts_raw.keys() >= set(names):
         return None
-    read = _read_layer([(cpts_raw[name], a) for name, a in zip(names, axes)], "p", implied=False)
-    if read is None:
-        return None
-    buffer, tables = read
-    # Each entry's parent configuration, numbered across the layer, so that
-    # one bincount adds up every table's rows, each row in turn, as
-    # ``_sum_error`` adds them.
-    configs, count = array("q"), 0
-    for table in tables:
-        block = table.size // len(table)
-        configs += array("q", range(count, count + block)) * len(table)
-        count += block
-    with np.errstate(over="ignore"):
-        sums = np.bincount(np.frombuffer(configs, np.int64), weights=buffer)
-    if not np.abs(sums - 1.0).max(initial=0.0) <= 1e-9:
+    tables = _read_layer([(cpts_raw[name], a) for name, a in zip(names, axes)], "p", implied=False)
+    if tables is None or not all(_sum_error(t) <= 1e-9 for t in tables):
         return None
     return dict(zip(names, tables))
 
@@ -588,15 +550,14 @@ def parse_bayes_net(text: str) -> BayesNet:
 
     edges = set()
     for k, item in enumerate(_as_list(_require(doc, "dag_edges", "$"), "$.dag_edges")):
-        if not (_is_pair(item) and item[0] in by_name and item[1] in by_name and item[0] != item[1]):
+        a, b = _pair(item, "$.dag_edges", k, "an edge is a [parent, child] pair")
+        if a not in by_name or b not in by_name or a == b:
             at = f"$.dag_edges[{k}]"
-            a, b = _pair(item, at, "an edge is a [parent, child] pair")
             for n in (a, b):
                 if n not in by_name:
                     _fail(at, f"edge touches undeclared variable {n!r}")
-            if a == b:
-                _fail(at, f"self-loop edge on {a!r}")
-        edges.add((item[0], item[1]))
+            _fail(at, f"self-loop edge on {a!r}")  # both ends declared: a == b
+        edges.add((a, b))
     _check_acyclic(names, frozenset(edges))
 
     parents = {

@@ -30,9 +30,10 @@ factors.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,24 +123,29 @@ def _scope_of(network: Network, event: Event, keep: Sequence[int] = ()) -> int:
 _SAFE_TOTAL = sys.float_info.max / 2
 
 
+def _overflow_reported(read: Callable[..., tuple]) -> Callable[..., tuple]:
+    """``read(table, where, keep)`` as it is where the table's totals are
+    safe, else under ``np.errstate(over="ignore")``: a sum that overflows is
+    then an inf for :func:`_in_range` to report, whatever numpy's error
+    state."""
+
+    @functools.wraps(read)
+    def guarded(table: _Table, where: object, keep: Sequence[int] = ()) -> tuple:
+        if table.sp <= _SAFE_TOTAL and table.su <= _SAFE_TOTAL:
+            return read(table, where, keep)
+        with np.errstate(over="ignore"):
+            return read(table, where, keep)
+
+    return guarded
+
+
+@_overflow_reported
 def _sums_from(table: _Table, event: Event, keep: Sequence[int] = ()) -> tuple:
     """The sums of :func:`_event_sums`, read from a scope table that holds
-    the event's axes; with ``keep``, the table of the question's scope.
-
-    Where the table's totals leave room for an overflow, the read runs
-    under ``np.errstate(over="ignore")``: a sum that overflows is then an
-    inf for :func:`_in_range` to report, whatever numpy's error state."""
+    the event's axes; with ``keep``, the table of the question's scope.  A
+    state set's table spans every axis, so its flat indexes index the pair."""
     if event._partial is not None:
         return _cylinder_sums(table, event._partial, keep)
-    if table.sp <= _SAFE_TOTAL and table.su <= _SAFE_TOTAL:
-        return _state_set_sums(table, event, keep)
-    with np.errstate(over="ignore"):
-        return _state_set_sums(table, event, keep)
-
-
-def _state_set_sums(table: _Table, event: Event, keep: Sequence[int]) -> tuple:
-    """The state-set branch of :func:`_sums_from`: a state set's table spans
-    every axis, so its flat indexes index the pair."""
     flat = event.flat_indexes()
     if flat.size == 0 and not keep:
         return 0.0, 0.0
@@ -159,6 +165,7 @@ def _state_set_sums(table: _Table, event: Event, keep: Sequence[int]) -> tuple:
 _ALL = slice(None)
 
 
+@_overflow_reported
 def _cylinder_sums(table: _Table, fixed: dict[int, int], keep: Sequence[int]) -> tuple:
     """The cylinder branch of :func:`_event_sums`, over a scope table whose
     axes hold ``fixed``; with ``keep``, exactly ``fixed`` and ``keep``.
@@ -168,15 +175,6 @@ def _cylinder_sums(table: _Table, fixed: dict[int, int], keep: Sequence[int]) ->
     reads the table of E and F, and sums the axes only E fixes.
     """
     sub = table.pair[(_ALL, *[fixed.get(ax, _ALL) for ax in table.axes])]
-    if table.sp <= _SAFE_TOTAL and table.su <= _SAFE_TOTAL:
-        return _slice_sums(sub, keep)
-    with np.errstate(over="ignore"):  # as in :func:`_sums_from`
-        return _slice_sums(sub, keep)
-
-
-def _slice_sums(sub: np.ndarray, keep: Sequence[int]) -> tuple:
-    """The sums of a cylinder's slice of a pair: the slice itself with
-    ``keep``, else its totals."""
     if keep:
         return _tables_in_range(sub)
     return _in_range(*(sub.tolist() if sub.ndim == 1 else _totals(sub)))

@@ -597,21 +597,9 @@ def per_row_checks_run(*args):
     raise AssertionError("the per-row checks ran on a valid document")
 
 
-def no_per_entry_checks(monkeypatch):
-    """Make every per-row or per-entry check fail the test: valid documents
-    never reach them, as each of their entries has its well-formed shape."""
-    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
-    for name in ("_is_variable", "_is_pair", "_are_strings"):
-        def shape_test(item, real=getattr(formats, name), name=name):
-            if not real(item):
-                raise AssertionError(f"{name} refused {item!r} of a valid document")
-            return True
-        monkeypatch.setattr(formats, name, shape_test)
-
-
 def test_reader_matches_row_by_row_oracle_on_random_networks(monkeypatch):
     # The per-row checks only word errors; valid documents never reach them.
-    no_per_entry_checks(monkeypatch)
+    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
     rng = np.random.default_rng(2024)
     for trial in range(24):
         base = helpers.random_network(
@@ -640,7 +628,7 @@ def test_reader_matches_row_by_row_oracle_on_random_networks(monkeypatch):
 
 
 def test_cpt_reader_matches_row_by_row_oracle(monkeypatch):
-    no_per_entry_checks(monkeypatch)
+    monkeypatch.setattr(formats, "_parse_rows", per_row_checks_run)
     rng = np.random.default_rng(7)
     for _ in range(10):
         doc = json.loads(bn_doc())
@@ -799,6 +787,61 @@ def test_one_fault_bn_documents_keep_their_errors(mutate, message):
     mutate(doc)
     with pytest.raises(SchemaError) as err:
         parse_bayes_net(json.dumps(doc))
+    assert str(err.value) == message
+
+
+STRUCTURE_FAULTS = [
+    (_set(["variables", 0], "X"), "$.variables[0]: expected an object, got str"),
+    (_set(["variables", 0, "weight"], 1), "$.variables[0]: unknown key 'weight'"),
+    (_set(["variables", 1, "name"], _DELETE), "$.variables[1]: missing required key 'name'"),
+    (_set(["variables", 1, "name"], 0), "$.variables[1].name: expected a string, got int"),
+    (_set(["variables", 1, "domain"], _DELETE), "$.variables[1]: missing required key 'domain'"),
+    (_set(["variables", 0, "domain"], "01"), "$.variables[0].domain: expected an array, got str"),
+    (_set(["variables", 0, "domain"], None),
+     "$.variables[0].domain: expected an array, got NoneType"),
+    (_set(["variables", 1, "domain", 2], ["c"]),
+     "$.variables[1].domain[2]: expected a string, got list"),
+    (_set(["variables", 1, "reference"], None),
+     "$.variables[1].reference: expected a string, got NoneType"),
+    (_set(["variables", 0, "reference"], 0), "$.variables[0].reference: expected a string, got int"),
+    # Two faults in one entry: the first check in the per-entry order words it.
+    (lambda d: (_set(["variables", 1, "name"], 0)(d), _set(["variables", 1, "domain"], _DELETE)(d)),
+     "$.variables[1].name: expected a string, got int"),
+    (lambda d: (_set(["variables", 1, "x"], 0)(d), _set(["variables", 1, "name"], 0)(d)),
+     "$.variables[1]: unknown key 'x'"),
+    (lambda d: (_set(["variables", 1, "domain", 0], 0)(d), _set(["variables", 1, "reference"], 0)(d)),
+     "$.variables[1].domain[0]: expected a string, got int"),
+    (_set(["ordering", 1], True), "$.ordering[1]: expected a string, got bool"),
+    (_set(["prob_arcs"], [["X", "Y"], ["X"]]),
+     "$.prob_arcs[1]: an arc is a pair of variable names, got 1 entries"),
+    (_set(["prob_arcs", 0], ["X", "Y", "X"]),
+     "$.prob_arcs[0]: an arc is a pair of variable names, got 3 entries"),
+    (_set(["prob_arcs", 0], "X-Y"), "$.prob_arcs[0]: expected an array, got str"),
+    (_set(["util_arcs"], [["X", 0]]), "$.util_arcs[0][1]: expected a string, got int"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", STRUCTURE_FAULTS)
+def test_structure_faults_keep_their_errors(mutate, message):
+    doc = fault_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_network(json.dumps(doc))
+    assert str(err.value) == message
+
+
+EDGE_FAULTS = [
+    ([["X"]], "$.dag_edges[0]: an edge is a [parent, child] pair, got 1 entries"),
+    ([["X", "Y"], [0, "Y"]], "$.dag_edges[1][0]: expected a string, got int"),
+    ([["X", "Q"]], "$.dag_edges[0]: edge touches undeclared variable 'Q'"),
+    ([["Y", "Y"]], "$.dag_edges[0]: self-loop edge on 'Y'"),
+]
+
+
+@pytest.mark.parametrize("edges, message", EDGE_FAULTS)
+def test_edge_faults_keep_their_errors(edges, message):
+    with pytest.raises(SchemaError) as err:
+        parse_bayes_net(bn_doc(dag_edges=edges))
     assert str(err.value) == message
 
 
@@ -1087,11 +1130,8 @@ def parse_outcome(parse, text):
 def test_layer_reader_matches_per_row_route_on_mutated_corpus(monkeypatch):
     corpus = list(mutated_corpus(11, 600))
     fast = [parse_outcome(parse, text) for parse, text in corpus]
-    # Refused by the layer reader and the shape tests, every document goes
-    # to the per-row and per-entry checks.
+    # Refused by the layer reader, every document goes to the per-row checks.
     monkeypatch.setattr(formats, "_read_layer", lambda *args, **kwargs: None)
-    for name in ("_is_variable", "_is_pair", "_are_strings"):
-        monkeypatch.setattr(formats, name, lambda item: False)
     slow = [parse_outcome(parse, text) for parse, text in corpus]
     for (_, text), got, want in zip(corpus, fast, slow):
         assert got == want, text

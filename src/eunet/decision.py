@@ -35,6 +35,7 @@ from .model import (
     ValidationError,
     VariableSpec,
     _factor_potentials,
+    _name_set,
     build_network,
     resolve_state_cap,
 )
@@ -165,11 +166,7 @@ def decompose_decisions(
     """
     net = problem.network
     d = set(problem.decision_vars)
-    if isinstance(conditioning, str):
-        raise ValidationError(
-            f"the conditioning set must be a collection of names, not the string {conditioning!r}"
-        )
-    c = frozenset(conditioning)
+    c = _name_set(conditioning, "the conditioning set")
     for name in c:
         net.space.index(name)
     if c & d:
@@ -247,8 +244,8 @@ def classify_relevance(
     payoff-relevant variable outside the block, so the block cannot even
     shift the odds of anything that matters.  Anything else is "relevant".
     """
-    block = frozenset(b)
-    cond = frozenset(conditioning)
+    block = _name_set(b, "the classified block")
+    cond = _name_set(conditioning, "the conditioning set")
     if not block:
         raise ValidationError("the classified block must be non-empty")
     for name in block | cond:

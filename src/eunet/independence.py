@@ -31,8 +31,10 @@ from .model import (
     Network,
     ValidationError,
     _check_layer,
+    _check_tolerance,
     _mask,
     _merged,
+    _name_set,
     ratio_spread,
     resolve_state_cap,
 )
@@ -48,8 +50,12 @@ __all__ = [
 ]
 
 
-def _as_sets(*groups: Iterable[str]) -> list[frozenset[str]]:
-    return [frozenset(g) for g in groups]
+def _as_sets(a: Iterable[str], b: Iterable[str], c: Iterable[str]) -> list[frozenset[str]]:
+    return [
+        _name_set(a, "the variable set a"),
+        _name_set(b, "the variable set b"),
+        _name_set(c, "the variable set c"),
+    ]
 
 
 def separates(
@@ -156,6 +162,7 @@ def table_independent(
     axes are quantified over.  True when the ceteris paribus ratio of the M
     block is invariant, within relative ``tolerance``, to the remaining axes.
     """
+    _check_tolerance(tolerance)
     return max_ratio_spread(table, m, k) <= tolerance
 
 
@@ -172,6 +179,7 @@ def derive_perfect_map(
     the returned graph matches table independence over every partition of
     the axes.
     """
+    _check_tolerance(tolerance)
     p = _validate_table(p_table)
     u = _validate_table(u_table)
     if p.shape != u.shape:
@@ -230,9 +238,11 @@ def eu_independent_events(
     must meet G.  Tolerance is relative.  When all three events are cylinders
     the meets are merged axis->value maps and no Event is built.
     """
-    cylinders = e.is_cylinder and f.is_cylinder and g.is_cylinder
+    _check_tolerance(tolerance)
+    cylinders = e._partial is not None and f._partial is not None and g._partial is not None
     if cylinders:
-        if any(ev.space != network.space for ev in (e, f, g)):
+        space = network.space
+        if (e.space, f.space, g.space) != (space, space, space):
             raise ValidationError("event belongs to a different variable system")
         eg, fg = _merged(e._partial, g._partial), _merged(f._partial, g._partial)
         efg = None if eg is None else _merged(eg, f._partial)
@@ -249,11 +259,11 @@ def eu_independent_events(
     # answers all four sums.
     if cylinders:
         table = network._table(_mask(regions[-1]), resolve_state_cap())
-        sums = [_cylinder_sums(table, fixed, ()) for fixed in regions]
+        sums = _cylinder_sums(table, regions)
     else:
         table = network._table(_scope_of(network, regions[-1]), resolve_state_cap())
         sums = [_sums_from(table, ev) for ev in regions]
     (sp_g, su_g), *meet_sums = sums
-    u_e, u_f, u_ef = (_quotient(su, su_g, sp_g, sp) for sp, su in meet_sums)
+    u_e, u_f, u_ef = [_quotient(su, su_g, sp_g, sp) for sp, su in meet_sums]
     rhs = u_e * u_f
     return abs(u_ef - rhs) <= tolerance * abs(rhs)

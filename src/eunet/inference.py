@@ -30,10 +30,8 @@ factors.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +46,7 @@ from .model import (
     NumericRangeError,
     SeparationError,
     ValidationError,
+    _OTHER_AXES,
     _ratio_window,
     _require_cap,
     _mask,
@@ -118,34 +117,25 @@ def _scope_of(network: Network, event: Event, keep: Sequence[int] = ()) -> int:
     return _mask(event._partial) | _mask(keep)
 
 
-# Where a table's totals are at most this, no sum of its entries overflows,
-# in any order: the entries are non-negative.
-_SAFE_TOTAL = sys.float_info.max / 2
-
-
-def _overflow_reported(read: Callable[..., tuple]) -> Callable[..., tuple]:
-    """``read(table, where, keep)`` as it is where the table's totals are
-    safe, else under ``np.errstate(over="ignore")``: a sum that overflows is
-    then an inf for :func:`_in_range` to report, whatever numpy's error
-    state."""
-
-    @functools.wraps(read)
-    def guarded(table: _Table, where: object, keep: Sequence[int] = ()) -> tuple:
-        if table.sp <= _SAFE_TOTAL and table.su <= _SAFE_TOTAL:
-            return read(table, where, keep)
-        with np.errstate(over="ignore"):
-            return read(table, where, keep)
-
-    return guarded
-
-
-@_overflow_reported
 def _sums_from(table: _Table, event: Event, keep: Sequence[int] = ()) -> tuple:
     """The sums of :func:`_event_sums`, read from a scope table that holds
     the event's axes; with ``keep``, the table of the question's scope.  A
-    state set's table spans every axis, so its flat indexes index the pair."""
-    if event._partial is not None:
-        return _cylinder_sums(table, event._partial, keep)
+    state set's table spans every axis, so its flat indexes index the pair.
+
+    Where the table is not ``safe``, the read runs again under
+    ``np.errstate(over="ignore")``, as on a safe table: a sum that overflows
+    is then an inf for :func:`_in_range` to report, whatever numpy's error
+    state.
+    """
+    partial = event._partial
+    if partial is not None and not keep:
+        return _cylinder_sums(table, (partial,))[0]
+    if not table.safe:
+        with np.errstate(over="ignore"):
+            return _sums_from(table._replace(safe=True), event, keep)
+    if partial is not None:
+        sub = table.pair[(_ALL, *[partial.get(ax, _ALL) for ax in table.axes])]
+        return _tables_in_range(sub)
     flat = event.flat_indexes()
     if flat.size == 0 and not keep:
         return 0.0, 0.0
@@ -165,19 +155,28 @@ def _sums_from(table: _Table, event: Event, keep: Sequence[int] = ()) -> tuple:
 _ALL = slice(None)
 
 
-@_overflow_reported
-def _cylinder_sums(table: _Table, fixed: dict[int, int], keep: Sequence[int]) -> tuple:
-    """The cylinder branch of :func:`_event_sums`, over a scope table whose
-    axes hold ``fixed``; with ``keep``, exactly ``fixed`` and ``keep``.
+def _cylinder_sums(
+    table: _Table, regions: Sequence[Mapping[int, int]]
+) -> list[tuple[float, float]]:
+    """(S_p, S_u) of each cylinder of ``regions`` (axis->value maps), read
+    from one scope table whose axes hold every region's fixed axes.
 
-    The fixed axes index the pair.  With ``keep``, that is the whole read.
-    Otherwise the slice's other axes are summed out: F of a conditional
-    reads the table of E and F, and sums the axes only E fixes.
+    The fixed axes index the pair and the slice's other axes are summed out,
+    so the F of a conditional reads the table of E and F and sums the axes
+    only E fixes.  Each pair of sums must be in range (:func:`_in_range`);
+    the table is guarded as in :func:`_sums_from`.
     """
-    sub = table.pair[(_ALL, *[fixed.get(ax, _ALL) for ax in table.axes])]
-    if keep:
-        return _tables_in_range(sub)
-    return _in_range(*(sub.tolist() if sub.ndim == 1 else _totals(sub)))
+    if not table.safe:
+        with np.errstate(over="ignore"):
+            return _cylinder_sums(table._replace(safe=True), regions)
+    pair, axes = table.pair, table.axes
+    sums = []
+    for fixed in regions:
+        sub = pair[(_ALL, *[fixed.get(ax, _ALL) for ax in axes])]
+        if sub.ndim > 1:
+            sub = np.add.reduce(sub, _OTHER_AXES[sub.ndim])
+        sums.append(_in_range(*sub.tolist()))
+    return sums
 
 
 def _in_range(sp: float, su: float) -> tuple[float, float]:
@@ -233,7 +232,7 @@ def _require_nonempty(event: Event, role: str) -> None:
 
 def _conditional_sums(
     network: Network, e: Event, f: Event, measure: str, state_cap: int | None
-) -> tuple[tuple[float, float], tuple[float, float]]:
+) -> list[tuple[float, float]]:
     """The sums over E and F and over F, for the conditional ``measure`` of E given F."""
     _require_nonempty(f, "conditioning event F")
     ef = e & f
@@ -241,7 +240,9 @@ def _conditional_sums(
         raise EmptyEventError(f"E and F do not intersect, conditional {measure} undefined")
     # F's fixed axes are among those of E and F, so one table answers both.
     table = network._table(_scope_of(network, ef), resolve_state_cap(state_cap))
-    return _sums_from(table, ef), _sums_from(table, f)
+    if ef._partial is not None:  # E and F are cylinders too
+        return _cylinder_sums(table, (ef._partial, f._partial))
+    return [_sums_from(table, ef), _sums_from(table, f)]
 
 
 def marginal_p_ratio(
@@ -413,6 +414,7 @@ def local_conditional_eu(
                     f"from the rest in the {layer} layer"
                 )
     b_axes = sorted(b_idx)
+    state_cap = resolve_state_cap(state_cap)
     _require_cap(math.prod(space.shape[ax] for ax in b_axes), state_cap, "a window over")
     if not network.imap_report(state_cap=state_cap).ok:
         raise SeparationError(

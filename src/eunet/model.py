@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import os
+import sys
 import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -123,6 +125,27 @@ def resolve_state_cap(cap: int | None = None) -> int:
             raise ValidationError(f"{STATE_CAP_ENV} must be positive, got {value}")
         return value
     return DEFAULT_STATE_CAP
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that is not a finite real number at least 0: a
+    comparison with a NaN, an infinity, a negative number or a non-number
+    would give a verdict that means nothing.  A bool is refused too."""
+    real = type(tolerance) is float or (
+        isinstance(tolerance, numbers.Real) and not isinstance(tolerance, bool)
+    )
+    if not (real and 0.0 <= tolerance < math.inf):
+        raise ValidationError(
+            f"tolerance must be a finite real number at least 0, got {tolerance!r}"
+        )
+
+
+def _name_set(names: Iterable[str], role: str) -> frozenset[str]:
+    """``names`` as a set; a bare string, which would read as its
+    characters, is refused."""
+    if isinstance(names, str):
+        raise ValidationError(f"{role} must be a collection of names, not the string {names!r}")
+    return frozenset(names)
 
 
 def _require_cap(count: int, state_cap: int | None, doing: str) -> None:
@@ -391,7 +414,7 @@ class RestrictedPotential:
 class Space:
     """The ordered variable system a network (and its events) lives on."""
 
-    __slots__ = ("specs", "names", "shape", "reference_indexes", "_index")
+    __slots__ = ("specs", "names", "shape", "reference_indexes", "state_count", "_index")
 
     def __init__(self, specs: Sequence[VariableSpec]) -> None:
         specs = tuple(specs)
@@ -402,6 +425,7 @@ class Space:
         self.names = names
         self.shape = tuple(s.size for s in specs)
         self.reference_indexes = tuple(s.reference_index for s in specs)
+        self.state_count = math.prod(self.shape)
         self._index = {n: i for i, n in enumerate(names)}
 
     def __len__(self) -> int:
@@ -416,10 +440,6 @@ class Space:
 
     def __hash__(self) -> int:
         return hash(self.specs)
-
-    @property
-    def state_count(self) -> int:
-        return math.prod(self.shape)
 
     def index(self, name: str) -> int:
         try:
@@ -623,6 +643,7 @@ class Event:
 
     def complement(self, state_cap: int | None = None) -> "Event":
         """Every state outside the event, a state set built under the state cap."""
+        state_cap = resolve_state_cap(state_cap)
         _require_cap(self.space.state_count, state_cap, "complement over")
         members = self._members(state_cap)
         outside = np.ones(self.space.state_count, dtype=bool)
@@ -803,18 +824,28 @@ def _eliminate(
 
 class _Table(NamedTuple):
     """A stacked (p, p * u) pair over ``axes``, in index order, and its
-    totals: S_p and S_u of the sure event."""
+    totals: S_p and S_u of the sure event.  ``safe`` holds where both
+    totals are at most ``_SAFE_TOTAL``."""
 
     pair: np.ndarray
     sp: float
     su: float
     axes: tuple[int, ...]
+    safe: bool
+
+
+# Where a table's totals are at most this, no sum of its entries overflows,
+# in any order: the entries are non-negative.
+_SAFE_TOTAL = sys.float_info.max / 2
+
+# Per axis count, the axes after the first: those a stacked pair's halves sum over.
+_OTHER_AXES = [tuple(range(1, k)) for k in range(65)]
 
 
 def _totals(pair: np.ndarray) -> list[float]:
     """Each half of a stacked pair summed over every other axis, the same
     reduction as a read of the sure event on the pair."""
-    return np.add.reduce(pair, tuple(range(1, pair.ndim))).tolist()
+    return np.add.reduce(pair, _OTHER_AXES[pair.ndim]).tolist()
 
 
 class MantlePotential(NamedTuple):
@@ -1150,9 +1181,10 @@ class Network:
         and the table of every axis are always kept; the others kept hold at
         most ``state_cap`` entries together, and one built past that bound
         is returned and not kept.  The cap is checked against the joint on
-        every call, cached or not.
+        every call, cached or not; ``state_cap`` is an already resolved int.
         """
-        _require_cap(self.state_count, state_cap, "enumeration over")
+        if self.space.state_count > state_cap:
+            _require_cap(self.space.state_count, state_cap, "enumeration over")
         table = self._tables.get(scope)
         if table is not None:
             return table
@@ -1176,7 +1208,8 @@ class Network:
                     axis=tuple(1 + i for i, ax in enumerate(held.axes) if not scope >> ax & 1)
                 )
             pair.flags.writeable = False
-            table = _Table(pair, *_totals(pair), axes)
+            sp, su = _totals(pair)
+            table = _Table(pair, sp, su, axes, sp <= _SAFE_TOTAL and su <= _SAFE_TOTAL)
         size = 0 if scope in (clique, (1 << len(shape)) - 1) else pair.size
         with self._lock:
             if scope in self._tables:
@@ -1189,6 +1222,7 @@ class Network:
     def imap_report(self, tolerance: float = 1e-9, state_cap: int | None = None) -> ImapReport:
         """The :func:`validate_imap` report, cached at the default tolerance;
         every call first checks the audit's largest window against the cap."""
+        state_cap = resolve_state_cap(state_cap)
         _require_cap(_audit_windows(self)[1], state_cap, "an audit window over")
         if tolerance == 1e-9:
             return self._cached("imap", lambda: validate_imap(self, tolerance, state_cap=state_cap))
@@ -1335,6 +1369,7 @@ def reconstruct_joint(network: Network, state_cap: int | None = None) -> Reconst
     is the oracle backbone for everything else in the package: every other
     numeric operation must agree with sums over these tables.
     """
+    state_cap = resolve_state_cap(state_cap)
     pr, ur = (network.ratio_tables(layer, state_cap) for layer in LAYERS)
     for layer, table in zip(LAYERS, (pr, ur)):
         _require_in_range(table, f"the {layer} ratio table")
@@ -1431,6 +1466,7 @@ def full_mantle_potential(
     raises; loose mode returns the reference-completion table anyway.
     """
     _check_layer(layer)
+    _check_tolerance(tolerance)
     i = network.space.index(var)
     kept, free = _mantle_window(network, layer, i)
     _require_cap(math.prod(network.space.shape[a] for a in kept), state_cap, "a window over")
@@ -1466,6 +1502,7 @@ def validate_imap(
     of the variable and its mantle, in row-major order over them in
     ordering order, whose spread is within 1e-12 relative of the maximum.
     """
+    _check_tolerance(tolerance)
     windows, largest = _audit_windows(network)
     _require_cap(largest, state_cap, "an audit window over")
     space = network.space

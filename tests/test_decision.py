@@ -80,6 +80,10 @@ def test_a_bare_string_of_names_is_rejected():
     with pytest.raises(ValidationError, match="not the string"):
         decompose_decisions(problem, conditioning="BC")
     assert decompose_decisions(problem, conditioning=("B", "C")) == (("A",),)
+    for block, conditioning in (("A", ()), ("AB", ()), (("A",), "B"), (("A",), "BC")):
+        with pytest.raises(ValidationError, match="not the string"):
+            classify_relevance(net, block, conditioning)
+    assert classify_relevance(net, ("A", "B"), ("C",)) == "strategically-irrelevant"
 
 
 # -- optimal_decision ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Independence: graph separation, table ratio tests, event-level EU tests."""
 
+import math
 import re
 
 import numpy as np
@@ -240,6 +241,47 @@ def test_eu_independent_vars_requires_partition(chain_net):
         eu_independent_vars(chain_net, ["X1"], ["X2"], [])
 
 
+@pytest.mark.parametrize(
+    "a, b, c", [("A", ["B"], ["C"]), (["A"], "B", ["C"]), (["A"], ["B"], "C"), ("AB", ["C"], [])]
+)
+def test_a_bare_string_of_names_is_rejected(a, b, c):
+    # a string would read as the set of its characters: "A" as {A}, "AB" as {A, B}
+    net = helpers.net_of({n: ("0", "1") for n in "ABC"}, prob_arcs=[("A", "B")])
+    asks = [
+        lambda: separates(net.graph, PROB, a, b, c),
+        lambda: declared_independent(net, PROB, a, b, c),
+        lambda: eu_independent_vars(net, a, b, c),
+    ]
+    for ask in asks:
+        with pytest.raises(ValidationError, match="must be a collection of names, not the string"):
+            ask()
+    assert not separates(net.graph, PROB, ["A"], ["B"], ["C"])
+    assert declared_independent(net, UTIL, ["A", "B"], ["C"], [])
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9, "1e-9", None, True])
+def test_a_tolerance_must_be_a_finite_real_at_least_0(hw2, tolerance):
+    # at NaN or inf every comparison with a spread or a gap gives one verdict
+    e, f, g = hw2.cylinder({"H": "1"}), hw2.cylinder({"W": "1"}), hw2.true_event()
+    asks = [
+        lambda: eu_independent_events(hw2, e, f, g, tolerance),
+        lambda: table_independent(HW_COUPLED, [0], [], tolerance),
+        lambda: derive_perfect_map(HW_COUPLED, HW_COUPLED, tolerance),
+    ]
+    for ask in asks:
+        with pytest.raises(ValidationError, match="tolerance must be a finite real number"):
+            ask()
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.0, np.float64(1e-9), np.float32(0.5), 1e300])
+def test_a_finite_real_tolerance_is_taken(hw2, tolerance):
+    e, f, g = hw2.cylinder({"H": "1"}), hw2.cylinder({"W": "1"}), hw2.true_event()
+    loose = tolerance >= 0.5
+    assert eu_independent_events(hw2, e, f, g, tolerance) is loose
+    assert table_independent(HW_COUPLED, [0], [], tolerance) is loose
+    assert len(derive_perfect_map(HW_COUPLED, HW_COUPLED, tolerance).prob_arcs) == (0 if loose else 1)
+
+
 def test_event_utilities_multiply_when_factored(hw1):
     e = hw1.cylinder({"H": "1"})
     f = hw1.cylinder({"W": "1"})
@@ -324,9 +366,9 @@ def test_cylinder_route_matches_the_oracle(monkeypatch):
     recorded = []
     real = independence._cylinder_sums
 
-    def recording(table, fixed, keep):
-        out = real(table, fixed, keep)
-        recorded.append((dict(fixed), out))
+    def recording(table, regions):
+        out = real(table, regions)
+        recorded.extend((dict(fixed), sums) for fixed, sums in zip(regions, out))
         return out
 
     monkeypatch.setattr(independence, "_cylinder_sums", recording)

@@ -193,6 +193,42 @@ def test_cap_holds_on_cached_reads(chain_net, monkeypatch):
                 optimal_decision(problem)
 
 
+def test_a_public_call_reads_the_environment_cap_once(chain_net, monkeypatch):
+    import os
+
+    from eunet import eu_independent_events
+
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(os, "environ", Environ(os.environ))
+    net = chain_net
+    e, f = net.cylinder({"X1": "1"}), net.cylinder({"X3": "1"})
+    problem = DecisionProblem(net, ("X2",), e)
+    calls = {
+        "event_utility": lambda: event_utility(net, e),
+        "conditional_probability": lambda: conditional_probability(net, e, f),
+        "conditional_event_utility": lambda: conditional_event_utility(net, e, f),
+        "value": lambda: value(net, e, f),
+        "utility_bayes": lambda: utility_bayes(net, f, e),
+        "eu_independent_events": lambda: eu_independent_events(net, e, f, net.true_event()),
+        "optimal_decision": lambda: optimal_decision(problem),
+        "local_conditional_eu": lambda: local_conditional_eu(net, {"X1": "1"}, {"X2": "0"}),
+        "imap_report": lambda: net.imap_report(),
+        "complement": lambda: e.complement(),
+        "reconstruct_joint": lambda: reconstruct_joint(net),
+    }
+    for name, ask in calls.items():
+        for _ in range(2):  # cold, then answered from the caches
+            reads.clear()
+            ask()
+            assert reads.count(STATE_CAP_ENV) == 1, name
+
+
 # -- conditionals ------------------------------------------------------------------
 
 
@@ -1244,13 +1280,14 @@ def test_clique_tables_match_the_joint_on_benchmark_style_networks():
         pr, ur = net.ratio_tables(PROB), net.ratio_tables(UTIL)
         dims = list(range(pr.ndim))
         for clique in net._cliques():
-            (tp, tu), sp, su, axes = net._table(clique, 10**6)
+            (tp, tu), sp, su, axes, safe = net._table(clique, 10**6)
             assert axes == helpers.axes_of(clique)
             np.testing.assert_allclose(tp, np.einsum(pr, dims, list(axes)), rtol=1e-12)
             np.testing.assert_allclose(tu, np.einsum(pr, dims, ur, dims, list(axes)),
                                        rtol=1e-12)
             assert (sp, su) == (pytest.approx(pr.sum(), rel=1e-12),
                                 pytest.approx(np.vdot(pr, ur), rel=1e-12))
+            assert safe is (max(sp, su) <= sys.float_info.max / 2)
 
 
 def test_log_space_buckets_match_the_linear_ones():

@@ -442,6 +442,22 @@ def test_imap_report_is_cached(chain_net):
     assert chain_net.imap_report() is chain_net.imap_report()
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, "1e-9", None, True])
+def test_audits_refuse_a_tolerance_that_is_not_a_finite_real_at_least_0(tolerance):
+    # at NaN or inf no deviation is flagged, so the audit would pass this network
+    net = adversarial_net()
+    asks = [
+        lambda: validate_imap(net, tolerance),
+        lambda: net.imap_report(tolerance),
+        lambda: full_mantle_potential(net, PROB, "X1", tolerance),
+        lambda: full_mantle_potential(net, PROB, "X1", tolerance, strict=False),
+    ]
+    for ask in asks:
+        with pytest.raises(ValidationError, match="tolerance must be a finite real number"):
+            ask()
+    assert {v.variable for v in validate_imap(net, 0).violations} == {"X1", "X3"}
+
+
 def test_cached_imap_report_checks_the_cap():
     # X1's window over (X1, X3, X2) has 8 states: cached or not, the report
     # answers only under a cap that admits the audit's largest window.

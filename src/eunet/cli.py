@@ -185,7 +185,7 @@ def _cmd_query(args: argparse.Namespace, out: IO[str]) -> int:
     # Given nothing, the measures are conditional on the sure event: u(E |
     # True) is u_norm(E), in float range wherever it is, even where u_rel(E)
     # is not.
-    g = _event(network, args.given or None)
+    g = _event(network, args.given)
     if args.prob:
         result = conditional_probability(network, e, g)
     elif args.eu:

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from array import array
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str  # quotes, as json.dumps does
 
@@ -200,145 +200,158 @@ def _parse_rows(
 
 
 _NO_CONDITION: dict = {}  # a row's ``given`` when it omits one
-_LEFT_OUT = object()  # the rows of a table a layer leaves out
 _NUMBERS = (int, float)  # the types a row's number may have
 
 
-def _read_layer(
-    tables: Sequence[tuple[object, Sequence[VariableSpec]]], number_key: str, *, implied: bool
-) -> list[np.ndarray] | None:
-    """A layer's tables as read-only views of one flat buffer, or None.
+def _table_fault(rows: object, path: str, axes: Sequence[VariableSpec], layer: str | None) -> None:
+    """Word the first fault of a table ``_read_layer`` refused, row by row.
 
-    ``tables`` pairs each table's rows, or ``_LEFT_OUT``, with its axes, the
-    variable's own first.  The buffer holds the tables one after another in
-    row-major order; the entries no row gives hold 1.  ``implied`` says
-    that a table's reference rows may be left out (``eun/1``); a row that
-    gives one must then hold exactly 1.
+    An ``eun/1`` table of ``layer`` goes through ``_parse_rows`` and
+    ``RestrictedPotential.from_entries``; a CPT (``layer`` None) through
+    ``_parse_rows``, the probability checks, its coverage and its sums.
+    """
+    spec, *parent_specs = axes
+    parents = tuple(p.name for p in parent_specs)
+    if layer is not None:
+        relation = (
+            f"a below-index neighbour of {spec.name!r} in the {layer} layer "
+            f"(expected {sorted(parents)})"
+        )
+        entries = {key: r for _, key, r in _parse_rows(rows, path, parents, "ratio", relation)}
+        RestrictedPotential.from_entries(spec, parent_specs, layer, entries)
+        return
+    shape = tuple(s.size for s in axes)
+    table, covered = np.ones(shape), np.zeros(shape, dtype=bool)
+    for rat, key, prob in _parse_rows(rows, path, parents, "p", f"a parent of {spec.name!r}"):
+        idx = tuple(s.value_index(label) for s, label in zip(axes, key))
+        if math.isnan(prob):
+            _fail(f"{rat}.p", f"non-finite entry {prob!r}")
+        if prob <= 0.0:
+            _fail(f"{rat}.p", f"probabilities must be strictly positive, got {prob!r}")
+        table[idx], covered[idx] = prob, True
+    if not covered.all():
+        _fail(path, "incomplete table (missing rows for some value combination)")
+    _check_sums(path, table)
+
+
+def _read_layer(
+    layout: Sequence[Sequence[VariableSpec]], walk: Iterable[tuple[int, object]], number_key: str,
+    fault: Callable[[int, list[np.ndarray]], None], *, implied: bool,
+) -> list[np.ndarray]:
+    """A layer's tables as read-only views of one flat buffer.
+
+    ``layout`` gives each table's axes, the variable's own first; the buffer
+    holds the tables one after another in that order, row-major, and the
+    entries no row gives hold 1.  ``walk`` pairs a table's place in
+    ``layout`` with its rows, in the order the tables are read.  ``implied``
+    says that a table's reference rows may be left out (``eun/1``); a row
+    that gives one must then hold exactly 1.
 
     One Python pass reads every row.  Per table, one dict per axis maps a
     label to its index times the axis's stride (plus the table's start, on
     the variable's own axis), so a row's lookups add up to its flat code in
     the buffer.  On the way each row is checked: it is an object with no
     unknown key, its ``given`` names exactly the other axes, every label is
-    in its domain and the number is an int or a float.  A table that is
-    given needs a row for each entry that is not implied; as no code may
-    repeat, counting them says so.  numpy then runs once for the layer: the
-    repeat test, the finite and positive test of the numbers, and one
-    scatter.  None means a check failed; the per-row checks of
-    ``_parse_rows`` and ``VariableSpec.value_index`` then word the error.
+    in its domain and the number is a finite, positive int or float.  A
+    table needs a row for each entry that is not implied; as no code may
+    repeat (one set over the table's codes), counting them says so.  Each
+    table is checked whole before the next is read, so the first table
+    refused holds the layer's first fault: ``fault(place, tables)`` words it
+    and raises, given the views with only the tables read before it.  numpy
+    runs once, for the scatter.
     """
-    starts, shapes = [0], []
+    shapes = [[len(s.domain) for s in axes] for axes in layout]
+    starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
     codes, numbers = array("q"), array("d")
     add_code, add_number = codes.append, numbers.append
-    try:
-        for rows, axes in tables:
-            shape = [len(s.domain) for s in axes]
-            start, size = starts[-1], math.prod(shape)
-            starts.append(start + size)
-            shapes.append(shape)
-            if rows is _LEFT_OUT:
-                continue
-            if type(rows) is not list:
-                return None
-            spec, stride = axes[0], size // shape[0]
-            own = {label: start + i * stride for i, label in enumerate(spec.domain)}
-            # the rows still needed, and the code of the implied rows' first entry
-            needed, reference = (size - stride, own[spec.reference]) if implied else (size, -1)
-            lookups = []
-            for condition in axes[1:]:
-                stride //= len(condition.domain)
-                offsets = {label: i * stride for i, label in enumerate(condition.domain)}
-                lookups.append((condition.name, offsets))
-            arity = len(lookups)
-            for row in rows:
+    inf = math.inf
+
+    def views(count: int) -> list[np.ndarray]:
+        """The tables as views of one buffer that holds the first ``count`` rows read."""
+        buffer = np.ones(starts[-1])
+        buffer[np.frombuffer(codes, np.int64, count)] = np.frombuffer(numbers, count=count)
+        buffer.flags.writeable = False
+        return [buffer[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
+
+    for place, rows in walk:
+        axes, start, first = layout[place], starts[place], len(codes)
+        size = starts[place + 1] - start
+        spec, stride = axes[0], size // len(axes[0].domain)
+        own = {label: start + i * stride for i, label in enumerate(spec.domain)}
+        # the rows still needed, and the code of the implied rows' first entry
+        needed, reference = (size - stride, own[spec.reference]) if implied else (size, -1)
+        lookups = []
+        for condition in axes[1:]:
+            stride //= len(condition.domain)
+            offsets = {label: i * stride for i, label in enumerate(condition.domain)}
+            lookups.append((condition.name, offsets))
+        arity = len(lookups)
+        try:
+            for row in rows:  # rows that are no list fail below, or raise
                 if type(row) is not dict:
-                    return None
+                    break
                 keys = len(row)
                 given = row["given"] if keys == 3 else _NO_CONDITION if keys == 2 else None
                 code, number = own[row["value"]], row[number_key]
-                if type(given) is not dict or len(given) != arity or type(number) not in _NUMBERS:
-                    return None
+                if (type(given) is not dict or len(given) != arity
+                        or type(number) not in _NUMBERS or not 0.0 < number < inf):
+                    break  # NaN fails too
                 if code != reference:
                     needed -= 1
                 elif number != 1:
-                    return None
+                    break
                 for name, lookup in lookups:
                     code += lookup[given[name]]
                 add_code(code)
                 add_number(number)
-            if needed:
-                return None
-    except (KeyError, TypeError, OverflowError):
-        return None
-    at = np.frombuffer(codes, np.int64)
-    if np.count_nonzero(np.bincount(at)) < len(at):  # some code repeats
-        return None
-    values = np.frombuffer(numbers)
-    if not (0.0 < values.min(initial=1.0) and values.max(initial=1.0) < math.inf):  # NaN fails
-        return None
-    buffer = np.ones(starts[-1])
-    buffer[at] = values
-    buffer.flags.writeable = False
-    return [buffer[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
+            else:
+                if type(rows) is list and not needed and len(set(codes[first:])) == len(rows):
+                    continue
+        except (KeyError, TypeError, OverflowError):
+            pass
+        fault(place, views(first))
+        raise AssertionError(f"table {place} was refused, yet its rows show no fault")
+    return views(len(codes))
 
 
 def _read_potentials(
-    raw: object, layer: str, space: Space, graph: EUNGraph
-) -> dict[str, RestrictedPotential] | None:
-    """One layer's potentials, each table a read-only view of one buffer, or None.
+    raw: object, path: str, layer: str, space: Space, graph: EUNGraph
+) -> dict[str, RestrictedPotential]:
+    """One layer's potentials, each table a read-only view of one buffer.
 
-    Besides ``_read_layer``'s checks, a layer may only hold tables for
-    declared variables.  A variable with no table gets the identity table.
-    None means a check failed; ``_parse_layer_rows`` then words the error.
+    The tables are read in the document's key order, and a table for an
+    undeclared variable fails at its place in that order.  A variable with
+    no table gets the identity table.
     """
-    if type(raw) is not dict or not raw.keys() <= set(space.names):
-        return None
+    tables = _as_object(raw, path)
     # Each variable's conditioning set, from one pass over the ordering: its
     # neighbours in the layer that come before it, in that order.
-    axes, parents, before = [], [], []
-    for spec in space.specs:
+    layout, parents, places = [], [], {}
+    for place, spec in enumerate(space.specs):
         mantle = graph.neighbors(layer, spec.name)
-        below = [s for s in before if s.name in mantle]
-        axes.append((spec, *below))
+        below = [s for s in space.specs[:place] if s.name in mantle]
+        layout.append((spec, *below))
         parents.append(tuple(s.name for s in below))
-        before.append(spec)
-    tables = _read_layer(
-        [(raw.get(spec.name, _LEFT_OUT), a) for spec, a in zip(space.specs, axes)],
-        "ratio",
-        implied=True,
-    )
-    if tables is None:
-        return None
+        places[spec.name] = place
+
+    walk, stray = [], None
+    for name, rows in tables.items():
+        if name not in places:
+            stray = name  # it fails once the tables before it are read
+            break
+        walk.append((places[name], rows))
+
+    def fault(place: int, _: list[np.ndarray]) -> None:
+        name = space.names[place]
+        _table_fault(tables[name], f"{path}.{name}", layout[place], layer)
+
+    views = _read_layer(layout, walk, "ratio", fault, implied=True)
+    if stray is not None:
+        _fail(f"{path}.{stray}", f"table for undeclared variable {stray!r}")
     return {
         name: RestrictedPotential._checked(name, layer, p, table)
-        for name, p, table in zip(space.names, parents, tables)
+        for name, p, table in zip(space.names, parents, views)
     }
-
-
-def _parse_layer_rows(
-    raw: object, path: str, layer: str, space: Space, graph: EUNGraph
-) -> list[RestrictedPotential]:
-    """The per-row route: each table in document order through ``_parse_rows``
-    and ``RestrictedPotential.from_entries``, which word the first fault."""
-    obj = _as_object(raw, path)
-    names = set(space.names)
-    potentials = []
-    for name, rows in obj.items():
-        at = f"{path}.{name}"
-        if name not in names:
-            _fail(at, f"table for undeclared variable {name!r}")
-        parents = graph.below_neighbors(layer, name, space.names)
-        relation = (
-            f"a below-index neighbour of {name!r} in the {layer} layer "
-            f"(expected {sorted(parents)})"
-        )
-        entries = {
-            key: ratio for _, key, ratio in _parse_rows(rows, at, parents, "ratio", relation)
-        }
-        potentials.append(RestrictedPotential.from_entries(
-            space.spec(name), [space.spec(p) for p in parents], layer, entries
-        ))
-    return potentials
 
 
 def parse_network(text: str) -> Network:
@@ -363,19 +376,11 @@ def parse_network(text: str) -> Network:
     # A potential's conditioning set comes from the graph and the ordering,
     # so the structure is checked before the tables are read.
     space, checked = _structure(specs, ordering, graph)
-    q, w = doc.get("q", {}), doc.get("w", {})
     layers = {
-        PROB: _read_potentials(q, PROB, space, checked),
-        UTIL: _read_potentials(w, UTIL, space, checked),
+        layer: _read_potentials(doc.get(key, {}), f"$.{key}", layer, space, checked)
+        for layer, key in _LAYER_KEYS.items()
     }
-    if None not in layers.values():
-        return Network(space, checked, layers)
-    # A check failed: the per-row route reports the first fault in document order.
-    potentials = [
-        *_parse_layer_rows(q, "$.q", PROB, space, checked),
-        *_parse_layer_rows(w, "$.w", UTIL, space, checked),
-    ]
-    return build_network(specs, ordering, graph, potentials)
+    return Network(space, checked, layers)
 
 
 def _json_list(items: Sequence[str], indent: int) -> str:
@@ -485,51 +490,13 @@ def _check_acyclic(names: Sequence[str], edges: frozenset[tuple[str, str]]) -> N
         raise SchemaError(f"$.dag_edges: the edges contain a cycle through {cyc}")
 
 
-def _cpt_rows(
-    rows: object, path: str, spec: VariableSpec, parent_specs: Sequence[VariableSpec]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-row checks of a CPT, row by row; they word the error of a
-    CPT layer that ``_read_layer`` refused or that failed a layer check."""
-    shape = (spec.size,) + tuple(p.size for p in parent_specs)
-    table = np.ones(shape)
-    covered = np.zeros(shape, dtype=bool)
-    parents = tuple(p.name for p in parent_specs)
-    for rat, key, prob in _parse_rows(rows, path, parents, "p", f"a parent of {spec.name!r}"):
-        idx = (spec.value_index(key[0]),) + tuple(
-            p.value_index(label) for p, label in zip(parent_specs, key[1:])
-        )
-        if math.isnan(prob):
-            _fail(f"{rat}.p", f"non-finite entry {prob!r}")
-        if prob <= 0.0:
-            _fail(f"{rat}.p", f"probabilities must be strictly positive, got {prob!r}")
-        table[idx] = prob
-        covered[idx] = True
-    return table, covered
-
-
-def _sum_error(table: np.ndarray) -> float:
-    """How far a CPT's rows are from summing to 1 at worst; inf when a sum
-    overflows, which is no warning but a failed check."""
+def _check_sums(path: str, table: np.ndarray) -> None:
+    """A CPT's rows must sum to 1 (within 1e-9); a sum that overflows is no
+    warning but a failed check."""
     with np.errstate(over="ignore"):
-        return float(np.max(np.abs(table.sum(axis=0) - 1.0)))
-
-
-def _read_cpts(
-    cpts_raw: dict, names: Sequence[str], axes: Sequence[Sequence[VariableSpec]]
-) -> dict[str, np.ndarray] | None:
-    """Every CPT as a read-only view of one buffer, or None.
-
-    ``_read_layer``'s one pass over the layer checks that every table is
-    complete and every entry finite and positive; each table's rows must
-    then sum to 1 (within 1e-9).  None means a check failed; ``_cpt_rows``
-    then words the error.
-    """
-    if not cpts_raw.keys() >= set(names):
-        return None
-    tables = _read_layer([(cpts_raw[name], a) for name, a in zip(names, axes)], "p", implied=False)
-    if tables is None or not all(_sum_error(t) <= 1e-9 for t in tables):
-        return None
-    return dict(zip(names, tables))
+        worst = float(np.max(np.abs(table.sum(axis=0) - 1.0)))
+    if not worst <= 1e-9:
+        _fail(path, f"rows must sum to 1 for every parent configuration (off by {worst:.3g})")
 
 
 def parse_bayes_net(text: str) -> BayesNet:
@@ -565,24 +532,20 @@ def parse_bayes_net(text: str) -> BayesNet:
     }
 
     cpts_raw = _as_object(_require(doc, "cpts", "$"), "$.cpts")
-    axes = [[by_name[n] for n in (name, *parents[name])] for name in names]
-    cpts = _read_cpts(cpts_raw, names, axes)
-    if cpts is None:
-        # A check failed: the per-row route reports the first fault in name order.
-        cpts = {}
-        for name, (spec, *parent_specs) in zip(names, axes):
-            at = f"$.cpts.{name}"
-            if name not in cpts_raw:
-                _fail("$.cpts", f"missing required key {name!r}")
-            table, covered = _cpt_rows(cpts_raw[name], at, spec, parent_specs)
-            if not covered.all():
-                _fail(at, "incomplete table (missing rows for some value combination)")
-            worst = _sum_error(table)
-            if not worst <= 1e-9:
-                _fail(at, f"rows must sum to 1 for every parent configuration (off by {worst:.3g})")
-            table.flags.writeable = False
-            cpts[name] = table
+    layout = [[by_name[n] for n in (name, *parents[name])] for name in names]
 
+    def fault(place: int, read: list[np.ndarray]) -> None:
+        for name, table in zip(names[:place], read):
+            _check_sums(f"$.cpts.{name}", table)
+        name = names[place]
+        if name not in cpts_raw:
+            _fail("$.cpts", f"missing required key {name!r}")
+        _table_fault(cpts_raw[name], f"$.cpts.{name}", layout[place], None)
+
+    # The CPTs are read in name order; a missing one is refused at its place.
+    tables = _read_layer(layout, enumerate(map(cpts_raw.get, names)), "p", fault, implied=False)
+    for name, table in zip(names, tables):
+        _check_sums(f"$.cpts.{name}", table)
     unused = sorted(set(cpts_raw) - set(names))
     if unused:
         _fail("$.cpts", f"table for undeclared variable {unused[0]!r}")
@@ -591,7 +554,7 @@ def parse_bayes_net(text: str) -> BayesNet:
         specs=tuple(specs),
         edges=frozenset(edges),
         parents=parents,
-        cpts=cpts,
+        cpts=dict(zip(names, tables)),
     )
 
 

@@ -19,11 +19,29 @@ from eunet import (
     EUNGraph,
     Network,
     RestrictedPotential,
+    ValidationError,
     VariableSpec,
     build_network,
 )
+from eunet.formats import (
+    BN_FORMAT,
+    EUN_FORMAT,
+    _as_list,
+    _as_object,
+    _as_str,
+    _check_acyclic,
+    _fail,
+    _load_document,
+    _pair,
+    _parse_arcs,
+    _parse_rows,
+    _parse_variables,
+    _reject_unknown,
+    _require,
+)
 from eunet.inference import _scope_of
 from eunet.model import _axes as axes_of
+from eunet.model import _structure
 
 
 def net_of(domains, ordering=None, prob_arcs=(), util_arcs=(), q=None, w=None):
@@ -255,6 +273,106 @@ def serialize_oracle(network: Network) -> str:
             ]
         doc[key] = tables
     return json.dumps(doc, indent=2) + "\n"
+
+
+# -- the per-row document route: the judge of the layer reader's error messages --
+
+
+def per_row_parse_network(text: str) -> Network:
+    """``parse_network`` by the per-row route.
+
+    The structure is read as the parser reads it.  Then every table, ``q``
+    before ``w`` and each in document order, goes through ``_parse_rows``
+    and ``RestrictedPotential.from_entries``, and ``build_network`` checks
+    the whole, so a faulty document fails at its first fault in document
+    order.
+    """
+    doc = _load_document(text, EUN_FORMAT)
+    _reject_unknown(
+        doc, "$", frozenset({"format", "variables", "ordering", "prob_arcs", "util_arcs", "q", "w"})
+    )
+    specs = _parse_variables(_require(doc, "variables", "$"), "$.variables")
+    ordering = _as_list(_require(doc, "ordering", "$"), "$.ordering")
+    ordering = tuple(_as_str(v, f"$.ordering[{k}]") for k, v in enumerate(ordering))
+    graph = EUNGraph.of(
+        prob_arcs=_parse_arcs(doc.get("prob_arcs", []), "$.prob_arcs"),
+        util_arcs=_parse_arcs(doc.get("util_arcs", []), "$.util_arcs"),
+        nodes=[s.name for s in specs],
+    )
+    space, checked = _structure(specs, ordering, graph)
+    potentials = []
+    for layer, key in ((PROB, "q"), (UTIL, "w")):
+        for name, rows in _as_object(doc.get(key, {}), f"$.{key}").items():
+            at = f"$.{key}.{name}"
+            if name not in space.names:
+                _fail(at, f"table for undeclared variable {name!r}")
+            parents = checked.below_neighbors(layer, name, space.names)
+            relation = (
+                f"a below-index neighbour of {name!r} in the {layer} layer "
+                f"(expected {sorted(parents)})"
+            )
+            entries = {k: r for _, k, r in _parse_rows(rows, at, parents, "ratio", relation)}
+            potentials.append(RestrictedPotential.from_entries(
+                space.spec(name), [space.spec(p) for p in parents], layer, entries
+            ))
+    return build_network(specs, ordering, graph, potentials)
+
+
+def per_row_parse_bayes_net(text: str) -> BayesNet:
+    """``parse_bayes_net`` by the per-row route.
+
+    The structure is read as the parser reads it.  Then each CPT, in
+    declaration order, goes row by row through ``_parse_rows``, the label
+    and probability checks, its coverage and its sums; a CPT for an
+    undeclared variable fails last.
+    """
+    doc = _load_document(text, BN_FORMAT)
+    _reject_unknown(doc, "$", frozenset({"format", "variables", "dag_edges", "cpts"}))
+    specs = _parse_variables(_require(doc, "variables", "$"), "$.variables")
+    by_name = {}
+    for spec in specs:
+        if spec.name in by_name:
+            raise ValidationError(f"duplicate variable {spec.name!r}")
+        by_name[spec.name] = spec
+    names = tuple(by_name)
+    edges = set()
+    for k, item in enumerate(_as_list(_require(doc, "dag_edges", "$"), "$.dag_edges")):
+        a, b = _pair(item, "$.dag_edges", k, "an edge is a [parent, child] pair")
+        for n in (a, b):
+            if n not in by_name:
+                _fail(f"$.dag_edges[{k}]", f"edge touches undeclared variable {n!r}")
+        if a == b:
+            _fail(f"$.dag_edges[{k}]", f"self-loop edge on {a!r}")
+        edges.add((a, b))
+    _check_acyclic(names, frozenset(edges))
+    parents = {name: tuple(p for p in names if (p, name) in edges) for name in names}
+    raw = _as_object(_require(doc, "cpts", "$"), "$.cpts")
+    cpts = {}
+    for name in names:
+        at = f"$.cpts.{name}"
+        if name not in raw:
+            _fail("$.cpts", f"missing required key {name!r}")
+        axes = [by_name[n] for n in (name, *parents[name])]
+        table = np.ones([s.size for s in axes])
+        covered = np.zeros(table.shape, dtype=bool)
+        for rat, key, p in _parse_rows(raw[name], at, parents[name], "p", f"a parent of {name!r}"):
+            idx = tuple(s.value_index(label) for s, label in zip(axes, key))
+            if np.isnan(p):
+                _fail(f"{rat}.p", f"non-finite entry {p!r}")
+            if p <= 0.0:
+                _fail(f"{rat}.p", f"probabilities must be strictly positive, got {p!r}")
+            table[idx], covered[idx] = p, True
+        if not covered.all():
+            _fail(at, "incomplete table (missing rows for some value combination)")
+        with np.errstate(over="ignore"):
+            worst = float(np.max(np.abs(table.sum(axis=0) - 1.0)))
+        if not worst <= 1e-9:
+            _fail(at, f"rows must sum to 1 for every parent configuration (off by {worst:.3g})")
+        cpts[name] = table
+    unused = sorted(set(raw) - set(names))
+    if unused:
+        _fail("$.cpts", f"table for undeclared variable {unused[0]!r}")
+    return BayesNet(specs=tuple(specs), edges=frozenset(edges), parents=parents, cpts=cpts)
 
 
 def oracle_ratio_table(network: Network, layer: str) -> np.ndarray:

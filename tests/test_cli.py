@@ -414,9 +414,10 @@ def test_duplicate_event_variable(chain_path):
 
 
 def test_empty_event_specification(chain_path):
-    code, out, err = run("query", chain_path, "--prob", "-e", ",")
-    assert code == 1
-    assert "empty event specification" in err
+    for event in (["-e", ","], ["-e", "X1=1", "-g", ""]):
+        code, out, err = run("query", chain_path, "--prob", *event)
+        assert code == 1, event
+        assert "empty event specification" in err
 
 
 def test_contradictory_conditioning_is_a_numeric_error(hw1_path):

@@ -1127,23 +1127,109 @@ def parse_outcome(parse, text):
     ]
 
 
-def test_layer_reader_matches_per_row_route_on_mutated_corpus(monkeypatch):
-    corpus = list(mutated_corpus(11, 600))
-    fast = [parse_outcome(parse, text) for parse, text in corpus]
-    # Refused by the layer reader, every document goes to the per-row checks.
-    monkeypatch.setattr(formats, "_read_layer", lambda *args, **kwargs: None)
-    slow = [parse_outcome(parse, text) for parse, text in corpus]
-    for (_, text), got, want in zip(corpus, fast, slow):
-        assert got == want, text
-    kinds = {outcome[0] for outcome in fast}
+PER_ROW_ROUTE = {
+    parse_network: helpers.per_row_parse_network,
+    parse_bayes_net: helpers.per_row_parse_bayes_net,
+}
+
+
+def test_layer_reader_matches_per_row_route_on_mutated_corpus():
+    corpus = [*mutated_corpus(11, 600), *mutated_corpus(12, 600)]
+    outcomes = [parse_outcome(parse, text) for parse, text in corpus]
+    for (parse, text), outcome in zip(corpus, outcomes):
+        assert outcome == parse_outcome(PER_ROW_ROUTE[parse], text), text
+    kinds = {outcome[0] for outcome in outcomes}
     assert {"ok", SchemaError, ValidationError} <= kinds
     # The structure faults reach every per-entry check.
-    messages = "\n".join(str(outcome[1]) for outcome in fast if outcome[0] != "ok")
+    messages = "\n".join(str(outcome[1]) for outcome in outcomes if outcome[0] != "ok")
     for part in (
         "$.variables[", ".domain[", ".reference: expected a string", "unknown key",
         "$.ordering[", "_arcs[", "an arc is a pair", "$.dag_edges[", "an edge is a",
     ):
         assert part in messages, part
+
+
+def _x_reference_twice(doc):
+    doc["q"]["X"] += [{"value": "0", "given": {}, "ratio": 1}] * 2
+
+
+_X_REPEATED = _set(["cpts", "X", 1], {"value": "0", "given": {}, "p": 0.6})
+
+REPEAT_FAULTS = [
+    # A repeated code that leaves the count whole is found by its table's
+    # repeat test, before any fault in a later table.
+    (parse_network, _chain(_x_reference_twice, _set(["q", "Z"], UNDECLARED)),
+     "$.q.X[2]: duplicate entry for ('0',)"),
+    (parse_network, _chain(_x_reference_twice, _set(["q", "Y", 0, "weight"], 1)),
+     "$.q.X[2]: duplicate entry for ('0',)"),
+    (parse_network, _chain(_w_layer, _x_reference_twice, _set(["w", "X", 0, "ratio"], 0)),
+     "$.q.X[2]: duplicate entry for ('0',)"),
+    (parse_network, _set(["q", "Y", 3], {"value": "c", "given": {"X": "0"}, "ratio": 2.5}),
+     "$.q.Y[3]: duplicate entry for ('c', '0')"),
+    (parse_bayes_net, _chain(_X_REPEATED, _set(["cpts", "Y", 0, "q"], 1)),
+     "$.cpts.X[1]: duplicate entry for ('0',)"),
+    (parse_bayes_net, _chain(_X_REPEATED, _set(["cpts", "Y"], _DELETE)),
+     "$.cpts.X[1]: duplicate entry for ('0',)"),
+    (parse_bayes_net, _set(["cpts", "Y", 3], {"value": "0", "given": {"X": "1"}, "p": 0.8}),
+     "$.cpts.Y[3]: duplicate entry for ('0', '1')"),
+    # A bad sum in an earlier CPT still comes first.
+    (parse_bayes_net, _chain(_set(["cpts", "X", 1, "p"], 0.7),
+                             _set(["cpts", "Y", 3], {"value": "0", "given": {"X": "1"}, "p": 0.8})),
+     "$.cpts.X: rows must sum to 1 for every parent configuration (off by 0.1)"),
+]
+
+
+@pytest.mark.parametrize("parse, mutate, message", REPEAT_FAULTS)
+def test_a_repeat_before_a_later_fault_wins(parse, mutate, message):
+    doc = fault_doc() if parse is parse_network else json.loads(bn_doc())
+    mutate(doc)
+    text = json.dumps(doc)
+    assert parse_outcome(parse, text) == (SchemaError, message)
+    assert parse_outcome(PER_ROW_ROUTE[parse], text) == (SchemaError, message)
+
+
+def test_a_refused_document_is_read_once(monkeypatch):
+    read = []
+
+    def spy(rows, path, *args):
+        read.append(path)
+        return _parse_rows(rows, path, *args)
+
+    monkeypatch.setattr(formats, "_parse_rows", spy)
+    doc = _w_layer(fault_doc())
+    doc["w"]["Y"][-1]["ratio"] = 0
+    with pytest.raises(ValidationError, match="'Y'/util: non-positive potential entry"):
+        parse_network(json.dumps(doc))
+    assert read == ["$.w.Y"]
+    read.clear()
+    doc = json.loads(bn_doc())
+    doc["cpts"]["Y"][-1]["p"] = 0
+    with pytest.raises(SchemaError, match=r"Y\[3\]\.p: probabilities must be strictly positive"):
+        parse_bayes_net(json.dumps(doc))
+    assert read == ["$.cpts.Y"]
+
+
+def test_parse_peak_stays_at_one_layer_buffer():
+    # X0..X17 form a complete probability graph, so their tables fill 2**19 - 2
+    # entries; the one given row, for X18, has code 2**19 - 1.
+    names = [f"X{i}" for i in range(19)]
+    text = json.dumps({
+        "format": "eun/1",
+        "variables": [{"name": n, "domain": ["0", "1"]} for n in names],
+        "ordering": names,
+        "prob_arcs": [[a, b] for k, a in enumerate(names[:18]) for b in names[k + 1:18]],
+        "q": {"X18": [{"value": "1", "given": {}, "ratio": 2.0}]},
+    })
+    tracemalloc.start()
+    try:
+        net = parse_network(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffer = net.potential(PROB, "X18").table.base
+    assert buffer.nbytes == 8 * 2**19
+    assert buffer[-1] == 2.0
+    assert peak < 1.5 * buffer.nbytes
 
 
 def test_explicit_reference_rows_parse_as_omitted_ones():
